@@ -112,6 +112,16 @@ def ell_deriv(ev: ScaleEvaluator, pw: ConcavePayoff, lam: float,
     return float(W(ev, x)) * (ev.q - lam * right_derivative(pw, x))
 
 
+def z_inverse(ev: ScaleEvaluator, phi: float, xtol: float) -> float:
+    """Z_q^{-1}(phi) for phi > 1: bracket by doubling from 1, then Brent."""
+    hi = 1.0
+    while Z(ev, hi) < phi:
+        hi *= 2.0
+        if hi > ev.x_cap:
+            raise NumericsError("no sign change within overflow horizon")
+    return brentq(lambda x: Z(ev, x) - phi, 0.0, hi, xtol=xtol)
+
+
 def barrier_root(problem: AuxProblem,
                  evaluator: ScaleEvaluator | None = None,
                  warm_start: float | None = None) -> AuxSolution:
@@ -122,14 +132,7 @@ def barrier_root(problem: AuxProblem,
 
     f = lambda x: ell(ev, pw, lam, phi, x)
     # Z_q^{-1}(phi) is a proven lower bound for the barrier.
-    z_hi = 1.0
-    while Z(ev, z_hi) < phi:
-        z_hi *= 2.0
-        if z_hi > ev.x_cap:
-            raise NumericsError("no sign change within overflow horizon")
-    z_inv = brentq(lambda x: Z(ev, x) - phi, 0.0, z_hi, xtol=1e-14)
-
-    lo = z_inv
+    lo = z_inverse(ev, phi, xtol=1e-14)
     hi = max(2.0 * lo, lo + 1.0)
     if warm_start is not None and warm_start > lo and f(warm_start) > 0:
         hi = warm_start

@@ -8,6 +8,7 @@ so nothing smoother than piecewise-linear is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +29,13 @@ class ConcavePayoff:
     slope_tail: float       # right derivative beyond the last knot
     warning: str | None = None
 
-    @property
+    @cached_property
     def slopes(self) -> np.ndarray:
-        """Interior segment slopes (len(xs) - 1 entries)."""
-        if len(self.xs) == 1:
-            return np.empty(0)
-        return np.diff(self.vals) / np.diff(self.xs)
+        """Interior segment slopes (len(xs) - 1 entries), computed once and
+        shared read-only by every caller."""
+        out = np.diff(self.vals) / np.diff(self.xs)
+        out.flags.writeable = False
+        return out
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -90,12 +92,12 @@ def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
     """Project sampled values onto the concave cone by pooling adjacent
     slope violators (PAV on slopes, weighted by segment widths).
 
+    samples is an (n, 2) array of (x, value) rows or a sequence of pairs.
     Idempotent on concave input; the sup-norm distance to the input is
     bounded by the largest pooled violation.  A warning diagnostic is
     attached when the violation exceeds roundoff scale.
     """
-    xs = np.asarray([s[0] for s in samples], dtype=float)
-    vals = np.asarray([s[1] for s in samples], dtype=float)
+    xs, vals = np.asarray(samples, dtype=float).reshape(-1, 2).T.copy()
     if np.any(np.diff(xs) <= 0):
         raise ModelError("knots not ascending")
     widths = np.diff(xs)
@@ -112,16 +114,15 @@ def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
     # Pool-adjacent-violators for a nonincreasing slope sequence.
     # Each block: [weighted slope sum, weight, segment count].
     pooled: list[list[float]] = []
-    for s, w in zip(slopes, widths):
+    for s, w in zip(slopes.tolist(), widths.tolist()):
         pooled.append([s * w, w, 1])
         while len(pooled) > 1 and pooled[-1][0] / pooled[-1][1] > pooled[-2][0] / pooled[-2][1]:
             b = pooled.pop()
             pooled[-1][0] += b[0]
             pooled[-1][1] += b[1]
             pooled[-1][2] += b[2]
-    new_slopes = (np.concatenate([np.full(int(blk[2]), blk[0] / blk[1])
-                                  for blk in pooled])
-                  if pooled else np.empty(0))
+    sums, weights, counts = zip(*pooled)
+    new_slopes = np.repeat(np.divide(sums, weights), counts)
     new_vals = np.concatenate(([vals[0]], vals[0] + np.cumsum(new_slopes * widths)))
 
     if slope_tail is None:

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxProblem, barrier_root, value_derivative
+from .auxiliary import AuxProblem, barrier_root, value_derivative, z_inverse
 from .errors import ModelError, NumericsError
 from .levy import LevySpec, require_valid, validate
 from .payoff import ConcavePayoff, concavify
-from .scale import Z, build_scale_evaluator
+from .scale import build_scale_evaluator
 from .value_grid import value_on_grid
 
 _CONE_TOL = 1e-7
@@ -174,8 +174,7 @@ def hat_operator(model: RegimeModel, f: ValueField, i: int,
             out += p * f.values[j]
         else:
             out += p * _hyperexp_average(f, j, sj)
-    samples = list(zip(f.grid, out))
-    pw = concavify(samples, slope_tail=1.0)
+    pw = concavify(np.column_stack((f.grid, out)), slope_tail=1.0)
     if pw.warning is not None:
         raise NumericsError(f"hat operator output: {pw.warning}")
     return pw
@@ -188,22 +187,21 @@ def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
     vals = f.values[j]
     f0 = float(vals[0])
     phi = f.phi
-    n = len(grid)
-    out = np.zeros(n)
+    h = np.diff(grid)
+    s = np.diff(vals) / h
+    out = np.zeros(len(grid))
     for w, nu in sj.mix:
+        # per segment: int_0^h (f_{m+1} - s z) nu e^{-nu z} dz
+        e = np.exp(-nu * h)
+        zint = (1.0 - e) / nu - h * e
+        loc = vals[1:] * (1.0 - e) - s * zint
         # body: I(x) = int_0^x f(x-z, j) nu e^{-nu z} dz by forward recursion
-        body = np.zeros(n)
-        for m in range(n - 1):
-            h = grid[m + 1] - grid[m]
-            e = np.exp(-nu * h)
-            s = (vals[m + 1] - vals[m]) / h
-            # int_0^h (f_{m+1} - s z) nu e^{-nu z} dz
-            zint = (1.0 - e) / nu - h * e
-            loc = vals[m + 1] * (1.0 - e) - s * zint
-            body[m + 1] = e * body[m] + loc
+        body = [0.0]
+        for em, lm in zip(e.tolist(), loc.tolist()):
+            body.append(em * body[-1] + lm)
         # tail: int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z} dz
         tail = np.exp(-nu * grid) * (f0 - phi / nu)
-        out += w * (body + tail)
+        out += w * (np.array(body) + tail)
     return out
 
 
@@ -287,12 +285,7 @@ def default_x_max(model: RegimeModel) -> float:
     worst = 0.0
     for i in range(model.n):
         ev = build_scale_evaluator(model.levy[i], float(model.discounts[i]))
-        hi = 1.0
-        while Z(ev, hi) < model.phi:
-            hi *= 2.0
-        from scipy.optimize import brentq
-        b0 = brentq(lambda x: Z(ev, x) - model.phi, 0.0, hi, xtol=1e-12)
-        worst = max(worst, b0)
+        worst = max(worst, z_inverse(ev, model.phi, xtol=1e-12))
     return 4.0 * worst
 
 

@@ -9,6 +9,13 @@ This module instead propagates the segment integrals
 through a backward recursion over the merged breakpoints, making a full-grid
 evaluation linear in the grid size.  All terms are nonnegative for a
 nondecreasing payoff, so the recursion is forward stable.
+
+Every per-segment quantity (the right derivative, the growth factor
+exp(s_j h) and the segment increment) is computed as a whole array; only
+the first-order recurrence itself is a loop, over Python floats, one root at
+a time.  It keeps the point-by-point order of summation: a constant-
+coefficient filter would not, because np.linspace spacing is not exactly
+constant in floating point.
 """
 
 from __future__ import annotations
@@ -24,19 +31,26 @@ from .scale import W, Z, Zbar, ScaleEvaluator
 def _k_on_points(payoff, roots: np.ndarray, pts: np.ndarray,
                  b: float) -> np.ndarray:
     """K_j at each of the ascending points pts (all <= b); shape
-    (len(pts), len(roots))."""
-    n = len(pts)
-    out = np.zeros((n, len(roots)))
-    k = np.zeros(len(roots))
-    upper = b
-    for m in range(n - 1, -1, -1):
-        p = pts[m]
-        if upper > p:
-            slope = float(right_derivative(payoff, p))
-            e = np.exp(roots * (upper - p))
-            k = e * k + slope * (e - 1.0) / roots
-        out[m] = k
-        upper = p
+    (len(pts), len(roots)).
+
+    Segment growth factors e and increments c are whole arrays; only the
+    recurrence K(p_m) = e_m K(p_{m+1}) + c_m runs in Python, one root at a
+    time over floats, so the order of summation is the scalar one.
+    """
+    h = np.append(pts[1:], b) - pts
+    e = np.exp(np.outer(h, roots))
+    c = right_derivative(payoff, pts)[:, None] * (e - 1.0) / roots
+    live = (h > 0).tolist()[::-1]
+    out = np.empty_like(e)
+    for j in range(len(roots)):
+        k = 0.0
+        col = []
+        for step, em, cm in zip(live, e[::-1, j].tolist(),
+                                c[::-1, j].tolist()):
+            if step:
+                k = em * k + cm
+            col.append(k)
+        out[::-1, j] = col
     return out
 
 

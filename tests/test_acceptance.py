@@ -46,6 +46,7 @@ def test_criterion_1_laplace_transform(three_specs):
             f"max residual {worst:.2e}, {dt:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_exit_identities(three_specs):
     b = 2.0
     cfg = lb.SimConfig(n_paths=200_000, dt=1e-3, t_max=19.0, rng_seed=42)
@@ -166,6 +167,7 @@ def test_criterion_8_fixed_point_stability(two_state_model):
             f"{move:.2e} vs 2*tol {2 * tol:.0e}, {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_9_regime_npv_monte_carlo(two_state_model):
     t0 = time.time()
     model = two_state_model

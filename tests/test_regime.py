@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from levybarrier import (AuxProblem, ModelError, NumericsError, RegimeModel,
                          SwitchJump, barrier_root, make_payoff, solve, value)
-from levybarrier.regime import (ValueField, apply_T_b, apply_T_sup,
-                                hat_operator, identity_field, in_cone,
-                                rho_metric, validate_model)
+from levybarrier.regime import (ValueField, _hyperexp_average, apply_T_b,
+                                apply_T_sup, default_x_max, hat_operator,
+                                identity_field, in_cone, rho_metric,
+                                validate_model)
 
 
 def single_regime_reference(spec, phi):
@@ -66,6 +69,30 @@ def test_hat_operator_exponential_jump_closed_form(brownian_spec):
     expect = grid - 1.0 / nu + (1.0 - phi) * np.exp(-nu * grid) / nu
     # piecewise-linear sampling of a smooth integrand: O(h^2) error
     assert pw(grid) == pytest.approx(expect, abs=5e-5)
+
+
+def test_hyperexp_average_matches_quadrature():
+    # exact for a piecewise-linear field: two rates, non-uniform grid
+    from scipy.integrate import quad
+    phi = 1.7
+    mix = ((0.35, 1.5), (0.65, 6.0))
+    grid = 5.0 * np.linspace(0.0, 1.0, 41) ** 1.6
+    vals = np.vstack((grid, grid + (phi - 1.0) * (1.0 - np.exp(-grid)) + 0.3))
+    f = ValueField(grid=grid, values=vals, phi=phi)
+    got = _hyperexp_average(f, 1, SwitchJump("hyperexp", mix))
+    f0 = vals[1, 0]
+    for m in range(0, len(grid), 4):
+        x = grid[m]
+        ref = 0.0
+        for w, nu in mix:
+            dens = lambda z: nu * np.exp(-nu * z)
+            body, _ = quad(lambda z: np.interp(x - z, grid, vals[1]) * dens(z),
+                           0.0, x, points=x - grid[:m], limit=200,
+                           epsabs=1e-14, epsrel=1e-13)
+            tail, _ = quad(lambda z: (phi * (x - z) + f0) * dens(z), x, np.inf,
+                           epsabs=1e-14, epsrel=1e-13)
+            ref += w * (body + tail)
+        assert got[m] == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 def test_hat_operator_rejects_out_of_cone(two_state_model):
@@ -153,6 +180,14 @@ def test_smooth_fit_per_state(two_state_model, three_state_model):
 def test_solution_concave_slopes_in_window(two_state_model):
     sol = solve(two_state_model, tol=1e-8, grid_points=1200)
     assert in_cone(sol.value, tol=1e-6) is None
+
+
+def test_default_x_max_unreachable_phi(symmetric_two_state):
+    # Z_q stays below phi up to the overflow horizon: same typed error and
+    # message as barrier_root's bracket
+    model = dataclasses.replace(symmetric_two_state, phi=1e308)
+    with pytest.raises(NumericsError, match="no sign change"):
+        default_x_max(model)
 
 
 def test_nonconvergence_reports_decay(two_state_model):
