@@ -16,8 +16,7 @@ from .regime import (RegimeModel, RegimeSolution, SwitchJump, ValueField,
 from .scale import (ScaleEvaluator, W, W_deriv, Z, Zbar,
                     build_scale_evaluator, verify_laplace_transform)
 from .simulate import (SimConfig, SimEstimate, estimate_exit_identities,
-                       simulate_aux_npv, simulate_extremal_bounds,
-                       simulate_regime_npv)
+                       simulate_aux_npv, simulate_regime_npv)
 
 __all__ = [
     "AuxProblem", "AuxSolution", "barrier_root", "dominance_gap",
@@ -30,8 +29,7 @@ __all__ = [
     "identity_field", "rho_metric", "solve", "ScaleEvaluator", "W",
     "W_deriv", "Z", "Zbar", "build_scale_evaluator",
     "verify_laplace_transform", "SimConfig", "SimEstimate",
-    "estimate_exit_identities", "simulate_aux_npv",
-    "simulate_extremal_bounds", "simulate_regime_npv",
+    "estimate_exit_identities", "simulate_aux_npv", "simulate_regime_npv",
 ]
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from .config import (ConfigError, aux_inputs_from, parse_config,
                      regime_model_from, sim_config_from, solver_options_from)
 from .errors import ModelError, NumericsError
 from .regime import solve
-from .scale import W, Z, Zbar, build_scale_evaluator, verify_laplace_transform
+from .scale import (W, Z, Zbar, exit_identities_analytic,
+                    verify_laplace_transform)
 from .simulate import (estimate_exit_identities, simulate_aux_npv,
                        simulate_regime_npv)
 
@@ -55,12 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _solve_aux(tree, args, out):
-    spec, lam, delta, phi, payoff = aux_inputs_from(tree, args.state)
+def _aux_solution(tree, state):
+    """The config's single-regime problem (on the Levy section of `state`,
+    the first one by default) and its barrier solution."""
+    spec, lam, delta, phi, payoff = aux_inputs_from(tree, state)
     problem = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi,
                          payoff=payoff)
-    sol = barrier_root(problem)
-    b, ev = sol.barrier, sol.evaluator
+    return problem, barrier_root(problem)
+
+
+def _solve_aux(tree, args, out):
+    problem, sol = _aux_solution(tree, args.state)
+    b, ev, phi = sol.barrier, sol.evaluator, problem.phi
     print(f"barrier={_g17(b)}", file=out)
     print(f"value_at_zero={_g17(value(problem, b, 0.0, ev))}", file=out)
     print(f"value_at_barrier={_g17(value(problem, b, b, ev))}", file=out)
@@ -111,40 +119,54 @@ def _solve_regime(tree, args, out):
     return 0
 
 
-def _parse_barriers(arg: str | None):
+def _parse_barriers(arg: str | None, n: int):
+    """The --barrier override: exactly one positive value per state."""
     if arg is None:
         return None
-    return [float(tok) for tok in arg.split(",")]
+    try:
+        vals = [float(tok) for tok in arg.split(",")]
+    except ValueError:
+        raise ConfigError(f"--barrier: expected comma-separated numbers, "
+                          f"got {arg!r}") from None
+    if len(vals) != n:
+        raise ConfigError(f"--barrier: expected {n} value(s), one per "
+                          f"state, got {len(vals)}")
+    if not all(math.isfinite(v) and v > 0 for v in vals):
+        raise ConfigError("--barrier: values must be positive and finite")
+    return vals
 
 
 def _simulate(tree, args, out):
     config = sim_config_from(tree, paths=args.paths, dt=args.dt,
                              tmax=args.tmax, seed=args.seed,
                              antithetic=args.antithetic)
-    override = _parse_barriers(args.barrier)
     rows = []
     if "chain" in tree:
         model = regime_model_from(tree)
-        i0 = 0 if args.state is None else model.states.index(args.state)
-        if override is not None:
-            barriers = np.asarray(override, dtype=float)
-            analytic = float("nan")
-            x0 = args.x0 if args.x0 is not None else float(barriers[i0])
+        if args.state is None:
+            i0 = 0
+        elif args.state in model.states:
+            i0 = model.states.index(args.state)
         else:
+            raise ConfigError(f"--state: unknown state {args.state!r}")
+        override = _parse_barriers(args.barrier, model.n)
+        if override is None:
             sol = solve(model, **solver_options_from(tree))
             barriers = sol.barriers
-            x0 = args.x0 if args.x0 is not None else float(barriers[i0])
-            analytic = sol.value_at(x0, i0)
+        else:
+            barriers = np.asarray(override)
+        x0 = args.x0 if args.x0 is not None else float(barriers[i0])
+        analytic = (sol.value_at(x0, i0) if override is None
+                    else float("nan"))
         est = simulate_regime_npv(model, barriers, x0, i0, config)
     else:
-        spec, lam, delta, phi, payoff = aux_inputs_from(tree, args.state)
-        problem = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi,
-                             payoff=payoff)
-        sol = barrier_root(problem)
+        override = _parse_barriers(args.barrier, 1)
+        problem, sol = _aux_solution(tree, args.state)
         b = override[0] if override is not None else sol.barrier
         x0 = args.x0 if args.x0 is not None else b
         analytic = value(problem, b, x0, sol.evaluator)
-        est = simulate_aux_npv(spec, payoff, lam, delta, phi, b, x0, config)
+        est = simulate_aux_npv(problem.spec, problem.payoff, problem.lam,
+                               problem.delta, problem.phi, b, x0, config)
     rows.append((est.mean, est.std_error, analytic))
     print("mean,std_error,analytic", file=out)
     for row in rows:
@@ -157,10 +179,7 @@ def _simulate(tree, args, out):
 
 
 def _curve(tree, args, out):
-    spec, lam, delta, phi, payoff = aux_inputs_from(tree, args.state)
-    problem = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi,
-                         payoff=payoff)
-    sol = barrier_root(problem)
+    _, sol = _aux_solution(tree, args.state)
     ev = sol.evaluator
     hi = args.x0 if args.x0 is not None else 2.0 * sol.barrier
     xs = np.linspace(0.0, hi, 201)
@@ -179,18 +198,6 @@ def _curve(tree, args, out):
 # ---------------------------------------------------------------------------
 # verification battery
 
-def exit_identities_analytic(ev, b: float, x: float) -> tuple[float, float,
-                                                              float]:
-    """Scale-function values of the three discounted exit functionals:
-    continuous passage below 0 before reaching b, reaching b before 0, and
-    first passage below 0 under reflection at b."""
-    wb = float(W(ev, b))
-    wu = float(W(ev, b - x))
-    zb = float(Z(ev, b))
-    zu = float(Z(ev, b - x))
-    return wu / wb, zu - zb * wu / wb, zu / zb
-
-
 def _run_verify(tree, args, out):
     checks: list[tuple[str, bool, str]] = []
 
@@ -198,11 +205,8 @@ def _run_verify(tree, args, out):
         checks.append((name, ok, detail))
         print(("PASS " if ok else "FAIL ") + name + " " + detail, file=out)
 
-    spec, lam, delta, phi, payoff = aux_inputs_from(tree, args.state)
-    problem = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi,
-                         payoff=payoff)
-    sol = barrier_root(problem)
-    ev, b = sol.evaluator, sol.barrier
+    problem, sol = _aux_solution(tree, args.state)
+    ev, b, phi = sol.evaluator, sol.barrier, problem.phi
 
     # Laplace transform residuals of W_q
     for k in range(1, 6):
@@ -241,7 +245,7 @@ def _run_verify(tree, args, out):
     config = sim_config_from(tree, paths=args.paths, dt=args.dt,
                              tmax=args.tmax, seed=args.seed)
     x = 0.5 * b
-    ests = estimate_exit_identities(spec, problem.q, b, x, config)
+    ests = estimate_exit_identities(problem.spec, problem.q, b, x, config)
     targets = exit_identities_analytic(ev, b, x)
     names = ("exit_down", "exit_up", "exit_reflected")
     for name, est, target in zip(names, ests, targets):

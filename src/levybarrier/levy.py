@@ -83,26 +83,31 @@ def require_valid(spec: LevySpec) -> None:
         raise ModelError(diag)
 
 
+def _psi(spec: LevySpec, s: float) -> tuple[float, float]:
+    """(psi(s), psi'(s)) from the rational formula, unchecked: also valid
+    for s < 0 away from the poles -mu_k."""
+    out = -spec.drift_mu * s + 0.5 * spec.sigma**2 * s**2
+    deriv = -spec.drift_mu + spec.sigma**2 * s
+    if spec.jump_rate > 0:
+        out += spec.jump_rate * (sum(w * r / (r + s)
+                                     for w, r in spec.jump_mix) - 1.0)
+        deriv -= spec.jump_rate * sum(w * r / (r + s) ** 2
+                                      for w, r in spec.jump_mix)
+    return out, deriv
+
+
 def laplace_exponent(spec: LevySpec, theta: float) -> float:
     """psi(theta) for theta >= 0; convex with psi(0) = 0."""
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    out = -spec.drift_mu * theta + 0.5 * spec.sigma**2 * theta**2
-    if spec.jump_rate > 0:
-        mgf = sum(w * r / (r + theta) for w, r in spec.jump_mix)
-        out += spec.jump_rate * (mgf - 1.0)
-    return out
+    return _psi(spec, theta)[0]
 
 
 def laplace_exponent_deriv(spec: LevySpec, theta: float) -> float:
     """Exact psi'(theta); psi'(0) = -E[X_1]."""
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    out = -spec.drift_mu + spec.sigma**2 * theta
-    if spec.jump_rate > 0:
-        out -= spec.jump_rate * sum(w * r / (r + theta) ** 2
-                                    for w, r in spec.jump_mix)
-    return out
+    return _psi(spec, theta)[1]
 
 
 def phi_inverse(spec: LevySpec, q: float) -> float:

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ModelError
 
-# Slope violations below this are treated as roundoff and pooled silently.
-_SILENT_TOL = 1e-12
 # Violations above this signal a bug upstream, not roundoff.
 _WARN_TOL = 1e-6
 # make_payoff accepts concavity violations up to this (absorbed, not rejected).

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import NumericsError
-from .levy import (LevySpec, _psi_poly_coeffs, laplace_exponent,
-                   laplace_exponent_deriv, require_valid)
+from .levy import (LevySpec, _psi, _psi_poly_coeffs, laplace_exponent,
+                   require_valid)
 
 _EXP_CAP = 700.0  # largest exponent before exp() overflows
 
@@ -66,9 +66,8 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
     # Newton polish on psi(s)-q itself (better conditioned than the poly).
     for j, s in enumerate(roots):
         for _ in range(50):
-            f = laplace_exponent(spec, s) if s >= 0 else _psi_neg(spec, s)
+            f, df = _psi(spec, s)
             f -= q
-            df = laplace_exponent_deriv(spec, s) if s >= 0 else _psi_neg_deriv(spec, s)
             if df == 0:
                 break
             step = f / df
@@ -81,25 +80,10 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
         raise NumericsError("near-multiple roots")
     if np.sum(roots > 0) != 1:
         raise NumericsError("expected exactly one positive root")
-    residues = np.array([1.0 / _psi_neg_deriv(spec, s) for s in roots])
+    residues = np.array([1.0 / _psi(spec, s)[1] for s in roots])
     w0 = float(residues.sum())
     return ScaleEvaluator(spec=spec, q=q, roots=roots, residues=residues,
                           w_at_zero=w0)
-
-
-def _psi_neg(spec: LevySpec, s: float) -> float:
-    """psi extended to s < 0 (away from the poles -mu_k)."""
-    out = -spec.drift_mu * s + 0.5 * spec.sigma**2 * s**2
-    if spec.jump_rate > 0:
-        out += spec.jump_rate * (sum(w * r / (r + s) for w, r in spec.jump_mix) - 1.0)
-    return out
-
-
-def _psi_neg_deriv(spec: LevySpec, s: float) -> float:
-    out = -spec.drift_mu + spec.sigma**2 * s
-    if spec.jump_rate > 0:
-        out -= spec.jump_rate * sum(w * r / (r + s) ** 2 for w, r in spec.jump_mix)
-    return out
 
 
 def W(ev: ScaleEvaluator, x) -> float | np.ndarray:
@@ -143,6 +127,18 @@ def Zbar(ev: ScaleEvaluator, x) -> float | np.ndarray:
     vals = xp[..., 0] + (d * ((np.exp(ev.roots * xp) - 1.0) / ev.roots - xp)).sum(axis=-1)
     out = np.where(x >= 0, vals, x)
     return float(out) if out.ndim == 0 else out
+
+
+def exit_identities_analytic(ev: ScaleEvaluator, b: float, x: float
+                             ) -> tuple[float, float, float]:
+    """Scale-function values of the three discounted exit functionals from
+    x in [0, b]: continuous passage below 0 before reaching b, reaching b
+    before 0, and first passage below 0 under reflection at b."""
+    wb = float(W(ev, b))
+    wu = float(W(ev, b - x))
+    zb = float(Z(ev, b))
+    zu = float(Z(ev, b - x))
+    return wu / wb, zu - zb * wu / wb, zu / zb
 
 
 def verify_laplace_transform(ev: ScaleEvaluator, s: float, horizon: float) -> float:

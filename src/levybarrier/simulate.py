@@ -1,12 +1,12 @@
 """Monte Carlo ground truth for the analytic modules.
 
-Euler stepping for the Brownian part, per-step Poisson jump counts with exact
-hyperexponential sizes, Skorokhod corrections applied after every increment
-and every jump, and Brownian-bridge corrections for barrier crossings of the
-diffusive part.  Paths are processed in fixed-size chunks with RNG substreams
-spawned deterministically from the seed, and estimates merge by pooled
-mean/variance, so results are bit-reproducible for a given seed and common
-random numbers come free from seed reuse.
+Single-precision Euler steps for the Brownian part; jumps and regime switches
+on per-path geometric clocks with exact hyperexponential sizes; reflection at
+boundaries shifted by the Broadie-Glasserman-Kou continuity correction; and
+Brownian-bridge crossings in the exit identities.  The single-regime NPV is
+the one-state case of the regime NPV kernel.  Chunks of paths draw from RNG
+substreams spawned from the seed and merge by pooled mean/variance, so
+results are bit-reproducible and seed reuse gives common random numbers.
 """
 
 from __future__ import annotations
@@ -22,6 +22,17 @@ from .payoff import ConcavePayoff, evaluate
 from .regime import RegimeModel, require_valid_model
 
 _CHUNK = 100_000
+
+# Broadie-Glasserman-Kou (1997) continuity correction, -zeta(1/2)/sqrt(2*pi):
+# reflecting the Euler path at a boundary shifted inward by
+# _AGP*sigma*sqrt(dt) removes the O(sqrt(dt)) bias of end-of-step reflection.
+_AGP = 0.5826
+
+# Exit-identity paths still alive once the discount drops below this cutoff
+# are abandoned; the truncation bias is bounded by the cutoff itself, three
+# orders of magnitude below the Monte Carlo standard errors at the tested
+# path counts.
+_DISC_CUTOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,86 +103,251 @@ def _normals(rng, n: int, antithetic: bool, dtype=np.float64) -> np.ndarray:
     return np.concatenate((z, -z))[:n]
 
 
-def _sample_jump_sums(rng, counts: np.ndarray, mix) -> np.ndarray:
-    """Sum of `counts[p]` iid hyperexponential draws per path."""
-    total = int(counts.sum())
-    out = np.zeros(len(counts))
-    if total == 0:
-        return out
+def _pair_means(samples: np.ndarray) -> np.ndarray:
+    """Means of the antithetic pairs, paths k and k + ceil(n/2) (see
+    _normals): those are the independent samples, so the standard error
+    sees the variance reduction.  With n odd, the unpaired path stays."""
+    half, odd = divmod(len(samples), 2)
+    return np.concatenate((0.5 * (samples[:half] + samples[half + odd:]),
+                           samples[half:half + odd]))
+
+
+def _hyperexp(rng, m: int, mix) -> np.ndarray:
+    """m iid draws from the mixture of (weight, rate) exponentials: first
+    the components, then the unit exponentials scaled by their rates."""
     weights = np.array([w for w, _ in mix])
     rates = np.array([r for _, r in mix])
-    comp = rng.choice(len(mix), size=total, p=weights)
-    sizes = rng.standard_exponential(total) / rates[comp]
-    np.add.at(out, np.repeat(np.arange(len(counts)), counts), sizes)
-    return out
+    comp = rng.choice(len(mix), size=m, p=weights)
+    return rng.standard_exponential(m) / rates[comp]
 
 
 # ---------------------------------------------------------------------------
-# single-regime NPV
+# double-barrier NPV: one stepping loop for the regime and single-regime cases
+
+def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
+                        i0: int, config: SimConfig,
+                        payoff: ConcavePayoff | None = None,
+                        payoff_weight: float = 0.0) -> _Pool:
+    """Per-path NPVs of the dynamic double-barrier strategy (0, b_{Y_t}),
+    pooled over the chunks (as antithetic pair means when asked for):
+    discounted dividends minus phi times injections, each state discounting
+    at its entry of model.discounts.  With a payoff, every step also adds
+    payoff_weight * omega(U), discounted, after its jumps."""
+    n_steps = int(math.ceil(config.t_max / config.dt))
+    dt = config.dt
+    sqdt = math.sqrt(dt)
+
+    mu = np.array([s.drift_mu for s in model.levy])
+    sig = np.array([s.sigma for s in model.levy])
+    eta = np.array([s.jump_rate for s in model.levy])
+    deltas = np.asarray(model.discounts, dtype=float)
+    lam = np.array([model.lam(i) for i in range(model.n)])
+    # per-state boundaries shifted inward by the continuity correction;
+    # smooth fit (V' = phi at 0, V' = 1 at b) makes the shifted payout
+    # accounting value-neutral to first order
+    lo_eff = np.minimum(_AGP * sig * sqdt, 0.25 * barriers)
+    hi_eff = np.maximum(barriers - _AGP * sig * sqdt, 0.75 * barriers)
+    # destination cdf per origin state (none for a state that never switches)
+    dest_cdf = np.zeros((model.n, model.n))
+    for i in range(model.n):
+        probs = model.switch_rates[i].astype(float).copy()
+        probs[i] = 0.0
+        if lam[i] > 0:
+            dest_cdf[i] = np.cumsum(probs / probs.sum())
+
+    # Per-state per-step quantities, gathered into per-path arrays that are
+    # refreshed only when a path switches state.  The path state itself is
+    # single precision; the discounted cashflow accumulator stays double.
+    phi32 = np.float32(model.phi)
+    zero32 = np.float32(0.0)
+    drift_s = (mu * dt).astype(np.float32)
+    vol_s = (sig * sqdt).astype(np.float32)
+    lo_s = lo_eff.astype(np.float32)
+    hi_s = hi_eff.astype(np.float32)
+    dfac_s = np.exp(-deltas * dt)
+    # Jumps and switches are rare per step, so both are driven by geometric
+    # clocks at the maximal rate, thinned by the path's current state.
+    eta_max = float(eta.max())
+    lam_max = float(lam.max())
+    p_jump = -math.expm1(-eta_max * dt) if eta_max > 0 else 0.0
+    p_jump_two = np.array([
+        1.0 + e * dt * math.exp(-e * dt) / math.expm1(-e * dt) if e > 0
+        else 0.0 for e in eta])
+    p_sw = -math.expm1(-lam_max * dt) if lam_max > 0 else 0.0
+    jump_accept = eta / eta_max if eta_max > 0 else eta
+    sw_accept = lam / lam_max if lam_max > 0 else lam
+
+    pool = _Pool()
+    for rng, n in _chunks(config):
+        state = np.full(n, i0, dtype=np.intp)
+        lo0, hi0 = float(lo_eff[i0]), float(hi_eff[i0])
+        u = np.full(n, min(max(x0, lo0), hi0), dtype=np.float32)
+        pv = np.full(n, max(x0 - hi0, 0.0)
+                     - model.phi * max(lo0 - x0, 0.0))
+        lo_cur = lo_s[state]
+        hi_cur = hi_s[state]
+        drift_cur = drift_s[state]
+        vol_cur = vol_s[state]
+        dfac_cur = dfac_s[state]
+        disc = np.ones(n)
+        jump_till = rng.geometric(p_jump, n) if eta_max > 0 else None
+        sw_till = rng.geometric(p_sw, n) if lam_max > 0 else None
+
+        def apply_switches(ja):
+            origins = state[ja]
+            dests = (rng.random((len(ja), 1))
+                     > dest_cdf[origins]).sum(axis=1)
+            drop = _sample_switch_drops(rng, origins, dests, model)
+            uj = u[ja] - drop
+            lo_new = lo_eff[dests]
+            hi_new = hi_eff[dests]
+            pv[ja] -= (model.phi * disc[ja]
+                       * np.maximum(lo_new - uj, 0.0))
+            uj = np.maximum(uj, lo_new)
+            pv[ja] += disc[ja] * np.maximum(uj - hi_new, 0.0)
+            u[ja] = np.minimum(uj, hi_new)
+            state[ja] = dests
+            lo_cur[ja] = lo_s[dests]
+            hi_cur[ja] = hi_s[dests]
+            drift_cur[ja] = drift_s[dests]
+            vol_cur[ja] = vol_s[dests]
+            dfac_cur[ja] = dfac_s[dests]
+
+        for _ in range(n_steps):
+            # The true switch time is uniform within its step; applying the
+            # switch before or after the step with equal probability centres
+            # the placement and cancels the O(dt) bias of end-of-step
+            # handling.
+            late = None
+            if sw_till is not None:
+                sw_till -= 1
+                j = np.nonzero(sw_till == 0)[0]
+                if len(j):
+                    acc = rng.random(len(j)) < sw_accept[state[j]]
+                    ja = j[acc]
+                    sw_till[j] = rng.geometric(p_sw, len(j))
+                    if len(ja):
+                        early = rng.random(len(ja)) < 0.5
+                        late = ja[~early]
+                        if early.any():
+                            apply_switches(ja[early])
+            disc *= dfac_cur
+            u += drift_cur
+            u += vol_cur * _normals(rng, n, config.antithetic, np.float32)
+            pay = np.maximum(u - hi_cur, zero32)
+            inj = np.maximum(lo_cur - u, zero32)
+            np.clip(u, lo_cur, hi_cur, out=u)
+            pv += disc * (pay - phi32 * inj)
+
+            if jump_till is not None:
+                jump_till -= 1
+                j = np.nonzero(jump_till == 0)[0]
+                if len(j):
+                    acc = rng.random(len(j)) < jump_accept[state[j]]
+                    ja = j[acc]
+                    if len(ja):
+                        sizes = _state_jump_sizes(rng, state[ja], model.levy,
+                                                  p_jump_two)
+                        uj = u[ja] + sizes
+                        hj = hi_cur[ja]
+                        pv[ja] += disc[ja] * np.maximum(uj - hj, 0.0)
+                        u[ja] = np.minimum(uj, hj)
+                    jump_till[j] = rng.geometric(p_jump, len(j))
+
+            if payoff is not None:
+                pv += payoff_weight * disc * evaluate(payoff, u)
+            if late is not None and len(late):
+                apply_switches(late)
+        pool.add(_pair_means(pv) if config.antithetic else pv)
+    return pool
+
+
+def _state_jump_sizes(rng, states, specs, p_two: np.ndarray) -> np.ndarray:
+    """Total claim size in a jump-bearing step, conditioned on at least one
+    arrival, with the mixture of each path's current state.  A second
+    arrival in the same step is sampled with its conditional probability;
+    three or more (order (rate*dt)^2 of those steps) are folded into two."""
+    out = np.zeros(len(states))
+    extra = rng.random(len(states)) < p_two[states]
+    for i, spec in enumerate(specs):
+        if spec.jump_rate == 0:
+            continue
+        mask = states == i
+        m = int(mask.sum())
+        if not m:
+            continue
+        sz = _hyperexp(rng, m, spec.jump_mix)
+        e = np.nonzero(extra[mask])[0]
+        if len(e):
+            sz[e] += _hyperexp(rng, len(e), spec.jump_mix)
+        out[mask] = sz
+    return out
+
+
+def _sample_switch_drops(rng, origins, dests, model: RegimeModel) -> np.ndarray:
+    """|J_ij| draws for each switching path (0 for point-mass jumps)."""
+    out = np.zeros(len(origins))
+    for (i, j), sj in model.switch_jumps.items():
+        if sj.kind != "hyperexp":
+            continue
+        mask = (origins == i) & (dests == j)
+        if not mask.any():
+            continue
+        out[mask] = _hyperexp(rng, int(mask.sum()), sj.mix)
+    return out
+
 
 def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
                      delta: float, phi: float, b: float, x0: float,
                      config: SimConfig) -> SimEstimate:
     """Estimate the NPV of the (0, b) double-barrier strategy started at x0:
     discounted dividends, minus phi times injections, plus the running payoff
-    stream weighted by lam."""
+    stream weighted by lam.  payoff may be None only when lam == 0."""
     require_valid(spec)
     if b <= 0 or x0 < 0:
         raise ModelError("need b > 0 and x0 >= 0")
+    if lam > 0 and payoff is None:
+        raise ModelError("lam > 0 needs a payoff")
     q = delta + lam
     config.check(q)
-    n_steps = int(math.ceil(config.t_max / config.dt))
-    dt = config.dt
-    sqdt = math.sqrt(dt)
-    # Clamp at boundaries shifted inward by the discrete-reflection
-    # correction; smooth fit (V' = phi at 0, V' = 1 at b) makes the shifted
-    # payout accounting value-neutral to first order.
-    lo = min(_AGP * spec.sigma * sqdt, 0.25 * b)
-    hi = max(b - _AGP * spec.sigma * sqdt, 0.75 * b)
-    disc_steps = np.exp(-q * dt * np.arange(1, n_steps + 1))
-    pool = _Pool()
-    for rng, n in _chunks(config):
-        u = np.full(n, min(max(x0, lo), hi))
-        pv = np.full(n, max(x0 - hi, 0.0) - phi * max(lo - x0, 0.0))
-        for k in range(n_steps):
-            disc = disc_steps[k]
-            inc = spec.drift_mu * dt + spec.sigma * sqdt * _normals(
-                rng, n, config.antithetic)
-            counts = (rng.poisson(spec.jump_rate * dt, n)
-                      if spec.jump_rate > 0 else None)
-            u += inc
-            pay = np.maximum(u - hi, 0.0)
-            inj = np.maximum(lo - u, 0.0)
-            np.clip(u, lo, hi, out=u)
-            pv += disc * (pay - phi * inj)
-            if counts is not None:
-                jumps = _sample_jump_sums(rng, counts, spec.jump_mix)
-                u += jumps
-                pay = np.maximum(u - hi, 0.0)
-                np.minimum(u, hi, out=u)
-                pv += disc * pay
-            if lam > 0:
-                pv += lam * dt * disc * evaluate(payoff, u)
-        pool.add(pv)
+    # The exponential time at rate lam ends the auxiliary problem, so it is
+    # a one-state chain that never switches, discounted at delta + lam, that
+    # is paid the stream lam * omega(U) in place of the switch.
+    model = RegimeModel(states=("aux",), switch_rates=np.zeros((1, 1)),
+                        discounts=np.array([q]), levy=(spec,),
+                        switch_jumps={}, phi=phi)
+    pool = _double_barrier_npv(model, np.array([float(b)]), x0, 0, config,
+                               payoff if lam > 0 else None, lam * config.dt)
     scale = b + abs(x0) + (abs(evaluate(payoff, b)) if lam > 0 else 0.0) + 1.0
     tail = math.exp(-q * config.t_max) * phi * scale
     return pool.estimate(bias_allowance=tail)
 
 
+def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
+                        config: SimConfig) -> SimEstimate:
+    """NPV of the dynamic double-barrier strategy (0, b_{Y_t}) under the
+    Markov-additive surplus, with state-dependent discounting."""
+    require_valid_model(model)
+    barriers = np.asarray(barriers, dtype=float)
+    if barriers.shape != (model.n,):
+        raise ModelError(f"need one barrier per state: expected shape "
+                         f"({model.n},), got {barriers.shape}")
+    if not 0 <= i0 < model.n:
+        raise ModelError(f"initial state {i0} outside 0..{model.n - 1}")
+    if np.any(barriers <= 0):
+        raise ModelError("barriers must be positive")
+    # the NPV discounts at the state's delta alone, so the truncation tail
+    # decays at the smallest delta
+    delta_min = float(np.min(model.discounts))
+    config.check(delta_min)
+    pool = _double_barrier_npv(model, barriers, x0, i0, config)
+    tail = math.exp(-delta_min * config.t_max) * model.phi * (
+        float(barriers.max()) + abs(x0) + 1.0)
+    return pool.estimate(bias_allowance=tail)
+
+
 # ---------------------------------------------------------------------------
 # exit identities
-
-# Boundary-shift constant for discretely reflected diffusions
-# (-zeta(1/2)/sqrt(2*pi)): reflecting the Euler path at b - c*sigma*sqrt(dt)
-# removes the O(sqrt(dt)) bias of end-of-step reflection.
-_AGP = 0.5826
-
-# Exit-identity paths still alive once the discount drops below this cutoff
-# are abandoned; the truncation bias is bounded by the cutoff itself, three
-# orders of magnitude below the Monte Carlo standard errors at the tested
-# path counts.
-_DISC_CUTOFF = 1e-6
-
 
 class _JumpClock:
     """Per-path countdown (in steps) to the next step containing a jump.
@@ -188,8 +364,7 @@ class _JumpClock:
         lam_dt = spec.jump_rate * dt
         self.p_any = -math.expm1(-lam_dt)
         self.p_two = 1.0 - lam_dt * math.exp(-lam_dt) / self.p_any
-        self.weights = np.array([w for w, _ in spec.jump_mix])
-        self.rates = np.array([r for _, r in spec.jump_mix])
+        self.mix = spec.jump_mix
         self.till = rng.geometric(self.p_any, n)
 
     def tick(self, keep: np.ndarray) -> np.ndarray:
@@ -201,14 +376,10 @@ class _JumpClock:
     def sizes(self, j: np.ndarray) -> np.ndarray:
         """Total jump in the flagged steps, and reset their countdowns."""
         rng, m = self.rng, len(j)
-        comp = rng.choice(len(self.rates), size=m, p=self.weights)
-        out = rng.standard_exponential(m) / self.rates[comp]
+        out = _hyperexp(rng, m, self.mix)
         extra = np.nonzero(rng.random(m) < self.p_two)[0]
         if len(extra):
-            comp2 = rng.choice(len(self.rates), size=len(extra),
-                               p=self.weights)
-            out[extra] += rng.standard_exponential(len(extra)) \
-                / self.rates[comp2]
+            out[extra] += _hyperexp(rng, len(extra), self.mix)
         self.till[j] = rng.geometric(self.p_any, m)
         return out
 
@@ -379,275 +550,3 @@ def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
     return tuple(p.estimate() for p in pools)
 
 
-# ---------------------------------------------------------------------------
-# regime-switching NPV
-
-def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
-                        config: SimConfig) -> SimEstimate:
-    """NPV of the dynamic double-barrier strategy (0, b_{Y_t}) under the
-    Markov-additive surplus, with state-dependent discounting."""
-    require_valid_model(model)
-    barriers = np.asarray(barriers, dtype=float)
-    if np.any(barriers <= 0):
-        raise ModelError("barriers must be positive")
-    # the NPV discounts at the state's delta alone, so the truncation tail
-    # decays at the smallest delta
-    delta_min = float(np.min(model.discounts))
-    config.check(delta_min)
-    n_steps = int(math.ceil(config.t_max / config.dt))
-    dt = config.dt
-    sqdt = math.sqrt(dt)
-
-    mu = np.array([s.drift_mu for s in model.levy])
-    sig = np.array([s.sigma for s in model.levy])
-    eta = np.array([s.jump_rate for s in model.levy])
-    deltas = np.asarray(model.discounts, dtype=float)
-    lam = np.array([model.lam(i) for i in range(model.n)])
-    # per-state discrete-reflection boundary shifts (see simulate_aux_npv)
-    lo_eff = np.minimum(_AGP * sig * sqdt, 0.25 * barriers)
-    hi_eff = np.maximum(barriers - _AGP * sig * sqdt, 0.75 * barriers)
-    # destination cdf per origin state
-    dest_cdf = np.zeros((model.n, model.n))
-    for i in range(model.n):
-        probs = model.switch_rates[i].astype(float).copy()
-        probs[i] = 0.0
-        dest_cdf[i] = np.cumsum(probs / probs.sum())
-
-    # Per-state per-step quantities, gathered into per-path arrays that are
-    # refreshed only when a path switches state.  The path state itself is
-    # single precision; the discounted cashflow accumulator stays double.
-    phi32 = np.float32(model.phi)
-    zero32 = np.float32(0.0)
-    drift_s = (mu * dt).astype(np.float32)
-    vol_s = (sig * sqdt).astype(np.float32)
-    lo_s = lo_eff.astype(np.float32)
-    hi_s = hi_eff.astype(np.float32)
-    dfac_s = np.exp(-deltas * dt)
-    # Jumps and switches are rare per step, so both are driven by geometric
-    # clocks at the maximal rate, thinned by the path's current state.
-    eta_max = float(eta.max())
-    lam_max = float(lam.max())
-    p_jump = -math.expm1(-eta_max * dt) if eta_max > 0 else 0.0
-    p_jump_two = np.array([
-        1.0 + e * dt * math.exp(-e * dt) / math.expm1(-e * dt) if e > 0
-        else 0.0 for e in eta])
-    p_sw = -math.expm1(-lam_max * dt) if lam_max > 0 else 0.0
-    jump_accept = eta / eta_max if eta_max > 0 else eta
-    sw_accept = lam / lam_max if lam_max > 0 else lam
-
-    pool = _Pool()
-    for rng, n in _chunks(config):
-        state = np.full(n, i0, dtype=np.intp)
-        lo0, hi0 = float(lo_eff[i0]), float(hi_eff[i0])
-        u = np.full(n, min(max(x0, lo0), hi0), dtype=np.float32)
-        pv = np.full(n, max(x0 - hi0, 0.0)
-                     - model.phi * max(lo0 - x0, 0.0))
-        lo_cur = lo_s[state]
-        hi_cur = hi_s[state]
-        drift_cur = drift_s[state]
-        vol_cur = vol_s[state]
-        dfac_cur = dfac_s[state]
-        disc = np.ones(n)
-        jump_till = rng.geometric(p_jump, n) if eta_max > 0 else None
-        sw_till = rng.geometric(p_sw, n) if lam_max > 0 else None
-
-        def apply_switches(ja):
-            origins = state[ja]
-            dests = (rng.random((len(ja), 1))
-                     > dest_cdf[origins]).sum(axis=1)
-            drop = _sample_switch_drops(rng, origins, dests, model)
-            uj = u[ja] - drop
-            lo_new = lo_eff[dests]
-            hi_new = hi_eff[dests]
-            pv[ja] -= (model.phi * disc[ja]
-                       * np.maximum(lo_new - uj, 0.0))
-            uj = np.maximum(uj, lo_new)
-            pv[ja] += disc[ja] * np.maximum(uj - hi_new, 0.0)
-            u[ja] = np.minimum(uj, hi_new)
-            state[ja] = dests
-            lo_cur[ja] = lo_s[dests]
-            hi_cur[ja] = hi_s[dests]
-            drift_cur[ja] = drift_s[dests]
-            vol_cur[ja] = vol_s[dests]
-            dfac_cur[ja] = dfac_s[dests]
-
-        for _ in range(n_steps):
-            # The true switch time is uniform within its step; applying the
-            # switch before or after the step with equal probability centres
-            # the placement and cancels the O(dt) bias of end-of-step
-            # handling.
-            late = None
-            if sw_till is not None:
-                sw_till -= 1
-                j = np.nonzero(sw_till == 0)[0]
-                if len(j):
-                    acc = rng.random(len(j)) < sw_accept[state[j]]
-                    ja = j[acc]
-                    sw_till[j] = rng.geometric(p_sw, len(j))
-                    if len(ja):
-                        early = rng.random(len(ja)) < 0.5
-                        late = ja[~early]
-                        if early.any():
-                            apply_switches(ja[early])
-            disc *= dfac_cur
-            u += drift_cur
-            u += vol_cur * _normals(rng, n, config.antithetic, np.float32)
-            pay = np.maximum(u - hi_cur, zero32)
-            inj = np.maximum(lo_cur - u, zero32)
-            np.clip(u, lo_cur, hi_cur, out=u)
-            pv += disc * (pay - phi32 * inj)
-
-            if jump_till is not None:
-                jump_till -= 1
-                j = np.nonzero(jump_till == 0)[0]
-                if len(j):
-                    acc = rng.random(len(j)) < jump_accept[state[j]]
-                    ja = j[acc]
-                    if len(ja):
-                        sizes = _state_jump_sizes(rng, state[ja], model,
-                                                  p_jump_two)
-                        uj = u[ja] + sizes
-                        hj = hi_cur[ja]
-                        pv[ja] += disc[ja] * np.maximum(uj - hj, 0.0)
-                        u[ja] = np.minimum(uj, hj)
-                    jump_till[j] = rng.geometric(p_jump, len(j))
-
-            if late is not None and len(late):
-                apply_switches(late)
-        pool.add(pv)
-    tail = math.exp(-delta_min * config.t_max) * model.phi * (
-        float(barriers.max()) + abs(x0) + 1.0)
-    return pool.estimate(bias_allowance=tail)
-
-
-def _sample_state_jumps(rng, counts, state, model: RegimeModel) -> np.ndarray:
-    """Compound-Poisson jump sums with the mixture of each path's state."""
-    out = np.zeros(len(counts))
-    for i in range(model.n):
-        spec = model.levy[i]
-        if spec.jump_rate == 0:
-            continue
-        mask = state == i
-        if not mask.any():
-            continue
-        out[mask] = _sample_jump_sums(rng, counts[mask], spec.jump_mix)
-    return out
-
-
-def _state_jump_sizes(rng, states, model: RegimeModel,
-                      p_two: np.ndarray) -> np.ndarray:
-    """Total claim size in a jump-bearing step, conditioned on at least one
-    arrival, with the mixture of each path's current state.  A second
-    arrival in the same step is sampled with its conditional probability;
-    three or more (order (rate*dt)^2 of those steps) are folded into two."""
-    out = np.zeros(len(states))
-    extra = rng.random(len(states)) < p_two[states]
-    for i in range(model.n):
-        spec = model.levy[i]
-        if spec.jump_rate == 0:
-            continue
-        mask = states == i
-        m = int(mask.sum())
-        if not m:
-            continue
-        weights = np.array([w for w, _ in spec.jump_mix])
-        rates = np.array([r for _, r in spec.jump_mix])
-        comp = rng.choice(len(rates), size=m, p=weights)
-        sz = rng.standard_exponential(m) / rates[comp]
-        e = np.nonzero(extra[mask])[0]
-        if len(e):
-            comp2 = rng.choice(len(rates), size=len(e), p=weights)
-            sz[e] += rng.standard_exponential(len(e)) / rates[comp2]
-        out[mask] = sz
-    return out
-
-
-def _sample_switch_drops(rng, origins, dests, model: RegimeModel) -> np.ndarray:
-    """|J_ij| draws for each switching path (0 for point-mass jumps)."""
-    out = np.zeros(len(origins))
-    for (i, j), sj in model.switch_jumps.items():
-        if sj.kind != "hyperexp":
-            continue
-        mask = (origins == i) & (dests == j)
-        if not mask.any():
-            continue
-        m = int(mask.sum())
-        weights = np.array([w for w, _ in sj.mix])
-        rates = np.array([r for _, r in sj.mix])
-        comp = rng.choice(len(sj.mix), size=m, p=weights)
-        out[mask] = rng.standard_exponential(m) / rates[comp]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# extremal strategy bounds (uncontrolled path functionals)
-
-def simulate_extremal_bounds(model: RegimeModel, i0: int, config: SimConfig
-                             ) -> tuple[SimEstimate, SimEstimate, bool]:
-    """Estimates of the discounted running-infimum and running-supremum
-    functionals that sandwich the optimal value (shifted by x).
-
-    Returns (lower, upper, upper_converged); the upper functional need not
-    converge for heavy drift, so its estimate is gated on an empirical tail
-    check.
-    """
-    require_valid_model(model)
-    d_min = float(np.min(model.discounts))
-    config.check(d_min)
-    n_steps = int(math.ceil(config.t_max / config.dt))
-    dt = config.dt
-    sqdt = math.sqrt(dt)
-    mu = np.array([s.drift_mu for s in model.levy])
-    sig = np.array([s.sigma for s in model.levy])
-    eta = np.array([s.jump_rate for s in model.levy])
-    lam = np.array([model.lam(i) for i in range(model.n)])
-    p_switch = 1.0 - np.exp(-lam * dt)
-    dest_cdf = np.zeros((model.n, model.n))
-    for i in range(model.n):
-        probs = model.switch_rates[i].astype(float).copy()
-        probs[i] = 0.0
-        dest_cdf[i] = np.cumsum(probs / probs.sum())
-
-    pool_lo, pool_hi = _Pool(), _Pool()
-    late_hi_total = 0.0
-    for rng, n in _chunks(config):
-        state = np.full(n, i0, dtype=int)
-        x_path = np.zeros(n)
-        run_min = np.zeros(n)
-        run_max = np.zeros(n)
-        acc_lo = np.zeros(n)
-        acc_hi = np.zeros(n)
-        late_hi = np.zeros(n)
-        for k in range(n_steps):
-            disc = math.exp(-d_min * (k + 1) * dt)
-            zs = _normals(rng, n, config.antithetic)
-            counts = rng.poisson(eta[state] * dt) if eta.any() else None
-            u_sw = rng.random(n)
-            u_dest = rng.random(n)
-            x_path = x_path + mu[state] * dt + sig[state] * sqdt * zs
-            if counts is not None and counts.any():
-                x_path = x_path + _sample_state_jumps(rng, counts, state, model)
-            switching = u_sw < p_switch[state]
-            if switching.any():
-                idx = np.nonzero(switching)[0]
-                origins = state[idx]
-                dests = (u_dest[idx, None] > dest_cdf[origins]).sum(axis=1)
-                x_path[idx] -= _sample_switch_drops(rng, origins, dests, model)
-                state[idx] = dests
-            new_min = np.minimum(run_min, np.minimum(x_path, 0.0))
-            acc_lo += disc * (new_min - run_min)
-            run_min = new_min
-            new_max = np.maximum(run_max, np.maximum(x_path, 0.0))
-            inc_hi = disc * (new_max - run_max)
-            acc_hi += inc_hi
-            if k >= 3 * n_steps // 4:
-                late_hi += inc_hi
-            run_max = new_max
-        pool_lo.add(acc_lo)
-        pool_hi.add(acc_hi)
-        late_hi_total += float(late_hi.mean()) * n
-    lower = pool_lo.estimate()
-    upper = pool_hi.estimate()
-    late_mean = late_hi_total / max(upper.n_effective, 1)
-    converged = late_mean <= max(4.0 * upper.std_error, 1e-12)
-    return lower, upper, converged

@@ -213,6 +213,26 @@ def test_simulate_matches_analytic(aux_config, capsys):
     assert abs(mean - analytic) <= 3.0 * se
 
 
+@pytest.mark.parametrize("which, extra, message", [
+    ("regime", ["--barrier", "1.2"], "--barrier: expected 2 value(s)"),
+    ("regime", ["--barrier", "1.2", "--state", "b"], "--barrier"),
+    ("regime", ["--state", "stress"], "--state: unknown state 'stress'"),
+    ("regime", ["--barrier", "1.2,1.3", "--state", "stress"],
+     "--state: unknown state"),
+    ("aux", ["--barrier", "1.0,1.2"], "--barrier: expected 1 value(s)"),
+    ("aux", ["--barrier", "wide"], "comma-separated numbers"),
+    ("aux", ["--barrier", "-1.0"], "positive and finite"),
+    ("aux", ["--state", "stress"], "levy.stress: unknown state"),
+])
+def test_simulate_bad_inputs_exit_2(aux_config, regime_config, capsys, which,
+                                    extra, message):
+    cfg = aux_config if which == "aux" else regime_config
+    rc = main(["simulate", "--config", str(cfg), "--paths", "10"] + extra)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+
+
 def test_curve_csv(aux_config, capsys):
     rc = main(["curve", "--config", str(aux_config)])
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import pytest
 
 from levybarrier import (LevySpec, NumericsError, W, W_deriv, Z, Zbar,
                          build_scale_evaluator, verify_laplace_transform)
+from levybarrier.scale import exit_identities_analytic
 
 
 def test_sinh_roots_and_residues(brownian_spec):
@@ -17,6 +18,19 @@ def test_sinh_values(brownian_spec):
     assert W(ev, xs) == pytest.approx(np.sinh(xs), rel=1e-13)
     assert Z(ev, xs) == pytest.approx(np.cosh(xs), rel=1e-13)
     assert Zbar(ev, xs) == pytest.approx(np.sinh(xs), rel=1e-13)
+
+
+def test_exit_identities_analytic_sinh(brownian_spec):
+    # W = sinh and Z = cosh at q = 1
+    ev = build_scale_evaluator(brownian_spec, 1.0)
+    b = 2.0
+    for x in (0.0, 0.5, 1.0, 2.0):
+        down, up, refl = exit_identities_analytic(ev, b, x)
+        ratio = np.sinh(b - x) / np.sinh(b)
+        assert down == pytest.approx(ratio, rel=1e-12, abs=1e-15)
+        assert up == pytest.approx(np.cosh(b - x) - np.cosh(b) * ratio,
+                                   rel=1e-12, abs=1e-12)
+        assert refl == pytest.approx(np.cosh(b - x) / np.cosh(b), rel=1e-12)
 
 
 def test_cramer_lundberg_roots(cramer_lundberg_spec):

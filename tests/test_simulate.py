@@ -4,9 +4,8 @@ import pytest
 from levybarrier import (AuxProblem, ModelError, SimConfig, W, Z,
                          barrier_root, build_scale_evaluator,
                          estimate_exit_identities, simulate_aux_npv,
-                         simulate_extremal_bounds, simulate_regime_npv,
-                         solve, value)
-from levybarrier.simulate import _Pool
+                         simulate_regime_npv, solve, value)
+from levybarrier.simulate import _normals, _pair_means, _Pool
 
 
 def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
@@ -26,6 +25,15 @@ def test_pool_matches_direct_moments():
     assert est.std_error == pytest.approx(
         allx.std(ddof=1) / np.sqrt(len(allx)), rel=1e-12)
     assert est.n_effective == 1700
+
+
+def test_pair_means_match_antithetic_normals():
+    # _pair_means must pair the paths exactly as _normals negates them
+    for n in (1, 6, 7):
+        z = _normals(np.random.default_rng(0), n, True)
+        pm = _pair_means(z)
+        assert len(pm) == (n + 1) // 2
+        assert np.all(pm[:n // 2] == 0.0)
 
 
 def test_config_check_rejects_short_horizon():
@@ -53,6 +61,12 @@ def test_chunking_invisible_in_seeding(brownian_spec, linear_payoff):
     assert est.std_error > 0
 
 
+def test_payoff_required_when_lambda_positive(brownian_spec):
+    with pytest.raises(ModelError, match="payoff"):
+        simulate_aux_npv(brownian_spec, None, 0.3, 1.0, 2.0, 1.3, 0.6,
+                         small_cfg(paths=10))
+
+
 def test_payoff_ignored_when_lambda_zero(brownian_spec, linear_payoff,
                                          kinked_payoff):
     cfg = small_cfg(seed=3, paths=2000, dt=5e-3)
@@ -78,14 +92,17 @@ def test_npv_matches_analytic_sinh(brownian_spec, linear_payoff):
 
 
 @pytest.mark.slow
-def test_npv_with_payoff_stream(mixed_spec, kinked_payoff):
-    prob = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7, phi=1.5,
+@pytest.mark.parametrize("spec_name", ["mixed_spec", "cramer_lundberg_spec"])
+def test_npv_with_payoff_stream(spec_name, kinked_payoff, request):
+    # the sigma = 0 case runs the jump clock with no boundary shift
+    spec = request.getfixturevalue(spec_name)
+    prob = AuxProblem(spec=spec, lam=0.3, delta=0.7, phi=1.5,
                       payoff=kinked_payoff)
     sol = barrier_root(prob)
     b = sol.barrier
     cfg = small_cfg(seed=23, paths=40_000, dt=2e-3)
-    est = simulate_aux_npv(mixed_spec, kinked_payoff, 0.3, 0.7, 1.5, b,
-                           0.5 * b, cfg)
+    est = simulate_aux_npv(spec, kinked_payoff, 0.3, 0.7, 1.5, b, 0.5 * b,
+                           cfg)
     an = value(prob, b, 0.5 * b, sol.evaluator)
     assert abs(est.mean - an) <= 3.0 * est.std_error
 
@@ -178,10 +195,11 @@ def test_regime_npv_perturbed_barriers_dominated(two_state_model):
                                             + worse.std_error)
 
 
-def test_extremal_bounds_bracket_zero(two_state_model):
-    cfg = SimConfig(n_paths=10_000, dt=4e-3, t_max=24.0, rng_seed=41)
-    lower, upper, converged = simulate_extremal_bounds(two_state_model, 0,
-                                                       cfg)
-    assert lower.mean <= 0.0
-    assert upper.mean >= 0.0
-    assert isinstance(converged, bool)
+@pytest.mark.parametrize("barriers, i0", [([1.0], 0), ([1.0, 1.0, 1.0], 0),
+                                          ([[1.0, 1.0]], 0), ([1.0, 1.0], 2),
+                                          ([1.0, 1.0], -1)])
+def test_regime_npv_rejects_bad_barriers_or_state(symmetric_two_state,
+                                                  barriers, i0):
+    with pytest.raises(ModelError):
+        simulate_regime_npv(symmetric_two_state, barriers, 0.5, i0,
+                            small_cfg(paths=10))
