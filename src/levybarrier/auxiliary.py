@@ -1,10 +1,12 @@
-"""Single-regime barrier solver: optimal barrier, closed-form value function,
+"""Single-regime barrier solver: optimal barrier, value function,
 derivatives, dominance comparisons and generator residuals.
 
-All payoff integrals pair a piecewise-constant right derivative against the
-exponential sums of the scale functions, so every quantity below is exact up
-to roundoff; no quadrature enters the solver itself (the generator residual
-uses quadrature only for the jump integral).
+The barrier equation pairs the piecewise-constant right derivative of the
+payoff against the exponential sums of the scale functions, segment by
+segment, so its root is exact up to roundoff.  The value function and its
+derivatives are one-point calls of the closed-form kernel in value_grid.
+The generator residual is an independent check of that closed form: it
+integrates the jump part by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import ModelError, NumericsError
-from .levy import LevySpec, laplace_exponent_deriv, require_valid
+from .levy import LevySpec, require_valid
 from .payoff import ConcavePayoff, evaluate, right_derivative
-from .scale import W, W_deriv, Z, Zbar, ScaleEvaluator, build_scale_evaluator
+from .scale import W, Z, ScaleEvaluator, build_scale_evaluator
+from .value_grid import _closed_form, value_on_grid
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,6 @@ def payoff_W_integral(ev: ScaleEvaluator, pw: ConcavePayoff, x: float,
     return float(np.sum(slope * (Z(ev, v - x) - Z(ev, u - x))) / ev.q)
 
 
-def payoff_Z_integral(ev: ScaleEvaluator, pw: ConcavePayoff, x: float,
-                      b: float) -> float:
-    """int_0^b omega'_+(y) Z_q(y - x) dy."""
-    u, v, slope = _segments(pw, 0.0, b)
-    if len(u) == 0:
-        return 0.0
-    return float(np.sum(slope * (Zbar(ev, v - x) - Zbar(ev, u - x))))
-
-
 def ell(ev: ScaleEvaluator, pw: ConcavePayoff, lam: float, phi: float,
         x: float) -> float:
     """Barrier equation left side: Z_q(x) - lam*int_0^x omega'_+ W_q - phi.
@@ -158,7 +152,7 @@ def barrier_root(problem: AuxProblem,
 
 
 # ---------------------------------------------------------------------------
-# closed-form value function and derivatives
+# closed-form value function and derivatives (one-point calls of the kernel)
 
 def value(problem: AuxProblem, b: float, x: float,
           evaluator: ScaleEvaluator | None = None) -> float:
@@ -168,24 +162,7 @@ def value(problem: AuxProblem, b: float, x: float,
     exactly linear with slope 1, below 0 linear with slope phi.
     """
     ev = evaluator if evaluator is not None else problem.evaluator()
-    if x > b:
-        return (x - b) + _value_core(problem, ev, b, b)
-    if x < 0:
-        return problem.phi * x + _value_core(problem, ev, b, 0.0)
-    return _value_core(problem, ev, b, x)
-
-
-def _value_core(problem: AuxProblem, ev: ScaleEvaluator, b: float,
-                x: float) -> float:
-    pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
-    psi_p0 = laplace_exponent_deriv(problem.spec, 0.0)
-    i_z = payoff_Z_integral(ev, pw, x, b)
-    i_w = payoff_W_integral(ev, pw, 0.0, b)
-    out = -float(Zbar(ev, b - x)) - psi_p0 / q
-    out += (lam / q) * (evaluate(pw, 0.0) + i_z)
-    out += float(Z(ev, b - x)) / (q * float(W(ev, b))) \
-        * (float(Z(ev, b)) - phi - lam * i_w)
-    return out
+    return float(_closed_form(problem, b, ev)([x])[0][0])
 
 
 def value_derivative(problem: AuxProblem, b: float, x: float,
@@ -194,26 +171,7 @@ def value_derivative(problem: AuxProblem, b: float, x: float,
     if not 0.0 <= x <= b:
         raise ValueError("x must lie in [0, b]")
     ev = evaluator if evaluator is not None else problem.evaluator()
-    pw, lam, phi = problem.payoff, problem.lam, problem.phi
-    i_w = payoff_W_integral(ev, pw, 0.0, b)
-    h = payoff_W_integral(ev, pw, x, b)
-    return (float(W(ev, b - x)) / float(W(ev, b))
-            * (phi + lam * i_w - float(Z(ev, b)))
-            + float(Z(ev, b - x)) - lam * h)
-
-
-def _value_second_derivative(problem: AuxProblem, ev: ScaleEvaluator,
-                             b: float, x: float) -> float:
-    """V'' on (0, b), away from payoff knots."""
-    pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
-    i_w = payoff_W_integral(ev, pw, 0.0, b)
-    k = phi + lam * i_w - float(Z(ev, b))
-    out = -float(W_deriv(ev, b - x)) / float(W(ev, b)) * k
-    out -= q * float(W(ev, b - x))
-    u, v, slope = _segments(pw, max(x, 0.0), b)
-    if len(u):
-        out += lam * float(np.sum(slope * (W(ev, v - x) - W(ev, u - x))))
-    return out
+    return float(_closed_form(problem, b, ev)([x])[1][0])
 
 
 def dominance_gap(problem: AuxProblem, b: float, grid,
@@ -223,8 +181,6 @@ def dominance_gap(problem: AuxProblem, b: float, grid,
 
     Nonnegative and nondecreasing for every b != optimal barrier.
     """
-    from .value_grid import value_on_grid
-
     ev = evaluator if evaluator is not None else problem.evaluator()
     sol = solution if solution is not None else barrier_root(problem, ev)
     grid = np.asarray(grid, dtype=float)
@@ -241,49 +197,35 @@ def hjb_residual(problem: AuxProblem, b: float, x: float,
     """(A - q) V + lam*omega at x > 0, x != b, where A is the extended
     generator of the surplus process.
 
-    The jump integral is adaptive quadrature split at the value-function kink
-    x -> b and the payoff knots, with the exponential tail beyond b in closed
-    form (V is exactly linear there).
+    V and its derivatives come from one closed form, built once per call.
+    The jump integral int_0^inf (V(x+z) - V(x)) dF(z) is adaptive quadrature
+    of that closed form, split at the value-function kink x -> b and the
+    payoff knots, with the exponential tail beyond b in closed form (V is
+    exactly linear there).
     """
     if x <= 0:
         raise ValueError("x must be positive")
     ev = evaluator if evaluator is not None else problem.evaluator()
     spec, lam, q = problem.spec, problem.lam, problem.q
-    vx = value(problem, b, x, ev)
-
-    if x < b:
-        vp = value_derivative(problem, b, x, ev)
-        vpp = _value_second_derivative(problem, ev, b, x)
-    else:
-        vp = 1.0
-        vpp = 0.0
-
+    cf = _closed_form(problem, b, ev)
+    (vx, vb), (vp, _), (vpp, _) = cf([x, b])
+    if x >= b:
+        vp = 1.0        # the right derivative; V'' is 0 there already
     out = spec.drift_mu * vp + 0.5 * spec.sigma**2 * vpp
-    if spec.jump_rate > 0:
-        out += spec.jump_rate * _jump_integral(problem, ev, b, x, vx)
-    out += -q * vx + lam * evaluate(problem.payoff, x)
-    return out
-
-
-def _jump_integral(problem: AuxProblem, ev: ScaleEvaluator, b: float,
-                   x: float, vx: float) -> float:
-    """int_0^inf (V(x+z) - V(x)) dF(z) for the hyperexponential jump law."""
-    spec = problem.spec
-    total = 0.0
     t0 = b - x
-    vb = value(problem, b, b, ev) if t0 > 0 else None
-    if t0 > 0:
+    if spec.jump_rate > 0 and t0 > 0:
         # kinks of z -> V(x+z): payoff knots shifted by -x, and b - x
         pts = [float(p) for p in problem.payoff.xs - x if 0.0 < p < t0]
         dens = lambda z: sum(w * r * np.exp(-r * z) for w, r in spec.jump_mix)
-        val, _ = quad(lambda z: (value(problem, b, x + z, ev) - vx) * dens(z),
-                      0.0, t0, points=pts, limit=200, epsabs=1e-12,
-                      epsrel=1e-9)
-        total += val
+        jumps, _ = quad(lambda z: (cf([x + z])[0][0] - vx) * dens(z),
+                        0.0, t0, points=pts, limit=200, epsabs=1e-12,
+                        epsrel=1e-9)
+        # beyond t0, V(x+z) - V(x) = vb - vx + (z - t0): slope 1 above b
         for w, r in spec.jump_mix:
-            total += w * np.exp(-r * t0) * (vb - vx + 1.0 / r)
-    else:
-        # entire tail: V is linear with slope 1 above b
-        for w, r in spec.jump_mix:
-            total += w / r
-    return total
+            jumps += w * np.exp(-r * t0) * (vb - vx + 1.0 / r)
+        out += spec.jump_rate * jumps
+    elif spec.jump_rate > 0:
+        # every jump lands on the slope-1 branch above b
+        out += spec.jump_rate * sum(w / r for w, r in spec.jump_mix)
+    out += -q * vx + lam * evaluate(problem.payoff, x)
+    return float(out)

@@ -25,6 +25,7 @@ from .scale import (W, Z, Zbar, exit_identities_analytic,
                     verify_laplace_transform)
 from .simulate import (estimate_exit_identities, simulate_aux_npv,
                        simulate_regime_npv)
+from .value_grid import value_on_grid
 
 
 def _g17(v: float) -> str:
@@ -78,14 +79,10 @@ def _solve_aux(tree, args, out):
           + _g17(abs(value_derivative(problem, b, 0.0, ev) - phi)), file=out)
     if args.out:
         xs = np.linspace(0.0, 2.0 * b, 101)
-        rows = []
-        for x in xs:
-            v = value(problem, b, float(x), ev)
-            vp = (value_derivative(problem, b, float(x), ev)
-                  if x <= b else 1.0)
-            res = (hjb_residual(problem, b, float(x), ev)
-                   if x > 0 else float("nan"))
-            rows.append((x, v, vp, res))
+        vals, derivs = value_on_grid(problem, b, xs, ev)
+        res = [hjb_residual(problem, b, float(x), ev) if x > 0
+               else float("nan") for x in xs]
+        rows = zip(xs, vals, derivs, res)
         d = Path(args.out)
         d.mkdir(parents=True, exist_ok=True)
         _write_csv(d / "value_curve.csv", ["x", "V", "V_prime",
@@ -183,8 +180,7 @@ def _curve(tree, args, out):
     ev = sol.evaluator
     hi = args.x0 if args.x0 is not None else 2.0 * sol.barrier
     xs = np.linspace(0.0, hi, 201)
-    rows = [(x, W(ev, float(x)), Z(ev, float(x)), Zbar(ev, float(x)))
-            for x in xs]
+    rows = list(zip(xs, W(ev, xs), Z(ev, xs), Zbar(ev, xs)))
     print("x,W,Z,Zbar", file=out)
     for row in rows:
         print(",".join(_g17(v) for v in row), file=out)

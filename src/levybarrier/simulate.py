@@ -387,6 +387,16 @@ class _JumpClock:
         self.till = self.till[keep]
 
 
+def _live_normals(rng, n: int, idx: np.ndarray,
+                  antithetic: bool) -> np.ndarray:
+    """Single-precision normals for the live paths idx out of n.  Antithetic
+    draws cover all n paths and are then indexed, so path k keeps its
+    partner k + ceil(n/2) (see _normals) after either of them exits."""
+    if antithetic:
+        return _normals(rng, n, True, np.float32)[idx]
+    return _normals(rng, len(idx), False, np.float32)
+
+
 def _down_crossing_disc(spec, q, k, dt, xf, new, down):
     """Discount factors at the exact (sigma = 0) or midpoint (sigma > 0)
     crossing time of 0 for the paths flagged in `down`."""
@@ -418,8 +428,8 @@ def _exit_free(spec, q, b, x, config, rng, n):
         if m == 0 or disc_mid < _DISC_CUTOFF:
             break
         if vol != 0:
-            new = xf + drift + vol * _normals(rng, m, config.antithetic,
-                                              np.float32)
+            new = xf + drift + vol * _live_normals(rng, n, idx,
+                                                   config.antithetic)
         else:
             new = xf + drift
         down = new < 0
@@ -491,8 +501,8 @@ def _exit_reflected(spec, q, b, x, config, rng, n):
         if m == 0 or disc_mid < _DISC_CUTOFF:
             break
         if vol != 0:
-            new = xr + drift + vol * _normals(rng, m, config.antithetic,
-                                              np.float32)
+            new = xr + drift + vol * _live_normals(rng, n, idx,
+                                                   config.antithetic)
         else:
             new = xr + drift
         down = new < 0
@@ -529,7 +539,9 @@ def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
     first touch of 0 under reflection at b from above.
 
     Exited paths are dropped from the working arrays each step, so the cost
-    is proportional to the number of live paths.  Crossings inside a step are
+    is proportional to the number of live paths (antithetic normals are
+    drawn for every path, so that pairs outlive exits, and the estimates pool
+    pair means).  Crossings inside a step are
     discounted at the step midpoint (exactly, for drift crossings of a
     bounded-variation path), and the reflected pass reflects at a boundary
     shifted down by 0.5826*sigma*sqrt(dt) to cancel the discrete-reflection
@@ -544,9 +556,8 @@ def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
         r_free, r_refl = rng.spawn(2)
         res_d, res_u = _exit_free(spec, q, b, x, config, r_free, n)
         res_r = _exit_reflected(spec, q, b, x, config, r_refl, n)
-        pools[0].add(res_d)
-        pools[1].add(res_u)
-        pools[2].add(res_r)
+        for pool, res in zip(pools, (res_d, res_u, res_r)):
+            pool.add(_pair_means(res) if config.antithetic else res)
     return tuple(p.estimate() for p in pools)
 
 

@@ -1,14 +1,16 @@
-"""Vectorized evaluation of the single-regime value function on a grid.
+"""The closed-form value function of the single-regime (0, b) strategy.
 
-The naive closed form costs O(knots) per point, which is quadratic when the
-payoff has as many knots as the evaluation grid (the regime iteration case).
-This module instead propagates the segment integrals
+On [0, b] the value is a closed form in the scale functions W_q, Z_q and
+Zbar_q and in the payoff integrals
 
-    K_j(x) = int_x^b omega'_+(y) exp(s_j (y - x)) dy
+    K_j(x) = int_x^b omega'_+(y) exp(s_j (y - x)) dy,
 
-through a backward recursion over the merged breakpoints, making a full-grid
-evaluation linear in the grid size.  All terms are nonnegative for a
-nondecreasing payoff, so the recursion is forward stable.
+one per root s_j of psi(s) = q.  K is propagated through a backward
+recursion over the merged evaluation points and payoff knots, so V, V' and
+V'' at any set of points cost one pass, linear in points plus knots.  All
+terms are nonnegative for a nondecreasing payoff, so the recursion is
+forward stable.  Below 0 the value is linear with slope phi, above b with
+slope 1.
 
 Every per-segment quantity (the right derivative, the growth factor
 exp(s_j h) and the segment increment) is computed as a whole array; only
@@ -20,12 +22,16 @@ constant in floating point.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .auxiliary import AuxProblem
 from .levy import laplace_exponent_deriv
 from .payoff import evaluate, right_derivative
-from .scale import W, Z, Zbar, ScaleEvaluator
+from .scale import W, W_deriv, Z, Zbar, ScaleEvaluator
+
+if TYPE_CHECKING:
+    from .auxiliary import AuxProblem
 
 
 def _k_on_points(payoff, roots: np.ndarray, pts: np.ndarray,
@@ -54,65 +60,64 @@ def _k_on_points(payoff, roots: np.ndarray, pts: np.ndarray,
     return out
 
 
+def _closed_form(problem: AuxProblem, b: float, ev: ScaleEvaluator):
+    """The value of the (0, b) strategy as one vectorised function
+    xs -> (V, V', V'') over any real xs.
+
+    The (problem, b) constants are computed here, once; each call of the
+    returned function makes one K pass over {0}, its points in [0, b], the
+    payoff knots in (0, b) and {b}.  V' at 0 and b is the one-sided closed
+    form; V'' is the closed form on [0, b) and 0 elsewhere.
+    """
+    pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
+    c = ev.residues
+    d = q * c / ev.roots
+    cs = c * ev.roots
+    a0 = 1.0 - float(d.sum())
+    psi_p0 = laplace_exponent_deriv(problem.spec, 0.0)
+    w_b, z_b = float(W(ev, b)), float(Z(ev, b))
+    om0, omb = evaluate(pw, 0.0), evaluate(pw, b)
+    knots = pw.xs[(pw.xs > 0) & (pw.xs < b)]
+
+    def at(xs):
+        xs = np.asarray(xs, dtype=float)
+        inside = (xs >= 0) & (xs <= b)
+        # V(0) and V(b) anchor the linear branches
+        ys = np.concatenate((xs[inside], [0.0, b]))
+        pts = np.unique(np.concatenate((ys, knots)))
+        kmat = _k_on_points(pw, ev.roots, pts, b)
+        k_ys = kmat[np.searchsorted(pts, ys)]
+        i2 = float(c @ kmat[0])                 # int_0^b omega' W
+        bracket = z_b - phi - lam * i2
+
+        om = evaluate(pw, ys)
+        i1 = (om - om0) + a0 * (omb - om) + k_ys @ d   # int_0^b omega' Z(.-x)
+        t = b - ys
+        z_t, w_t = Z(ev, t), W(ev, t)
+        v = (-Zbar(ev, t) - psi_p0 / q + (lam / q) * (om0 + i1)
+             + z_t * bracket / (q * w_b))
+        vp = w_t / w_b * (phi + lam * i2 - z_b) + z_t - lam * (k_ys @ c)
+        vpp = np.zeros_like(t)
+        sub = t > 0
+        vpp[sub] = (bracket * W_deriv(ev, t[sub]) / w_b - q * w_t[sub]
+                    + lam * (k_ys[sub] @ cs))
+
+        below = xs < 0
+        out = (np.where(below, phi * xs + v[-2], (xs - b) + v[-1]),
+               np.where(below, phi, 1.0), np.zeros_like(xs))
+        for o, y in zip(out, (v, vp, vpp)):
+            o[inside] = y[:-2]
+        return out
+
+    return at
+
+
 def value_on_grid(problem: AuxProblem, b: float, xs: np.ndarray,
                   evaluator: ScaleEvaluator) -> tuple[np.ndarray, np.ndarray]:
     """Value and derivative of the (0, b) strategy at every grid point.
 
-    Points above b follow the exact linear branch (slope 1).
+    Points outside [0, b] follow the exact linear branches (slope phi below
+    0, slope 1 above b).
     """
-    ev = evaluator
-    pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
-    xs = np.asarray(xs, dtype=float)
-    psi_p0 = laplace_exponent_deriv(problem.spec, 0.0)
-
-    inner = xs[xs <= b]
-    knots = pw.xs[(pw.xs > 0) & (pw.xs < b)]
-    pts = np.unique(np.concatenate((inner, knots, [0.0, b])))
-    kmat = _k_on_points(pw, ev.roots, pts, b)
-    # rows of kmat for the inner grid points
-    idx = np.searchsorted(pts, inner)
-    k_inner = kmat[idx]
-
-    c = ev.residues
-    d = q * c / ev.roots
-    a0 = 1.0 - float(d.sum())
-    i2 = float(c @ kmat[0])                 # int_0^b omega' W
-    w_b = float(W(ev, b))
-    z_b = float(Z(ev, b))
-    bracket = z_b - phi - lam * i2
-
-    om = evaluate(pw, inner)
-    om0 = evaluate(pw, 0.0)
-    omb = evaluate(pw, b)
-    i1 = (om - om0) + a0 * (omb - om) + k_inner @ d
-    h = k_inner @ c
-
-    t = b - inner
-    vals_in = (-Zbar(ev, t) - psi_p0 / q
-               + (lam / q) * (om0 + i1)
-               + Z(ev, t) * bracket / (q * w_b))
-    derivs_in = (W(ev, t) / w_b * (phi + lam * i2 - z_b)
-                 + Z(ev, t) - lam * h)
-
-    vals = np.empty_like(xs)
-    derivs = np.empty_like(xs)
-    m = xs <= b
-    vals[m] = vals_in
-    derivs[m] = derivs_in
-    if np.any(~m):
-        vb = vals_in[-1] if inner[-1] == b else _value_at_b(
-            problem, b, ev, kmat, pts, a0, d, c, i2, psi_p0)
-        vals[~m] = (xs[~m] - b) + vb
-        derivs[~m] = 1.0
+    vals, derivs, _ = _closed_form(problem, b, evaluator)(xs)
     return vals, derivs
-
-
-def _value_at_b(problem, b, ev, kmat, pts, a0, d, c, i2, psi_p0):
-    pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
-    om0 = evaluate(pw, 0.0)
-    omb = evaluate(pw, b)
-    # K at x = b is zero, so i1(b) = omega(b) - omega(0)
-    i1_b = omb - om0
-    bracket = float(Z(ev, b)) - phi - lam * i2
-    return (-0.0 - psi_p0 / q + (lam / q) * (om0 + i1_b)
-            + 1.0 * bracket / (q * float(W(ev, b))))

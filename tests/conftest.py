@@ -3,6 +3,68 @@ import pytest
 
 from levybarrier import (AuxProblem, LevySpec, RegimeModel, SwitchJump,
                          make_payoff)
+from levybarrier.auxiliary import _segments, payoff_W_integral
+from levybarrier.levy import laplace_exponent_deriv
+from levybarrier.payoff import evaluate
+from levybarrier.scale import W, W_deriv, Z, Zbar
+
+
+# ---------------------------------------------------------------------------
+# Reference closed form of the (0, b) value: scalar segment sums, one point
+# at a time, independent of the K recursion in levybarrier.value_grid.
+
+def reference_payoff_Z_integral(ev, pw, x, b):
+    """int_0^b omega'_+(y) Z_q(y - x) dy."""
+    u, v, slope = _segments(pw, 0.0, b)
+    if len(u) == 0:
+        return 0.0
+    return float(np.sum(slope * (Zbar(ev, v - x) - Zbar(ev, u - x))))
+
+
+def _reference_value_core(problem, ev, b, x):
+    pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
+    psi_p0 = laplace_exponent_deriv(problem.spec, 0.0)
+    i_z = reference_payoff_Z_integral(ev, pw, x, b)
+    i_w = payoff_W_integral(ev, pw, 0.0, b)
+    out = -float(Zbar(ev, b - x)) - psi_p0 / q
+    out += (lam / q) * (evaluate(pw, 0.0) + i_z)
+    out += float(Z(ev, b - x)) / (q * float(W(ev, b))) \
+        * (float(Z(ev, b)) - phi - lam * i_w)
+    return out
+
+
+def reference_value(problem, b, x, ev):
+    """V(x): the closed form on [0, b], slope 1 above b, slope phi below 0."""
+    if x > b:
+        return (x - b) + _reference_value_core(problem, ev, b, b)
+    if x < 0:
+        return problem.phi * x + _reference_value_core(problem, ev, b, 0.0)
+    return _reference_value_core(problem, ev, b, x)
+
+
+def reference_value_derivative(problem, b, x, ev):
+    """V'(x) on [0, b] (one-sided limits at the ends), 1 above b."""
+    if x > b:
+        return 1.0
+    pw, lam, phi = problem.payoff, problem.lam, problem.phi
+    i_w = payoff_W_integral(ev, pw, 0.0, b)
+    h = payoff_W_integral(ev, pw, x, b)
+    return (float(W(ev, b - x)) / float(W(ev, b))
+            * (phi + lam * i_w - float(Z(ev, b)))
+            + float(Z(ev, b - x)) - lam * h)
+
+
+def reference_value_second_derivative(problem, b, x, ev):
+    """V''(x) on (0, b), away from payoff knots."""
+    pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
+    i_w = payoff_W_integral(ev, pw, 0.0, b)
+    k = phi + lam * i_w - float(Z(ev, b))
+    out = -float(W_deriv(ev, b - x)) / float(W(ev, b)) * k
+    out -= q * float(W(ev, b - x))
+    u, v, slope = _segments(pw, max(x, 0.0), b)
+    if len(u):
+        out += lam * float(np.sum(slope * (W(ev, v - x) - W(ev, u - x))))
+    return out
 
 
 @pytest.fixture

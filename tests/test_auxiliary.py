@@ -4,8 +4,9 @@ import pytest
 from levybarrier import (AuxProblem, ModelError, NumericsError, Z,
                          barrier_root, dominance_gap, hjb_residual,
                          make_payoff, value, value_derivative)
-from levybarrier.auxiliary import ell, ell_deriv, payoff_W_integral, \
-    payoff_Z_integral
+from conftest import (reference_payoff_Z_integral, reference_value,
+                      reference_value_derivative)
+from levybarrier.auxiliary import ell, ell_deriv, payoff_W_integral
 from levybarrier.scale import W
 from levybarrier.value_grid import value_on_grid
 
@@ -77,8 +78,8 @@ def test_payoff_integrals_match_quadrature(mixed_spec, kinked_payoff):
             num_w, rel=1e-9, abs=1e-12)
         num_z, _ = quad(lambda y: right_derivative(kinked_payoff, y)
                         * Z(ev, y - x), 0.0, b, points=pts + [x], limit=300)
-        assert payoff_Z_integral(ev, kinked_payoff, x, b) == pytest.approx(
-            num_z, rel=1e-9)
+        assert reference_payoff_Z_integral(ev, kinked_payoff, x, b) \
+            == pytest.approx(num_z, rel=1e-9)
 
 
 def test_smooth_fit_twelve_cases(twelve_cases):
@@ -163,9 +164,10 @@ def test_value_on_grid_matches_pointwise(twelve_cases):
         b, ev = sol.barrier, sol.evaluator
         xs = np.linspace(0.0, 2.0 * b, 60)
         vals, derivs = value_on_grid(prob, b, xs, ev)
-        ref_v = np.array([value(prob, b, float(x), ev) for x in xs])
-        ref_d = np.array([value_derivative(prob, b, float(x), ev)
-                          if x <= b else 1.0 for x in xs])
+        ref_v = np.array([reference_value(prob, b, float(x), ev)
+                          for x in xs])
+        ref_d = np.array([reference_value_derivative(prob, b, float(x), ev)
+                          for x in xs])
         assert vals == pytest.approx(ref_v, rel=1e-11, abs=1e-11)
         assert derivs == pytest.approx(ref_d, rel=1e-11, abs=1e-11)
 

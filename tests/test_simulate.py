@@ -5,6 +5,7 @@ from levybarrier import (AuxProblem, ModelError, SimConfig, W, Z,
                          barrier_root, build_scale_evaluator,
                          estimate_exit_identities, simulate_aux_npv,
                          simulate_regime_npv, solve, value)
+from levybarrier.scale import exit_identities_analytic
 from levybarrier.simulate import _normals, _pair_means, _Pool
 
 
@@ -136,6 +137,21 @@ def test_antithetic_reduces_se(brownian_spec, linear_payoff):
                             1.3, 0.65, small_cfg(seed=8, paths=20_000,
                                                  dt=5e-3, antithetic=True))
     assert anti.std_error < plain.std_error
+
+
+def test_antithetic_exit_identities_reduce_se(brownian_spec):
+    # Pairs must survive exits and be pooled as pair means, or the
+    # antithetic SEs equal the plain ones; the means stay unbiased.
+    ev = build_scale_evaluator(brownian_spec, 1.0)
+    targets = exit_identities_analytic(ev, 2.0, 1.0)
+    for seed in (0, 1, 2):
+        plain = estimate_exit_identities(brownian_spec, 1.0, 2.0, 1.0,
+                                         small_cfg(seed=seed))
+        anti = estimate_exit_identities(brownian_spec, 1.0, 2.0, 1.0,
+                                        small_cfg(seed=seed, antithetic=True))
+        for p, a, target in zip(plain, anti, targets):
+            assert a.std_error < p.std_error
+            assert abs(a.mean - target) <= 3.0 * a.std_error
 
 
 def test_exit_identities_boundary_cases(brownian_spec):

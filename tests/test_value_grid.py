@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from levybarrier import AuxProblem, barrier_root, make_payoff, value
+from conftest import (reference_value, reference_value_derivative,
+                      reference_value_second_derivative)
+from levybarrier import AuxProblem, barrier_root, make_payoff
 from levybarrier.auxiliary import value_derivative
 from levybarrier.payoff import right_derivative
-from levybarrier.value_grid import _k_on_points, value_on_grid
+from levybarrier.value_grid import _closed_form, _k_on_points, value_on_grid
 
 
 def _k_on_points_scalar(payoff, roots, pts, b):
@@ -61,8 +63,33 @@ def test_value_on_grid_matches_pointwise_many_knots(many_knot_case):
     assert not np.isin(xs[1:], prob.payoff.xs).any()
     assert np.sum(xs > b) > 20
     vals, derivs = value_on_grid(prob, b, xs, ev)
-    ref_v = np.array([value(prob, b, float(x), ev) for x in xs])
-    ref_d = np.array([value_derivative(prob, b, float(x), ev)
-                      if x <= b else 1.0 for x in xs])
+    ref_v = np.array([reference_value(prob, b, float(x), ev) for x in xs])
+    ref_d = np.array([reference_value_derivative(prob, b, float(x), ev)
+                      for x in xs])
     assert vals == pytest.approx(ref_v, rel=1e-11, abs=1e-11)
     assert derivs == pytest.approx(ref_d, rel=1e-11, abs=1e-11)
+
+
+def test_second_derivative_twelve_cases(twelve_cases):
+    """The kernel's V'' on (0, b) against central differences of the
+    kernel's V' and against the reference segment-sum formula, away from
+    the payoff knots (where V'' jumps when lam > 0)."""
+    h = 1e-5
+    checked = 0
+    for prob in twelve_cases:
+        if prob.spec.sigma == 0:
+            continue
+        sol = barrier_root(prob)
+        b, ev = sol.barrier, sol.evaluator
+        xs = np.linspace(0.1 * b, 0.9 * b, 7)
+        xs = xs[np.min(np.abs(xs[:, None] - prob.payoff.xs), axis=1) > 4 * h]
+        _, _, vpp = _closed_form(prob, b, ev)(xs)
+        num = np.array([(value_derivative(prob, b, x + h, ev)
+                         - value_derivative(prob, b, x - h, ev)) / (2 * h)
+                        for x in xs])
+        ref = np.array([reference_value_second_derivative(prob, b, x, ev)
+                        for x in xs])
+        assert vpp == pytest.approx(num, rel=1e-6, abs=1e-7)
+        assert vpp == pytest.approx(ref, rel=1e-11, abs=1e-11)
+        checked += 1
+    assert checked == 8
