@@ -40,11 +40,11 @@ class AuxProblem:
 
     def __post_init__(self):
         require_valid(self.spec)
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ModelError("delta must be positive")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ModelError("lam must be nonnegative")
-        if self.phi <= 1:
+        if not self.phi > 1:
             raise ModelError("phi must exceed 1")
         if self.lam > 0 and right_derivative(self.payoff, 0.0) > self.phi + 1e-9:
             raise ModelError("payoff slope at 0+ exceeds phi")

@@ -39,22 +39,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# argparse settings of every option but --config
+_FLAGS = {"out": {}, "paths": {"type": int}, "dt": {"type": float},
+          "tmax": {"type": float}, "seed": {"type": int}, "state": {},
+          "x0": {"type": float},
+          "antithetic": {"action": "store_true", "default": None},
+          "barrier": {"help": "comma-separated barrier override"}}
+_SIM_FLAGS = ("paths", "dt", "tmax", "seed", "state", "antithetic")
+# each command takes only the options it reads
+_COMMAND_FLAGS = {"solve-aux": ("out", "state"), "solve-regime": ("out",),
+                  "simulate": ("out", "x0", "barrier") + _SIM_FLAGS,
+                  "verify": _SIM_FLAGS, "curve": ("out", "state", "x0")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="levybarrier")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("solve-aux", "solve-regime", "simulate", "verify", "curve"):
+    for name, flags in _COMMAND_FLAGS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--tmax", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--state", default=None)
-        sp.add_argument("--x0", type=float, default=None)
-        sp.add_argument("--antithetic", action="store_true", default=None)
-        sp.add_argument("--barrier", default=None,
-                        help="comma-separated barrier override")
+        for flag, kwargs in _FLAGS.items():
+            if flag in flags:
+                sp.add_argument("--" + flag, **kwargs)
     return p
 
 
@@ -239,7 +245,8 @@ def _run_verify(tree, args, out):
 
     # exit identities against MC
     config = sim_config_from(tree, paths=args.paths, dt=args.dt,
-                             tmax=args.tmax, seed=args.seed)
+                             tmax=args.tmax, seed=args.seed,
+                             antithetic=args.antithetic)
     x = 0.5 * b
     ests = estimate_exit_identities(problem.spec, problem.q, b, x, config)
     targets = exit_identities_analytic(ev, b, x)

@@ -1,21 +1,28 @@
 """Monte Carlo ground truth for the analytic modules.
 
-Single-precision Euler steps for the Brownian part; jumps and regime switches
-on per-path geometric clocks with exact hyperexponential sizes; reflection at
-boundaries shifted by the Broadie-Glasserman-Kou continuity correction; and
-Brownian-bridge crossings in the exit identities.  The single-regime NPV is
-the one-state case of the regime NPV kernel.  Chunks of paths draw from RNG
-substreams spawned from the seed and merge by pooled mean/variance, so
-results are bit-reproducible and seed reuse gives common random numbers.
+Two path kernels share their parts: single-precision Euler steps with plain
+or antithetic normals; jumps and regime switches on per-path geometric
+clocks with exact hyperexponential sizes (_jump_probs, _jump_sizes); and
+boundaries shifted inward by the Broadie-Glasserman-Kou continuity
+correction.  _double_barrier_npv reflects at 0 and b_{Y_t} and pays out
+dividends and injections: the regime NPV runs it on the model's chain, the
+single-regime NPV on a one-state chain.  _first_passage runs paths until
+they exit below 0 or above b, or reflects them at the upper boundary, with
+Brownian-bridge crossings inside a step: the exit identities run it twice
+per chunk.  Chunks of paths draw from RNG substreams spawned from the seed
+and merge by pooled mean/variance, so results are bit-reproducible and seed
+reuse gives common random numbers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .auxiliary import AuxProblem
 from .errors import ModelError
 from .levy import LevySpec, require_valid
 from .payoff import ConcavePayoff, evaluate
@@ -44,11 +51,16 @@ class SimConfig:
     antithetic: bool = False
 
     def check(self, q_min: float) -> None:
-        if self.n_paths < 1:
-            raise ModelError("n_paths must be >= 1")
-        if self.dt <= 0:
-            raise ModelError("dt must be positive")
-        if math.exp(-q_min * self.t_max) >= 1e-3:
+        """Reject the settings, or the smallest discount rate q_min of the
+        run, for which the estimate would be undefined or truncated."""
+        if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
+            raise ModelError(f"n_paths must be an integer >= 1, "
+                             f"got {self.n_paths!r}")
+        if not 0 < self.dt < math.inf:
+            raise ModelError("dt must be positive and finite")
+        if not q_min > 0:
+            raise ModelError(f"discount rate must be positive, got {q_min!r}")
+        if not math.exp(-q_min * self.t_max) < 1e-3:
             raise ModelError("t_max too short: discount tail above 1e-3")
 
 
@@ -86,11 +98,8 @@ class _Pool:
 def _chunks(config: SimConfig):
     """Deterministic (rng, size) substreams partitioning the path budget."""
     seq = np.random.SeedSequence(config.rng_seed)
-    sizes = []
-    left = config.n_paths
-    while left > 0:
-        sizes.append(min(_CHUNK, left))
-        left -= sizes[-1]
+    full, rest = divmod(config.n_paths, _CHUNK)
+    sizes = [_CHUNK] * full + ([rest] if rest else [])
     for child, size in zip(seq.spawn(len(sizes)), sizes):
         yield np.random.default_rng(child), size
 
@@ -119,6 +128,27 @@ def _hyperexp(rng, m: int, mix) -> np.ndarray:
     rates = np.array([r for _, r in mix])
     comp = rng.choice(len(mix), size=m, p=weights)
     return rng.standard_exponential(m) / rates[comp]
+
+
+def _jump_probs(rate: float, dt: float) -> tuple[float, float]:
+    """Per step of a Poisson clock at `rate`: P(at least one arrival) and
+    P(a second arrival | at least one); (0, 0) when the rate is 0."""
+    if rate <= 0:
+        return 0.0, 0.0
+    p_any = -math.expm1(-rate * dt)
+    return p_any, 1.0 - rate * dt * math.exp(-rate * dt) / p_any
+
+
+def _jump_sizes(rng, extra: np.ndarray, mix) -> np.ndarray:
+    """Total claim size in each jump-bearing step, given one arrival: a draw
+    from the mixture, plus a second where `extra` flags a second arrival
+    (drawn by the caller with probability p_two of _jump_probs).  Three or
+    more arrivals, order (rate*dt)^2 of those steps, are folded into two."""
+    sizes = _hyperexp(rng, len(extra), mix)
+    e = np.nonzero(extra)[0]
+    if len(e):
+        sizes[e] += _hyperexp(rng, len(e), mix)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +199,9 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
     # clocks at the maximal rate, thinned by the path's current state.
     eta_max = float(eta.max())
     lam_max = float(lam.max())
-    p_jump = -math.expm1(-eta_max * dt) if eta_max > 0 else 0.0
-    p_jump_two = np.array([
-        1.0 + e * dt * math.exp(-e * dt) / math.expm1(-e * dt) if e > 0
-        else 0.0 for e in eta])
-    p_sw = -math.expm1(-lam_max * dt) if lam_max > 0 else 0.0
+    p_jump = _jump_probs(eta_max, dt)[0]
+    p_jump_two = np.array([_jump_probs(e, dt)[1] for e in eta])
+    p_sw = _jump_probs(lam_max, dt)[0]
     jump_accept = eta / eta_max if eta_max > 0 else eta
     sw_accept = lam / lam_max if lam_max > 0 else lam
 
@@ -246,8 +274,15 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                     acc = rng.random(len(j)) < jump_accept[state[j]]
                     ja = j[acc]
                     if len(ja):
-                        sizes = _state_jump_sizes(rng, state[ja], model.levy,
-                                                  p_jump_two)
+                        # claim sizes with the mixture of each path's state
+                        st = state[ja]
+                        extra = rng.random(len(ja)) < p_jump_two[st]
+                        sizes = np.zeros(len(ja))
+                        for i, spec in enumerate(model.levy):
+                            mask = st == i
+                            if mask.any():
+                                sizes[mask] = _jump_sizes(rng, extra[mask],
+                                                          spec.jump_mix)
                         uj = u[ja] + sizes
                         hj = hi_cur[ja]
                         pv[ja] += disc[ja] * np.maximum(uj - hj, 0.0)
@@ -262,38 +297,13 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
     return pool
 
 
-def _state_jump_sizes(rng, states, specs, p_two: np.ndarray) -> np.ndarray:
-    """Total claim size in a jump-bearing step, conditioned on at least one
-    arrival, with the mixture of each path's current state.  A second
-    arrival in the same step is sampled with its conditional probability;
-    three or more (order (rate*dt)^2 of those steps) are folded into two."""
-    out = np.zeros(len(states))
-    extra = rng.random(len(states)) < p_two[states]
-    for i, spec in enumerate(specs):
-        if spec.jump_rate == 0:
-            continue
-        mask = states == i
-        m = int(mask.sum())
-        if not m:
-            continue
-        sz = _hyperexp(rng, m, spec.jump_mix)
-        e = np.nonzero(extra[mask])[0]
-        if len(e):
-            sz[e] += _hyperexp(rng, len(e), spec.jump_mix)
-        out[mask] = sz
-    return out
-
-
 def _sample_switch_drops(rng, origins, dests, model: RegimeModel) -> np.ndarray:
     """|J_ij| draws for each switching path (0 for point-mass jumps)."""
     out = np.zeros(len(origins))
     for (i, j), sj in model.switch_jumps.items():
-        if sj.kind != "hyperexp":
-            continue
         mask = (origins == i) & (dests == j)
-        if not mask.any():
-            continue
-        out[mask] = _hyperexp(rng, int(mask.sum()), sj.mix)
+        if sj.kind == "hyperexp" and mask.any():
+            out[mask] = _hyperexp(rng, int(mask.sum()), sj.mix)
     return out
 
 
@@ -303,12 +313,13 @@ def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
     """Estimate the NPV of the (0, b) double-barrier strategy started at x0:
     discounted dividends, minus phi times injections, plus the running payoff
     stream weighted by lam.  payoff may be None only when lam == 0."""
-    require_valid(spec)
-    if b <= 0 or x0 < 0:
-        raise ModelError("need b > 0 and x0 >= 0")
     if lam > 0 and payoff is None:
         raise ModelError("lam > 0 needs a payoff")
-    q = delta + lam
+    # the auxiliary problem's own checks of spec, lam, delta, phi and payoff
+    q = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi, payoff=payoff).q
+    if not (0 < b < math.inf and 0 <= x0 < math.inf):
+        raise ModelError(f"need finite b > 0 and x0 >= 0, got b={b!r}, "
+                         f"x0={x0!r}")
     config.check(q)
     # The exponential time at rate lam ends the auxiliary problem, so it is
     # a one-state chain that never switches, discounted at delta + lam, that
@@ -334,8 +345,8 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
                          f"({model.n},), got {barriers.shape}")
     if not 0 <= i0 < model.n:
         raise ModelError(f"initial state {i0} outside 0..{model.n - 1}")
-    if np.any(barriers <= 0):
-        raise ModelError("barriers must be positive")
+    if not np.all((barriers > 0) & (barriers < math.inf)):
+        raise ModelError("barriers must be positive and finite")
     # the NPV discounts at the state's delta alone, so the truncation tail
     # decays at the smallest delta
     delta_min = float(np.min(model.discounts))
@@ -347,217 +358,143 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
 
 
 # ---------------------------------------------------------------------------
-# exit identities
+# exit identities: one first-passage loop
 
-class _JumpClock:
-    """Per-path countdown (in steps) to the next step containing a jump.
+class _LiveNormals:
+    """Per-step single-precision normals, times vol, for the live paths of a
+    chunk.  Antithetic paths k and k + ceil(n/2) (as in _normals) share one
+    draw with opposite signs.  Draws are made per pair slot, and the slots
+    are renumbered to the live pairs whenever they outnumber the live paths,
+    so the pairs outlive exits at no more draws per step than plain
+    sampling."""
 
-    At small jump_rate*dt almost every Poisson draw is zero, so sampling the
-    geometric gap between jump-bearing steps and, when one arrives, the
-    total jump conditioned on being nonzero is much cheaper than a Poisson
-    draw per path per step.  Steps carrying three or more jumps (probability
-    of order (rate*dt)^2 per jump-bearing step) are sampled as two.
-    """
+    def __init__(self, rng, n: int, vol: np.float32, antithetic: bool):
+        self.rng, self.vol, self.slot = rng, vol, None
+        if antithetic:
+            half = (n + 1) // 2
+            k = np.arange(n)
+            self.slot = k % half
+            self.vol = np.where(k < half, vol, -vol).astype(np.float32)
+            self.n_slots = half
 
-    def __init__(self, rng, spec, dt: float, n: int):
-        self.rng = rng
-        lam_dt = spec.jump_rate * dt
-        self.p_any = -math.expm1(-lam_dt)
-        self.p_two = 1.0 - lam_dt * math.exp(-lam_dt) / self.p_any
-        self.mix = spec.jump_mix
-        self.till = rng.geometric(self.p_any, n)
+    def draw(self, m: int) -> np.ndarray:
+        if self.slot is None:
+            return self.vol * self.rng.standard_normal(m, dtype=np.float32)
+        z = self.rng.standard_normal(self.n_slots, dtype=np.float32)
+        return self.vol * z[self.slot]
 
-    def tick(self, keep: np.ndarray) -> np.ndarray:
-        """Advance one step for the surviving paths; return the indices
-        (into the kept arrays) whose step contains a jump."""
-        self.till = self.till[keep] - 1
-        return np.nonzero(self.till == 0)[0]
-
-    def sizes(self, j: np.ndarray) -> np.ndarray:
-        """Total jump in the flagged steps, and reset their countdowns."""
-        rng, m = self.rng, len(j)
-        out = _hyperexp(rng, m, self.mix)
-        extra = np.nonzero(rng.random(m) < self.p_two)[0]
-        if len(extra):
-            out[extra] += _hyperexp(rng, len(extra), self.mix)
-        self.till[j] = rng.geometric(self.p_any, m)
-        return out
-
-    def drop(self, keep: np.ndarray) -> None:
-        self.till = self.till[keep]
+    def keep(self, keep: np.ndarray) -> None:
+        if self.slot is None:
+            return
+        self.slot, self.vol = self.slot[keep], self.vol[keep]
+        if self.n_slots > len(self.slot):
+            live = np.zeros(self.n_slots, dtype=bool)
+            live[self.slot] = True
+            renumber = np.cumsum(live) - 1
+            self.slot = renumber[self.slot]
+            self.n_slots = int(renumber[-1]) + 1
 
 
-def _live_normals(rng, n: int, idx: np.ndarray,
-                  antithetic: bool) -> np.ndarray:
-    """Single-precision normals for the live paths idx out of n.  Antithetic
-    draws cover all n paths and are then indexed, so path k keeps its
-    partner k + ceil(n/2) (see _normals) after either of them exits."""
-    if antithetic:
-        return _normals(rng, n, True, np.float32)[idx]
-    return _normals(rng, len(idx), False, np.float32)
-
-
-def _down_crossing_disc(spec, q, k, dt, xf, new, down):
-    """Discount factors at the exact (sigma = 0) or midpoint (sigma > 0)
-    crossing time of 0 for the paths flagged in `down`."""
-    if spec.sigma == 0 and spec.drift_mu < 0:
-        frac = np.clip(xf[down] / (-spec.drift_mu * dt), 0.0, 1.0)
-        return np.exp(-q * (k * dt + frac * dt))
-    return math.exp(-q * (k + 0.5) * dt)
-
-
-def _exit_free(spec, q, b, x, config, rng, n):
-    """One chunk of free-path two-sided exits; per-path discounted
-    indicators (down at 0 first, up at b first)."""
+def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
+    """One chunk of n paths from x until they pass below 0 or above b, or,
+    with reflect_at (< b), below 0 only, pushed back to reflect_at from
+    above.  Returns the per-path discount factors at rate q of the exits
+    below 0 and above b (0: no exit).  A crossing inside a step counts at
+    the step midpoint, or, when sigma = 0 (so drift_mu < 0), at the exact
+    time the drift meets 0.  Exited paths leave the working arrays, so the
+    cost follows the live paths."""
     dt = config.dt
     sqdt = math.sqrt(dt)
     sig2dt = spec.sigma**2 * dt
-    n_steps = int(math.ceil(config.t_max / dt))
-    res_d = np.zeros(n)
-    res_u = np.zeros(n)
+    # Bridge crossings are only non-negligible within a few sigma*sqrt(dt)
+    # of a boundary; evaluating them on that subset keeps the per-step cost
+    # near the unavoidable normal draws.
+    thr = 5.0 * spec.sigma * sqdt
+    res_d, res_u = np.zeros(n), np.zeros(n)
     idx = np.arange(n)
     # Single precision throughout the hot loop: increments are O(sqrt(dt)),
     # so the rounding noise is far below the statistical error.
-    xf = np.full(n, float(x), dtype=np.float32)
+    top = b if reflect_at is None else reflect_at
+    xs = np.full(n, min(float(x), top), dtype=np.float32)
     drift = np.float32(spec.drift_mu * dt)
-    vol = np.float32(spec.sigma * sqdt)
-    clock = _JumpClock(rng, spec, dt, n) if spec.jump_rate > 0 else None
-    for k in range(n_steps):
-        m = len(idx)
+    normals = (_LiveNormals(rng, n, np.float32(spec.sigma * sqdt),
+                            config.antithetic) if spec.sigma > 0 else None)
+    p_any, p_two = _jump_probs(spec.jump_rate, dt)
+    till = rng.geometric(p_any, n) if p_any > 0 else None
+    for k in range(int(math.ceil(config.t_max / dt))):
         disc_mid = math.exp(-q * (k + 0.5) * dt)
-        if m == 0 or disc_mid < _DISC_CUTOFF:
+        if not len(idx) or disc_mid < _DISC_CUTOFF:
             break
-        if vol != 0:
-            new = xf + drift + vol * _live_normals(rng, n, idx,
-                                                   config.antithetic)
-        else:
-            new = xf + drift
-        down = new < 0
-        up = new > b
-        if spec.sigma > 0:
-            # Bridge crossings are only non-negligible within a few
-            # sigma*sqrt(dt) of a boundary; evaluating them on that subset
-            # keeps the per-step cost near the unavoidable normal draws.
-            thr = 5.0 * spec.sigma * sqdt
-            dead = down | up
-            res_d[idx[down]] = disc_mid
+        new = xs + drift
+        if normals is not None:
+            new += normals.draw(len(idx))
+        dead = new < 0
+        if normals is not None:
+            res_d[idx[dead]] = disc_mid
+        elif dead.any():
+            frac = np.clip(xs[dead] / (-spec.drift_mu * dt), 0.0, 1.0)
+            res_d[idx[dead]] = np.exp(-q * (k * dt + frac * dt))
+        if reflect_at is None:
+            up = new > b
             res_u[idx[up]] = disc_mid
-            j = np.nonzero(~dead & (xf < thr) & (new < thr))[0]
+            dead |= up
+        if normals is not None:
+            walls = [(res_d, xs, new)]
+            if reflect_at is None:
+                walls.append((res_u, b - xs, b - new))
+            for res, d0, d1 in walls:
+                j = np.nonzero(~dead & (d0 < thr) & (d1 < thr))[0]
+                if len(j):
+                    p_hit = np.exp(-2.0 * d0[j] * d1[j] / sig2dt)
+                    hit = j[rng.random(len(j)) < p_hit]
+                    res[idx[hit]] = disc_mid
+                    dead[hit] = True
+        if till is not None:
+            till -= 1
+            j = np.nonzero(till == 0)[0]
+            j = j[~dead[j]]
             if len(j):
-                p0 = np.exp(-2.0 * xf[j] * new[j] / sig2dt)
-                hit = j[rng.random(len(j)) < p0]
-                res_d[idx[hit]] = disc_mid
-                dead[hit] = True
-            j = np.nonzero(~dead & (b - xf < thr) & (b - new < thr))[0]
-            if len(j):
-                pb = np.exp(-2.0 * (b - xf[j]) * (b - new[j]) / sig2dt)
-                hit = j[rng.random(len(j)) < pb]
-                res_u[idx[hit]] = disc_mid
-                dead[hit] = True
-        else:
-            if down.any():
-                res_d[idx[down]] = _down_crossing_disc(spec, q, k, dt, xf,
-                                                       new, down)
-            res_u[idx[up]] = disc_mid
-            dead = down | up
+                extra = rng.random(len(j)) < p_two
+                cand = new[j] + _jump_sizes(rng, extra, spec.jump_mix)
+                till[j] = rng.geometric(p_any, len(j))
+                if reflect_at is None:
+                    jup = j[cand > b]
+                    res_u[idx[jup]] = disc_mid
+                    dead[jup] = True
+                new[j] = cand
         keep = ~dead
-        idx = idx[keep]
-        xf = new[keep]
-        if clock is not None and len(idx):
-            j = clock.tick(keep)
-            if len(j):
-                cand = xf[j] + clock.sizes(j)
-                jup = cand > b
-                if jup.any():
-                    res_u[idx[j[jup]]] = disc_mid
-                    alive = np.ones(len(idx), dtype=bool)
-                    alive[j[jup]] = False
-                    xf[j] = cand
-                    idx = idx[alive]
-                    xf = xf[alive]
-                    clock.drop(alive)
-                else:
-                    xf[j] = cand
+        idx, xs = idx[keep], new[keep]
+        if reflect_at is not None:
+            np.minimum(xs, np.float32(top), out=xs)
+        if till is not None:
+            till = till[keep]
+        if normals is not None:
+            normals.keep(keep)
     return res_d, res_u
-
-
-def _exit_reflected(spec, q, b, x, config, rng, n):
-    """One chunk of first passage to 0 under upper reflection at b."""
-    dt = config.dt
-    sqdt = math.sqrt(dt)
-    sig2dt = spec.sigma**2 * dt
-    n_steps = int(math.ceil(config.t_max / dt))
-    b_eff = max(b - _AGP * spec.sigma * sqdt, 0.5 * b)
-    res = np.zeros(n)
-    idx = np.arange(n)
-    xr = np.full(n, min(float(x), b_eff), dtype=np.float32)
-    b_eff32 = np.float32(b_eff)
-    drift = np.float32(spec.drift_mu * dt)
-    vol = np.float32(spec.sigma * sqdt)
-    clock = _JumpClock(rng, spec, dt, n) if spec.jump_rate > 0 else None
-    for k in range(n_steps):
-        m = len(idx)
-        disc_mid = math.exp(-q * (k + 0.5) * dt)
-        if m == 0 or disc_mid < _DISC_CUTOFF:
-            break
-        if vol != 0:
-            new = xr + drift + vol * _live_normals(rng, n, idx,
-                                                   config.antithetic)
-        else:
-            new = xr + drift
-        down = new < 0
-        if spec.sigma > 0:
-            thr = 5.0 * spec.sigma * sqdt
-            dead = down.copy()
-            res[idx[down]] = disc_mid
-            j = np.nonzero(~dead & (xr < thr) & (new < thr))[0]
-            if len(j):
-                p0 = np.exp(-2.0 * xr[j] * new[j] / sig2dt)
-                hit = j[rng.random(len(j)) < p0]
-                res[idx[hit]] = disc_mid
-                dead[hit] = True
-        else:
-            if down.any():
-                res[idx[down]] = _down_crossing_disc(spec, q, k, dt, xr,
-                                                     new, down)
-            dead = down
-        keep = ~dead
-        idx = idx[keep]
-        xr = np.minimum(new[keep], b_eff32)
-        if clock is not None and len(idx):
-            j = clock.tick(keep)
-            if len(j):
-                xr[j] = np.minimum(xr[j] + clock.sizes(j), b_eff)
-    return res
 
 
 def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
                              config: SimConfig
                              ) -> tuple[SimEstimate, SimEstimate, SimEstimate]:
-    """Three discounted exit estimates for comparison with the scale-function
-    formulas: down-crossing of 0 before reaching b, reaching b before 0, and
-    first touch of 0 under reflection at b from above.
-
-    Exited paths are dropped from the working arrays each step, so the cost
-    is proportional to the number of live paths (antithetic normals are
-    drawn for every path, so that pairs outlive exits, and the estimates pool
-    pair means).  Crossings inside a step are
-    discounted at the step midpoint (exactly, for drift crossings of a
-    bounded-variation path), and the reflected pass reflects at a boundary
-    shifted down by 0.5826*sigma*sqrt(dt) to cancel the discrete-reflection
-    bias.
-    """
+    """Monte Carlo estimates of the three discounted exit identities of
+    scale.exit_identities_analytic, from x in [0, b]: down-crossing of 0
+    before reaching b, reaching b before 0, and first passage below 0 under
+    reflection at b from above.  Each chunk runs _first_passage on free
+    paths killed at b and on paths pushed back to b - _AGP*sigma*sqrt(dt),
+    which cancels the discrete-reflection bias; antithetic runs pool pair
+    means."""
     require_valid(spec)
+    if not 0 < b < math.inf:
+        raise ModelError(f"b must be positive and finite, got {b!r}")
     if not 0.0 <= x <= b:
         raise ModelError("x must lie in [0, b]")
     config.check(q)
+    b_eff = max(b - _AGP * spec.sigma * math.sqrt(config.dt), 0.5 * b)
     pools = [_Pool(), _Pool(), _Pool()]
     for rng, n in _chunks(config):
         r_free, r_refl = rng.spawn(2)
-        res_d, res_u = _exit_free(spec, q, b, x, config, r_free, n)
-        res_r = _exit_reflected(spec, q, b, x, config, r_refl, n)
+        res_d, res_u = _first_passage(spec, q, b, x, config, r_free, n)
+        res_r, _ = _first_passage(spec, q, b, x, config, r_refl, n, b_eff)
         for pool, res in zip(pools, (res_d, res_u, res_r)):
             pool.add(_pair_means(res) if config.antithetic else res)
     return tuple(p.estimate() for p in pools)
-
-

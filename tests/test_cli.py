@@ -260,3 +260,27 @@ def test_verify_regime_contraction(regime_config, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS contraction" in out
+
+
+@pytest.mark.parametrize("argv", [["solve-regime", "--paths", "10"],
+                                  ["verify", "--out", "x"],
+                                  ["curve", "--dt", "0.01"]])
+def test_unread_flag_exit_2(aux_config, argv, capsys):
+    # each command takes only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", str(aux_config)] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_antithetic(aux_config, capsys):
+    ses = []
+    for extra in ([], ["--antithetic"]):
+        rc = main(["verify", "--config", str(aux_config), "--paths", "4000"]
+                  + extra)
+        out = capsys.readouterr().out
+        assert rc == 0
+        line = next(ln for ln in out.splitlines() if " exit_down " in ln)
+        ses.append(float(line.rsplit("se=", 1)[1]))
+    # antithetic pairs cut the exit_down SE about 2.5-fold
+    assert ses[1] < 0.6 * ses[0]

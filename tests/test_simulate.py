@@ -6,7 +6,7 @@ from levybarrier import (AuxProblem, ModelError, SimConfig, W, Z,
                          estimate_exit_identities, simulate_aux_npv,
                          simulate_regime_npv, solve, value)
 from levybarrier.scale import exit_identities_analytic
-from levybarrier.simulate import _normals, _pair_means, _Pool
+from levybarrier.simulate import _LiveNormals, _normals, _pair_means, _Pool
 
 
 def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
@@ -35,6 +35,28 @@ def test_pair_means_match_antithetic_normals():
         pm = _pair_means(z)
         assert len(pm) == (n + 1) // 2
         assert np.all(pm[:n // 2] == 0.0)
+
+
+def test_live_normals_keep_pairs_after_exits():
+    # partners k and k + ceil(n/2) keep opposite draws after exits, and no
+    # more pair slots are drawn than there are live paths
+    n, half = 8, 4
+    ln = _LiveNormals(np.random.default_rng(0), n, np.float32(0.5), True)
+    live = np.arange(n)
+    # the second exit leaves pair (0, 4) whole and renumbers the slots
+    for keep in (None, [1, 1, 0, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0]):
+        if keep is not None:
+            keep = np.array(keep, dtype=bool)
+            live = live[keep]
+            ln.keep(keep)
+            assert ln.n_slots <= len(live)
+        z = dict(zip(live, ln.draw(len(live))))
+        for k in live:
+            partner = k + half if k < half else k - half
+            if partner in z:
+                assert z[k] == -z[partner]
+            else:
+                assert all(abs(z[k]) != abs(z[j]) for j in z if j != k)
 
 
 def test_config_check_rejects_short_horizon():
@@ -172,6 +194,17 @@ def test_exit_identities_boundary_cases(brownian_spec):
     assert abs(refl.mean - target_refl) <= 3.0 * refl.std_error
 
 
+@pytest.mark.parametrize("spec_name", ["cramer_lundberg_spec", "mixed_spec"])
+def test_exit_identities_jump_models(spec_name, request):
+    # the jump step, and for sigma = 0 the exact drift crossing of 0
+    spec = request.getfixturevalue(spec_name)
+    ev = build_scale_evaluator(spec, 1.0)
+    targets = exit_identities_analytic(ev, 2.0, 1.0)
+    ests = estimate_exit_identities(spec, 1.0, 2.0, 1.0, small_cfg(seed=13))
+    for est, target in zip(ests, targets):
+        assert abs(est.mean - target) <= 3.0 * est.std_error
+
+
 def test_exit_identities_reject_bad_x(brownian_spec):
     with pytest.raises(ModelError):
         estimate_exit_identities(brownian_spec, 1.0, 2.0, 2.5, small_cfg())
@@ -219,3 +252,34 @@ def test_regime_npv_rejects_bad_barriers_or_state(symmetric_two_state,
     with pytest.raises(ModelError):
         simulate_regime_npv(symmetric_two_state, barriers, 0.5, i0,
                             small_cfg(paths=10))
+
+
+@pytest.mark.parametrize("case", ["exit-b-zero", "exit-q-zero",
+                                  "exit-q-negative", "npv-phi-below-1",
+                                  "npv-lam-negative", "npv-b-nan",
+                                  "fractional-n-paths"])
+def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
+                                           case):
+    spec, pw, cfg = brownian_spec, linear_payoff, small_cfg(paths=10)
+    calls = {
+        "exit-b-zero": (lambda: estimate_exit_identities(
+            spec, 1.0, 0.0, 0.0, cfg), "b must be positive"),
+        "exit-q-zero": (lambda: estimate_exit_identities(
+            spec, 0.0, 2.0, 1.0, cfg), "discount rate must be positive"),
+        "exit-q-negative": (lambda: estimate_exit_identities(
+            spec, -0.5, 2.0, 1.0, cfg), "discount rate must be positive"),
+        "npv-phi-below-1": (lambda: simulate_aux_npv(
+            spec, pw, 0.0, 1.0, 0.5, 1.3, 0.6, cfg), "phi must exceed 1"),
+        "npv-lam-negative": (lambda: simulate_aux_npv(
+            spec, pw, -0.2, 1.0, 2.0, 1.3, 0.6, cfg),
+            "lam must be nonnegative"),
+        "npv-b-nan": (lambda: simulate_aux_npv(
+            spec, pw, 0.0, 1.0, 2.0, float("nan"), 0.6, cfg),
+            "finite b > 0"),
+        "fractional-n-paths": (lambda: estimate_exit_identities(
+            spec, 1.0, 2.0, 1.0, small_cfg(paths=2.5)),
+            "n_paths must be an integer"),
+    }
+    call, message = calls[case]
+    with pytest.raises(ModelError, match=message):
+        call()
