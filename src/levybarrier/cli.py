@@ -225,8 +225,8 @@ def _run_verify(tree, args, out):
 
     # generator residuals on and above the barrier
     worst_in = worst_above = 0.0
-    for x in np.linspace(b / 25, b, 25):
-        vx = value(problem, b, float(x), ev)
+    xs = np.linspace(b / 25, b, 25)
+    for x, vx in zip(xs, value_on_grid(problem, b, xs, ev)[0]):
         worst_in = max(worst_in,
                        abs(hjb_residual(problem, b, float(x), ev))
                        / (1.0 + abs(vx)))

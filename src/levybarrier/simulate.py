@@ -58,6 +58,10 @@ class SimConfig:
                              f"got {self.n_paths!r}")
         if not 0 < self.dt < math.inf:
             raise ModelError("dt must be positive and finite")
+        seed = self.rng_seed
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ModelError(f"rng_seed must be an integer >= 0, "
+                             f"got {seed!r}")
         if not q_min > 0:
             raise ModelError(f"discount rate must be positive, got {q_min!r}")
         if not math.exp(-q_min * self.t_max) < 1e-3:
@@ -347,6 +351,8 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
         raise ModelError(f"initial state {i0} outside 0..{model.n - 1}")
     if not np.all((barriers > 0) & (barriers < math.inf)):
         raise ModelError("barriers must be positive and finite")
+    if not math.isfinite(x0):
+        raise ModelError(f"x0 must be finite, got {x0!r}")
     # the NPV discounts at the state's delta alone, so the truncation tail
     # decays at the smallest delta
     delta_min = float(np.min(model.discounts))

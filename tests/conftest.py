@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from levybarrier import (AuxProblem, LevySpec, RegimeModel, SwitchJump,
                          make_payoff)
@@ -7,6 +8,7 @@ from levybarrier.auxiliary import _segments, payoff_W_integral
 from levybarrier.levy import laplace_exponent_deriv
 from levybarrier.payoff import evaluate
 from levybarrier.scale import W, W_deriv, Z, Zbar
+from levybarrier.value_grid import _closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,44 @@ def reference_value_second_derivative(problem, b, x, ev):
     if len(u):
         out += lam * float(np.sum(slope * (W(ev, v - x) - W(ev, u - x))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Adaptive-quadrature references for the two numerical checks, hjb_residual
+# and the Laplace integral of W, which the library computes with fixed
+# Gauss-Legendre rules.
+
+def reference_hjb_residual(problem, b, x, ev):
+    """(A - q) V + lam*omega at x > 0, with the jump integral by adaptive
+    quad of one closed-form call per integrand point, split at the shifted
+    payoff knots, and the exponential tail beyond b in closed form."""
+    spec, lam, q = problem.spec, problem.lam, problem.q
+    cf = _closed_form(problem, b, ev)
+    (vx, vb), (vp, _), (vpp, _) = cf([x, b])
+    if x >= b:
+        vp = 1.0
+    out = spec.drift_mu * vp + 0.5 * spec.sigma**2 * vpp
+    t0 = b - x
+    if spec.jump_rate > 0 and t0 > 0:
+        pts = [float(p) for p in problem.payoff.xs - x if 0.0 < p < t0]
+        dens = lambda z: sum(w * r * np.exp(-r * z) for w, r in spec.jump_mix)
+        jumps, _ = quad(lambda z: (cf([x + z])[0][0] - vx) * dens(z),
+                        0.0, t0, points=pts, limit=200, epsabs=1e-12,
+                        epsrel=1e-9)
+        for w, r in spec.jump_mix:
+            jumps += w * np.exp(-r * t0) * (vb - vx + 1.0 / r)
+        out += spec.jump_rate * jumps
+    elif spec.jump_rate > 0:
+        out += spec.jump_rate * sum(w / r for w, r in spec.jump_mix)
+    out += -q * vx + lam * evaluate(problem.payoff, x)
+    return float(out)
+
+
+def reference_laplace_integral(ev, s, horizon):
+    """int_0^horizon e^{-sx} W_q(x) dx by adaptive quad."""
+    val, _ = quad(lambda x: np.exp(-s * x) * W(ev, x), 0.0, horizon,
+                  limit=500)
+    return val
 
 
 @pytest.fixture

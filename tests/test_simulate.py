@@ -254,10 +254,18 @@ def test_regime_npv_rejects_bad_barriers_or_state(symmetric_two_state,
                             small_cfg(paths=10))
 
 
+@pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
+def test_regime_npv_rejects_non_finite_start(symmetric_two_state, x0):
+    with pytest.raises(ModelError, match="x0 must be finite"):
+        simulate_regime_npv(symmetric_two_state, [1.0, 1.0], x0, 0,
+                            small_cfg(paths=10))
+
+
 @pytest.mark.parametrize("case", ["exit-b-zero", "exit-q-zero",
                                   "exit-q-negative", "npv-phi-below-1",
                                   "npv-lam-negative", "npv-b-nan",
-                                  "fractional-n-paths"])
+                                  "fractional-n-paths", "negative-seed",
+                                  "fractional-seed"])
 def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
                                            case):
     spec, pw, cfg = brownian_spec, linear_payoff, small_cfg(paths=10)
@@ -279,6 +287,12 @@ def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
         "fractional-n-paths": (lambda: estimate_exit_identities(
             spec, 1.0, 2.0, 1.0, small_cfg(paths=2.5)),
             "n_paths must be an integer"),
+        "negative-seed": (lambda: estimate_exit_identities(
+            spec, 1.0, 2.0, 1.0, small_cfg(seed=-1, paths=10)),
+            "rng_seed must be an integer >= 0"),
+        "fractional-seed": (lambda: estimate_exit_identities(
+            spec, 1.0, 2.0, 1.0, small_cfg(seed=1.5, paths=10)),
+            "rng_seed must be an integer >= 0"),
     }
     call, message = calls[case]
     with pytest.raises(ModelError, match=message):
