@@ -1,13 +1,16 @@
 """Single-regime barrier solver: optimal barrier, value function,
 derivatives, dominance comparisons and generator residuals.
 
-The barrier equation pairs the piecewise-constant right derivative of the
-payoff against the exponential sums of the scale functions, segment by
-segment, so its root is exact up to roundoff.  The value function and its
-derivatives are one-point calls of the closed-form kernel in value_grid.
-The generator residual is an independent check of that closed form: it
-integrates the jump part numerically, with a fixed Gauss-Legendre rule on
-each kink-free segment, over values taken from one kernel call.
+The optimal barrier is the zero of ell(x) = Z_q(x) - lam int_0^x omega'_+ W_q
+- phi.  The payoff's right derivative is constant between knots, so on each
+knot segment ell is an exponential sum in closed form: one array call of Z
+tabulates it at every knot below the overflow horizon, and Brent and Newton
+run only inside the segment where it changes sign.  Z_q^{-1}(phi) is the
+lam = 0 case of the same solve.  The value function and its derivatives are
+one-point calls of the closed-form kernel in value_grid.  The generator
+residual is an independent check of that closed form: it integrates the
+jump part numerically, with a fixed Gauss-Legendre rule on each kink-free
+segment, over values taken from one kernel call.
 """
 
 from __future__ import annotations
@@ -67,90 +70,75 @@ class AuxSolution:
 
 
 # ---------------------------------------------------------------------------
-# segment-exact payoff integrals
+# the barrier equation, segment by segment
 
-def _segments(pw: ConcavePayoff, lo: float, hi: float):
-    """Break [lo, hi] at the payoff knots; return (u, v, slope) arrays with
-    slope the right derivative on each open segment."""
-    if hi <= lo:
-        return (np.empty(0),) * 3
-    cuts = pw.xs[(pw.xs > lo) & (pw.xs < hi)]
-    edges = np.concatenate(([lo], cuts, [hi]))
-    u, v = edges[:-1], edges[1:]
-    slope = right_derivative(pw, u)
-    return u, v, np.atleast_1d(slope)
+def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
+                slopes: np.ndarray) -> float:
+    """Zero of ell(x) = Z_q(x) - phi - (lam/q) int_0^x omega'_+ dZ_q, with
+    omega'_+ = slopes[m] on [xs[m], xs[m+1]) and slopes[-1] beyond xs[-1].
 
-
-def payoff_W_integral(ev: ScaleEvaluator, pw: ConcavePayoff, x: float,
-                      b: float) -> float:
-    """int_0^b omega'_+(y) W_q(y - x) dy  (only y > x contributes)."""
-    u, v, slope = _segments(pw, max(x, 0.0), b)
-    if len(u) == 0:
-        return 0.0
-    return float(np.sum(slope * (Z(ev, v - x) - Z(ev, u - x))) / ev.q)
-
-
-def ell(ev: ScaleEvaluator, pw: ConcavePayoff, lam: float, phi: float,
-        x: float) -> float:
-    """Barrier equation left side: Z_q(x) - lam*int_0^x omega'_+ W_q - phi.
-
-    ell(0) = 1 - phi < 0 and ell(inf) = inf; its unique zero is the optimal
-    barrier.
+    One array call of Z tabulates ell at the knots below x_cap and at x_cap,
+    with the prefix sums S_k = sum_{m<k} s_m (Z(x_{m+1}) - Z(x_m)) from one
+    cumsum.  On the segment [x_m, x_{m+1}] that ends at the first positive
+    entry, ell is the exponential sum Z - phi - lam (S_m + s_m (Z - Z(x_m)))
+    / q, and Brent then Newton run on that form inside the segment.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(Z(ev, x)) - phi - lam * payoff_W_integral(ev, pw, 0.0, x)
+    q = ev.q
+    t = np.append(xs[xs < ev.x_cap], ev.x_cap)
+    s = slopes[:len(t) - 1]
+    zt = Z(ev, t)
+    acc = np.concatenate(([0.0], np.cumsum(s * np.diff(zt))))
+    above = np.flatnonzero(zt - phi - lam * acc / q > 0)
+    if len(above) == 0:
+        raise NumericsError("no sign change within overflow horizon")
+    m = above[0] - 1
+    lo, hi, sm, zm, am = t[m], t[m + 1], s[m], zt[m], acc[m]
 
+    def f(x):
+        z = float(Z(ev, x))
+        return z - phi - lam * (am + sm * (z - zm)) / q
 
-def ell_deriv(ev: ScaleEvaluator, pw: ConcavePayoff, lam: float,
-              x: float) -> float:
-    """ell'(x) = W_q(x) (q - lam * omega'_+(x))."""
-    return float(W(ev, x)) * (ev.q - lam * right_derivative(pw, x))
-
-
-def z_inverse(ev: ScaleEvaluator, phi: float, xtol: float) -> float:
-    """Z_q^{-1}(phi) for phi > 1: bracket by doubling from 1, then Brent."""
-    hi = 1.0
-    while Z(ev, hi) < phi:
-        hi *= 2.0
-        if hi > ev.x_cap:
-            raise NumericsError("no sign change within overflow horizon")
-    return brentq(lambda x: Z(ev, x) - phi, 0.0, hi, xtol=xtol)
-
-
-def barrier_root(problem: AuxProblem,
-                 evaluator: ScaleEvaluator | None = None,
-                 warm_start: float | None = None) -> AuxSolution:
-    """Unique zero of ell: bracket expansion from Z_q^{-1}(phi) upward, Brent,
-    then Newton polish to |ell| below 1e-12."""
-    ev = evaluator if evaluator is not None else problem.evaluator()
-    pw, lam, phi = problem.payoff, problem.lam, problem.phi
-
-    f = lambda x: ell(ev, pw, lam, phi, x)
-    # Z_q^{-1}(phi) is a proven lower bound for the barrier.
-    lo = z_inverse(ev, phi, xtol=1e-14)
-    hi = max(2.0 * lo, lo + 1.0)
-    if warm_start is not None and warm_start > lo and f(warm_start) > 0:
-        hi = warm_start
-    while f(hi) <= 0:
-        lo = hi
-        hi *= 2.0
-        if hi > ev.x_cap:
-            raise NumericsError("no sign change within overflow horizon")
-    if f(lo) > 0:
-        lo = 0.0
     root = brentq(f, lo, hi, xtol=1e-14)
     for _ in range(5):
         val = f(root)
         if abs(val) < 1e-13:
             break
-        d = ell_deriv(ev, pw, lam, root)
+        d = float(W(ev, root)) * (q - lam * sm)
         if d <= 0:
             break
-        root -= val / d
+        root = min(max(root - val / d, lo), hi)
     if abs(f(root)) > 1e-10:
         raise NumericsError("barrier root did not converge")
-    return AuxSolution(problem=problem, evaluator=ev, barrier=float(root))
+    return float(root)
+
+
+def z_inverse(ev: ScaleEvaluator, phi: float) -> float:
+    """Z_q^{-1}(phi) for phi > 1: the lam = 0 case of the barrier equation."""
+    return _first_zero(ev, phi, 0.0, np.zeros(1), np.zeros(1))
+
+
+def barrier_root(problem: AuxProblem,
+                 evaluator: ScaleEvaluator | None = None) -> AuxSolution:
+    """Optimal barrier: the unique zero of the barrier equation
+
+        ell(x) = Z_q(x) - lam int_0^x omega'_+(y) W_q(y) dy - phi,
+
+    with ell(0) = 1 - phi < 0 and ell'(x) = W_q(x) (q - lam omega'_+(x));
+    for a concave payoff q - lam omega'_+ is nondecreasing, so ell falls,
+    then rises through its one zero.  omega'_+ is constant
+    between payoff knots, so on each knot segment ell is an exponential sum
+    in closed form.  ell is tabulated at every knot below the overflow
+    horizon x_cap and at x_cap with one array call of Z; Brent (xtol 1e-14)
+    and a Newton polish to |ell| < 1e-13 then run inside the one segment
+    where it turns positive.  No Z is evaluated past x_cap.  Raises
+    NumericsError if ell stays nonpositive up to x_cap or if |ell| at the
+    root exceeds 1e-10.
+    """
+    ev = evaluator if evaluator is not None else problem.evaluator()
+    pw = problem.payoff
+    root = _first_zero(ev, problem.phi, problem.lam, pw.xs,
+                       np.append(pw.slopes, pw.slope_tail))
+    return AuxSolution(problem=problem, evaluator=ev, barrier=root)
 
 
 # ---------------------------------------------------------------------------

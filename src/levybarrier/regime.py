@@ -231,8 +231,8 @@ def apply_T_b(model: RegimeModel, f: ValueField, barriers,
                       barriers=barriers)
 
 
-def apply_T_sup(model: RegimeModel, f: ValueField, evaluators=None,
-                warm_barriers=None) -> tuple[ValueField, np.ndarray]:
+def apply_T_sup(model: RegimeModel, f: ValueField,
+                evaluators=None) -> tuple[ValueField, np.ndarray]:
     """Optimal one-switch mapping: solve the single-regime barrier problem
     per state against the hat payoff and evaluate its value."""
     require_valid_model(model)
@@ -243,8 +243,7 @@ def apply_T_sup(model: RegimeModel, f: ValueField, evaluators=None,
     for i in range(model.n):
         pw = hat_operator(model, f, i)
         problem = _aux_problem(model, i, pw)
-        warm = None if warm_barriers is None else float(warm_barriers[i])
-        sol = barrier_root(problem, evaluators[i], warm_start=warm)
+        sol = barrier_root(problem, evaluators[i])
         barriers[i] = sol.barrier
         new_vals[i], _ = value_on_grid(problem, sol.barrier, f.grid,
                                        evaluators[i])
@@ -285,7 +284,7 @@ def default_x_max(model: RegimeModel) -> float:
     worst = 0.0
     for i in range(model.n):
         ev = build_scale_evaluator(model.levy[i], float(model.discounts[i]))
-        worst = max(worst, z_inverse(ev, model.phi, xtol=1e-12))
+        worst = max(worst, z_inverse(ev, model.phi))
     return 4.0 * worst
 
 
@@ -312,11 +311,9 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
         evaluators = [build_scale_evaluator(model.levy[i], model.q(i))
                       for i in range(model.n)]
         rho_trace = []
-        barriers = None
         regrow = False
         for it in range(1, max_iter + 1):
-            f_new, barriers = apply_T_sup(model, f, evaluators,
-                                          warm_barriers=barriers)
+            f_new, barriers = apply_T_sup(model, f, evaluators)
             if np.max(barriers) > 0.8 * x_max:
                 regrow = True
                 break

@@ -1,14 +1,84 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from levybarrier import (AuxProblem, LevySpec, RegimeModel, SwitchJump,
-                         make_payoff)
-from levybarrier.auxiliary import _segments, payoff_W_integral
+from levybarrier import (AuxProblem, LevySpec, NumericsError, RegimeModel,
+                         SwitchJump, make_payoff)
 from levybarrier.levy import laplace_exponent_deriv
-from levybarrier.payoff import evaluate
+from levybarrier.payoff import evaluate, right_derivative
 from levybarrier.scale import W, W_deriv, Z, Zbar
 from levybarrier.value_grid import _closed_form
+
+
+# ---------------------------------------------------------------------------
+# Scalar barrier equation and the bracket-doubling Brent root, one payoff
+# re-cut per evaluation, independent of the knot table in
+# levybarrier.auxiliary.
+
+def _segments(pw, lo, hi):
+    """Break [lo, hi] at the payoff knots; return (u, v, slope) arrays with
+    slope the right derivative on each open segment."""
+    if hi <= lo:
+        return (np.empty(0),) * 3
+    cuts = pw.xs[(pw.xs > lo) & (pw.xs < hi)]
+    edges = np.concatenate(([lo], cuts, [hi]))
+    u, v = edges[:-1], edges[1:]
+    slope = right_derivative(pw, u)
+    return u, v, np.atleast_1d(slope)
+
+
+def payoff_W_integral(ev, pw, x, b):
+    """int_0^b omega'_+(y) W_q(y - x) dy  (only y > x contributes)."""
+    u, v, slope = _segments(pw, max(x, 0.0), b)
+    if len(u) == 0:
+        return 0.0
+    return float(np.sum(slope * (Z(ev, v - x) - Z(ev, u - x))) / ev.q)
+
+
+def ell(ev, pw, lam, phi, x):
+    """Barrier equation left side: Z_q(x) - lam*int_0^x omega'_+ W_q - phi."""
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    return float(Z(ev, x)) - phi - lam * payoff_W_integral(ev, pw, 0.0, x)
+
+
+def ell_deriv(ev, pw, lam, x):
+    """ell'(x) = W_q(x) (q - lam * omega'_+(x))."""
+    return float(W(ev, x)) * (ev.q - lam * right_derivative(pw, x))
+
+
+def reference_barrier_root(problem, ev):
+    """Zero of ell: Z_q^{-1}(phi) bracketed by doubling from 1, bracket
+    doubling upward from there, Brent, then Newton polish."""
+    pw, lam, phi = problem.payoff, problem.lam, problem.phi
+    f = lambda x: ell(ev, pw, lam, phi, x)
+    hi = 1.0
+    while Z(ev, hi) < phi:
+        hi *= 2.0
+        if hi > ev.x_cap:
+            raise NumericsError("no sign change within overflow horizon")
+    lo = brentq(lambda x: Z(ev, x) - phi, 0.0, hi, xtol=1e-14)
+    hi = max(2.0 * lo, lo + 1.0)
+    while f(hi) <= 0:
+        lo = hi
+        hi *= 2.0
+        if hi > ev.x_cap:
+            raise NumericsError("no sign change within overflow horizon")
+    if f(lo) > 0:
+        lo = 0.0
+    root = brentq(f, lo, hi, xtol=1e-14)
+    for _ in range(5):
+        val = f(root)
+        if abs(val) < 1e-13:
+            break
+        d = ell_deriv(ev, pw, lam, root)
+        if d <= 0:
+            break
+        root -= val / d
+    if abs(f(root)) > 1e-10:
+        raise NumericsError("barrier root did not converge")
+    return float(root)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +175,60 @@ def reference_laplace_integral(ev, s, horizon):
     val, _ = quad(lambda x: np.exp(-s * x) * W(ev, x), 0.0, horizon,
                   limit=500)
     return val
+
+
+# ---------------------------------------------------------------------------
+# Seeded single-regime problems
+
+FAMILIES = ("brownian", "sigma0", "mixed")
+
+
+def seeded_aux_problems(seed, count, knot_counts=(2, 3, 4)):
+    """Problem k has spec family FAMILIES[k % 3] and
+    knot_counts[k % len(knot_counts)] payoff knots; the seed draws the rest
+    from this parameter box:
+
+        drift_mu   Brownian [-0.5, 0.5], sigma = 0 [-1.5, -0.6],
+                   mixed [-0.6, 0.2]
+        sigma      [0.6, 1.5] (Brownian and mixed), 0 (sigma = 0 family)
+        jump_rate  [0.4, 1.4], one or two components with rates in
+                   [1.0, 4.5], at least 0.4 apart so the roots of
+                   psi(s) = q stay simple
+        delta      [0.6, 1.3]      lam     [0.1, 0.5]      phi   [1.4, 2.4]
+        payoff     concave through 0, slopes in [0.3, 1.2], knots 0.3 to
+                   1.0 apart
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        family = FAMILIES[k % 3]
+        n_comp = 1 + k % 2
+        while True:
+            rates = np.sort(rng.uniform(1.0, 4.5, n_comp))
+            if np.all(np.diff(rates) >= 0.4):
+                break
+        w0 = rng.uniform(0.3, 0.7) if n_comp == 2 else 1.0
+        mix = tuple(zip((w0, 1.0 - w0)[:n_comp], rates))
+        if family == "brownian":
+            spec = LevySpec(drift_mu=rng.uniform(-0.5, 0.5),
+                            sigma=rng.uniform(0.6, 1.5))
+        elif family == "sigma0":
+            spec = LevySpec(drift_mu=rng.uniform(-1.5, -0.6), sigma=0.0,
+                            jump_rate=rng.uniform(0.4, 1.4), jump_mix=mix)
+        else:
+            spec = LevySpec(drift_mu=rng.uniform(-0.6, 0.2),
+                            sigma=rng.uniform(0.6, 1.5),
+                            jump_rate=rng.uniform(0.4, 1.4), jump_mix=mix)
+        n_knots = knot_counts[k % len(knot_counts)]
+        slopes = np.sort(rng.uniform(0.3, 1.2, n_knots))[::-1]
+        xs = np.concatenate(([0.0], np.cumsum(rng.uniform(0.3, 1.0,
+                                                          n_knots - 1))))
+        vals = np.concatenate(([0.0], np.cumsum(slopes[:-1] * np.diff(xs))))
+        payoff = make_payoff(np.column_stack((xs, vals)), slopes[-1])
+        out.append(AuxProblem(spec=spec, lam=rng.uniform(0.1, 0.5),
+                              delta=rng.uniform(0.6, 1.3),
+                              phi=rng.uniform(1.4, 2.4), payoff=payoff))
+    return out
 
 
 @pytest.fixture

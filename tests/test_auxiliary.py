@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from levybarrier import (AuxProblem, ModelError, NumericsError, Z,
-                         barrier_root, dominance_gap, hjb_residual,
-                         make_payoff, value, value_derivative)
-from conftest import (reference_payoff_Z_integral, reference_value,
-                      reference_value_derivative)
-from levybarrier.auxiliary import ell, ell_deriv, payoff_W_integral
+from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError, Z,
+                         apply_T_sup, barrier_root, build_scale_evaluator,
+                         config, dominance_gap, hat_operator, hjb_residual,
+                         identity_field, make_payoff, value, value_derivative)
+from conftest import (ell, ell_deriv, payoff_W_integral,
+                      reference_barrier_root, reference_payoff_Z_integral,
+                      reference_value, reference_value_derivative,
+                      seeded_aux_problems)
+from levybarrier.regime import _aux_problem, default_x_max
 from levybarrier.scale import W
 from levybarrier.value_grid import value_on_grid
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def test_classical_barrier_arccosh(brownian_spec, linear_payoff):
@@ -185,9 +192,53 @@ def test_problem_validation(brownian_spec, linear_payoff):
                    payoff=steep)
 
 
-def test_warm_start_agrees(mixed_spec, kinked_payoff):
-    prob = AuxProblem(spec=mixed_spec, lam=0.4, delta=0.6, phi=1.8,
+
+def _demo_hat_problems():
+    """Both states' problems against the hat payoff of one apply_T_sup step
+    on demos/regime.cfg, on its 2,000-point grid: about 2,000 knots each."""
+    model = config.regime_model_from(
+        config.parse_config((DEMOS / "regime.cfg").read_text()))
+    grid = np.linspace(0.0, default_x_max(model), 2001)
+    f1, _ = apply_T_sup(model, identity_field(model, grid))
+    return [_aux_problem(model, i, hat_operator(model, f1, i))
+            for i in range(model.n)]
+
+
+def test_barrier_root_matches_reference(twelve_cases, brownian_spec,
+                                        mixed_spec, kinked_payoff):
+    # the knot-table root against the scalar bracket-doubling Brent root
+    seeded = seeded_aux_problems(seed=7, count=12, knot_counts=(1, 2, 3, 4))
+    hat = _demo_hat_problems()
+    assert min(len(p.payoff.xs) for p in hat) > 1900
+    # phi = 12 puts the root past the last knot, 3.0
+    past = AuxProblem(spec=brownian_spec, lam=0.3, delta=0.7, phi=12.0,
                       payoff=kinked_payoff)
-    cold = barrier_root(prob)
-    warm = barrier_root(prob, warm_start=cold.barrier * 1.05)
-    assert warm.barrier == pytest.approx(cold.barrier, abs=1e-12)
+    # phi chosen so that ell vanishes at the knot 1.5
+    ev = build_scale_evaluator(mixed_spec, 1.0)
+    on_knot = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7,
+                         phi=ell(ev, kinked_payoff, 0.3, 0.0, 1.5),
+                         payoff=kinked_payoff)
+    for prob in twelve_cases + seeded + hat + [past, on_knot]:
+        ev = prob.evaluator()
+        b = barrier_root(prob, ev).barrier
+        b_ref = reference_barrier_root(prob, ev)
+        assert abs(b - b_ref) <= 1e-12 * (1.0 + b_ref)
+    assert barrier_root(past).barrier > kinked_payoff.xs[-1]
+    assert barrier_root(on_knot).barrier == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("drift_mu", [-0.002, -0.001, -0.0005])
+def test_large_phi_bounded_variation_barrier(drift_mu, lam, linear_payoff):
+    # Phi(q) from 850 to 4,000 puts the overflow horizon x_cap at 0.18 to
+    # 0.82, below the old bracket start x = 1; the barrier is about 1e-3
+    spec = LevySpec(drift_mu=drift_mu, sigma=0.0, jump_rate=1.0,
+                    jump_mix=((1.0, 1.0),))
+    prob = AuxProblem(spec=spec, lam=lam, delta=0.7, phi=1.5,
+                      payoff=linear_payoff)
+    ev = prob.evaluator()
+    assert ev.x_cap < 1.0
+    b = barrier_root(prob, ev).barrier
+    assert 0.0 < b < ev.x_cap
+    assert abs(value_derivative(prob, b, b, ev) - 1.0) <= 1e-8
+    assert abs(value_derivative(prob, b, 0.0, ev) - prob.phi) <= 1e-8

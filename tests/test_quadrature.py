@@ -1,67 +1,24 @@
 """The fixed Gauss-Legendre rules of hjb_residual and of the Laplace check
 against the adaptive-quadrature references in conftest.
 
-Seeded problems are drawn from this parameter box, one third per spec
-family, all with a payoff stream (lam > 0) and two to four payoff knots:
-
-    drift_mu   Brownian [-0.5, 0.5], sigma = 0 [-1.5, -0.6], mixed [-0.6, 0.2]
-    sigma      [0.6, 1.5] (Brownian and mixed), 0 (sigma = 0 family)
-    jump_rate  [0.4, 1.4], one or two components with rates in [1.0, 4.5],
-               at least 0.4 apart so the roots of psi(s) = q stay simple
-    delta      [0.6, 1.3]      lam     [0.1, 0.5]      phi   [1.4, 2.4]
-    payoff     concave through 0, slopes in [0.3, 1.2], knots 0.3 to 1.0
-               apart
+The seeded problems come from conftest.seeded_aux_problems, whose docstring
+states the parameter box: one third per spec family, all with a payoff
+stream (lam > 0) and two to four payoff knots.
 """
 
 import numpy as np
 import pytest
 
 from levybarrier import (AuxProblem, LevySpec, barrier_root,
-                         build_scale_evaluator, hjb_residual, make_payoff,
-                         value)
+                         build_scale_evaluator, hjb_residual, value)
 from levybarrier.scale import _laplace_integral
-from conftest import reference_hjb_residual, reference_laplace_integral
-
-FAMILIES = ("brownian", "sigma0", "mixed")
-
-
-def _seeded_problems(seed: int, count: int) -> list[AuxProblem]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        family = FAMILIES[k % 3]
-        n_comp = 1 + k % 2
-        while True:
-            rates = np.sort(rng.uniform(1.0, 4.5, n_comp))
-            if np.all(np.diff(rates) >= 0.4):
-                break
-        w0 = rng.uniform(0.3, 0.7) if n_comp == 2 else 1.0
-        mix = tuple(zip((w0, 1.0 - w0)[:n_comp], rates))
-        if family == "brownian":
-            spec = LevySpec(drift_mu=rng.uniform(-0.5, 0.5),
-                            sigma=rng.uniform(0.6, 1.5))
-        elif family == "sigma0":
-            spec = LevySpec(drift_mu=rng.uniform(-1.5, -0.6), sigma=0.0,
-                            jump_rate=rng.uniform(0.4, 1.4), jump_mix=mix)
-        else:
-            spec = LevySpec(drift_mu=rng.uniform(-0.6, 0.2),
-                            sigma=rng.uniform(0.6, 1.5),
-                            jump_rate=rng.uniform(0.4, 1.4), jump_mix=mix)
-        n_knots = 2 + k % 3
-        slopes = np.sort(rng.uniform(0.3, 1.2, n_knots))[::-1]
-        xs = np.concatenate(([0.0], np.cumsum(rng.uniform(0.3, 1.0,
-                                                          n_knots - 1))))
-        vals = np.concatenate(([0.0], np.cumsum(slopes[:-1] * np.diff(xs))))
-        payoff = make_payoff(np.column_stack((xs, vals)), slopes[-1])
-        out.append(AuxProblem(spec=spec, lam=rng.uniform(0.1, 0.5),
-                              delta=rng.uniform(0.6, 1.3),
-                              phi=rng.uniform(1.4, 2.4), payoff=payoff))
-    return out
+from conftest import (reference_hjb_residual, reference_laplace_integral,
+                      seeded_aux_problems)
 
 
 @pytest.fixture
 def seeded_problems():
-    return _seeded_problems(seed=2024, count=12)
+    return seeded_aux_problems(seed=2024, count=12)
 
 
 def _worst_hjb_gap(prob) -> float:

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from levybarrier import (AuxProblem, ModelError, NumericsError, RegimeModel,
-                         SwitchJump, barrier_root, make_payoff, solve, value)
+from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
+                         RegimeModel, SwitchJump, barrier_root,
+                         build_scale_evaluator, make_payoff, solve, value)
 from levybarrier.regime import (ValueField, _hyperexp_average, apply_T_b,
                                 apply_T_sup, default_x_max, hat_operator,
                                 identity_field, in_cone, rho_metric,
@@ -188,6 +189,22 @@ def test_default_x_max_unreachable_phi(symmetric_two_state):
     model = dataclasses.replace(symmetric_two_state, phi=1e308)
     with pytest.raises(NumericsError, match="no sign change"):
         default_x_max(model)
+
+
+def test_large_phi_bounded_variation_solve():
+    # sigma = 0 states with Phi(delta) of 850 and 1,700: their overflow
+    # horizons (0.82, 0.41) lie below the old Z^{-1} bracket start x = 1
+    specs = tuple(LevySpec(drift_mu=mu, sigma=0.0, jump_rate=1.0,
+                           jump_mix=((1.0, 1.0),)) for mu in (-0.001, -0.002))
+    model = RegimeModel(states=("a", "b"),
+                        switch_rates=np.array([[0.0, 0.3], [0.3, 0.0]]),
+                        discounts=np.array([0.7, 0.7]), levy=specs,
+                        switch_jumps={}, phi=1.5)
+    x_max = default_x_max(model)
+    assert 0.0 < x_max < build_scale_evaluator(specs[0], 0.7).x_cap
+    sol = solve(model, tol=1e-8, grid_points=1000)
+    for i in range(model.n):
+        assert max(sol.smooth_fit_residuals(i)) <= 1e-8
 
 
 def test_nonconvergence_reports_decay(two_state_model):
