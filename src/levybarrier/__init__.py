@@ -7,14 +7,15 @@ from .auxiliary import (AuxProblem, AuxSolution, barrier_root, dominance_gap,
                         hjb_residual, value, value_derivative)
 from .errors import ModelError, NumericsError
 from .levy import (LevySpec, laplace_exponent, laplace_exponent_deriv,
-                   phi_inverse, require_valid, validate)
+                   require_valid, validate)
 from .payoff import ConcavePayoff, concavify, evaluate, make_payoff, \
     right_derivative
 from .regime import (RegimeModel, RegimeSolution, SwitchJump, ValueField,
                      apply_T_b, apply_T_sup, hat_operator, identity_field,
                      rho_metric, solve)
 from .scale import (ScaleEvaluator, W, W_deriv, Z, Zbar,
-                    build_scale_evaluator, verify_laplace_transform)
+                    build_scale_evaluator, phi_inverse,
+                    verify_laplace_transform)
 from .simulate import (SimConfig, SimEstimate, estimate_exit_identities,
                        simulate_aux_npv, simulate_regime_npv)
 

@@ -73,6 +73,12 @@ def _aux_solution(tree, state):
     return problem, barrier_root(problem)
 
 
+def _regime_solution(tree):
+    """The config's regime model, solved under the config's solver options
+    (the model is the solution's `model`)."""
+    return solve(regime_model_from(tree), **solver_options_from(tree))
+
+
 def _solve_aux(tree, args, out):
     problem, sol = _aux_solution(tree, args.state)
     b, ev, phi = sol.barrier, sol.evaluator, problem.phi
@@ -97,9 +103,8 @@ def _solve_aux(tree, args, out):
 
 
 def _solve_regime(tree, args, out):
-    model = regime_model_from(tree)
-    opts = solver_options_from(tree)
-    sol = solve(model, **opts)
+    sol = _regime_solution(tree)
+    model = sol.model
     for n, rho in enumerate(sol.rho_trace, start=1):
         line = f"iter={n} rho={_g17(rho)}"
         if n == len(sol.rho_trace):
@@ -145,21 +150,20 @@ def _simulate(tree, args, out):
                              antithetic=args.antithetic)
     rows = []
     if "chain" in tree:
-        model = regime_model_from(tree)
+        if args.barrier is None:
+            sol = _regime_solution(tree)
+            model, barriers = sol.model, sol.barriers
+        else:
+            model = regime_model_from(tree)
+            barriers = np.asarray(_parse_barriers(args.barrier, model.n))
         if args.state is None:
             i0 = 0
         elif args.state in model.states:
             i0 = model.states.index(args.state)
         else:
             raise ConfigError(f"--state: unknown state {args.state!r}")
-        override = _parse_barriers(args.barrier, model.n)
-        if override is None:
-            sol = solve(model, **solver_options_from(tree))
-            barriers = sol.barriers
-        else:
-            barriers = np.asarray(override)
         x0 = args.x0 if args.x0 is not None else float(barriers[i0])
-        analytic = (sol.value_at(x0, i0) if override is None
+        analytic = (sol.value_at(x0, i0) if args.barrier is None
                     else float("nan"))
         est = simulate_regime_npv(model, barriers, x0, i0, config)
     else:
@@ -260,8 +264,8 @@ def _run_verify(tree, args, out):
 
     # contraction ratio of the regime iteration
     if "chain" in tree:
-        model = regime_model_from(tree)
-        rsol = solve(model, **solver_options_from(tree))
+        rsol = _regime_solution(tree)
+        model = rsol.model
         ratios = [r2 / r1 for r1, r2 in zip(rsol.rho_trace[:-1],
                                             rsol.rho_trace[1:]) if r1 > 0]
         worst = max(ratios[:-1], default=0.0)
@@ -284,9 +288,6 @@ def main(argv=None) -> int:
                     "simulate": _simulate, "verify": _run_verify,
                     "curve": _curve}
         return dispatch[args.command](tree, args, sys.stdout)
-    except ConfigError as e:
-        print(str(e), file=sys.stderr)
-        return 2
     except ModelError as e:
         print(str(e), file=sys.stderr)
         return 2

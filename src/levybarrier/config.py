@@ -184,8 +184,15 @@ def regime_model_from(tree: dict) -> RegimeModel:
             elif kind == "hyperexp":
                 ws = _require(spec_node, "weights", f"jumps.{si}.{sj}")
                 rs = _require(spec_node, "rates", f"jumps.{si}.{sj}")
-                jump = SwitchJump("hyperexp",
-                                  tuple(zip(map(float, ws), map(float, rs))))
+                try:
+                    ws, rs = [float(w) for w in ws], [float(r) for r in rs]
+                except (TypeError, ValueError):
+                    raise ConfigError(f"jumps.{si}.{sj}: weights and rates "
+                                      "must be lists of numbers") from None
+                if len(ws) != len(rs):
+                    raise ConfigError(f"jumps.{si}.{sj}: weights and rates "
+                                      "differ in length")
+                jump = SwitchJump("hyperexp", tuple(zip(ws, rs)))
             else:
                 raise ConfigError(f"jumps.{si}.{sj}.kind: unknown kind {kind!r}")
             jumps[(idx[si], idx[sj])] = jump

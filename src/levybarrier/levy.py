@@ -1,11 +1,16 @@
-"""Spectrally positive Levy process specifications and Laplace-exponent algebra.
+"""Spectrally positive Levy process specifications: the Laplace exponent
+psi and the validity checks.
 
 A process is described in natural parameterization: linear drift, Brownian
 volatility and a compound-Poisson stream of positive hyperexponential jumps.
 The Laplace exponent is then the rational function
 
     psi(theta) = -drift_mu*theta + (sigma^2/2)*theta^2
-                 + jump_rate*(sum_k w_k*mu_k/(mu_k+theta) - 1).
+                 + jump_rate*(sum_k w_k*mu_k/(mu_k+theta) - 1),
+
+and clearing its poles gives the polynomial whose roots scale.py finds.
+validate checks a spec, and the mixture law it shares with the regime
+switch jumps, before any of this is used.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ModelError
 
@@ -50,6 +54,19 @@ class LevySpec:
         return self.drift_mu + self.jump_rate * self.mean_jump
 
 
+def _mixture_error(mix) -> str | None:
+    """The first violated law of a hyperexponential mixture, given as
+    (weight, rate) pairs: weights positive and summing to 1, rates
+    positive.  None when the mixture is a probability law."""
+    if not all(w > 0 for w, _ in mix):
+        return "mixture weights must be positive"
+    if abs(sum(w for w, _ in mix) - 1.0) > _WEIGHT_TOL:
+        return "weights sum != 1"
+    if not all(r > 0 for _, r in mix):
+        return "mixture rates must be strictly positive"
+    return None
+
+
 def validate(spec: LevySpec) -> str | None:
     """Check every LevySpec invariant; return a diagnostic naming the first
     violated one, or None when the spec is valid."""
@@ -60,14 +77,10 @@ def validate(spec: LevySpec) -> str | None:
     if spec.jump_rate > 0:
         if not spec.jump_mix:
             return "jump_rate > 0 but jump_mix is empty"
-        weights = [w for w, _ in spec.jump_mix]
+        diag = _mixture_error(spec.jump_mix)
+        if diag is not None:
+            return diag
         rates = [r for _, r in spec.jump_mix]
-        if any(w <= 0 for w in weights):
-            return "mixture weights must be positive"
-        if abs(sum(weights) - 1.0) > _WEIGHT_TOL:
-            return "weights sum != 1"
-        if any(r <= 0 for r in rates):
-            return "mixture rates must be strictly positive"
         if len(set(rates)) != len(rates):
             return "mixture rates must be pairwise distinct"
     if spec.sigma == 0 and spec.jump_rate == 0:
@@ -110,55 +123,16 @@ def laplace_exponent_deriv(spec: LevySpec, theta: float) -> float:
     return _psi(spec, theta)[1]
 
 
-def phi_inverse(spec: LevySpec, q: float) -> float:
-    """Largest root Phi(q) of psi(s) = q, for q > 0.
-
-    psi is convex with psi(0) = 0 and psi(inf) = inf, so {psi <= q} is an
-    interval containing 0 and the crossing to the right of it is unique.
-    Bracket by doubling, then Brent plus a Newton polish.
-    """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    require_valid(spec)
-    hi = 1.0
-    while laplace_exponent(spec, hi) <= q:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - unreachable for valid specs
-            raise ModelError("psi does not reach q")
-    root = brentq(lambda s: laplace_exponent(spec, s) - q, 0.0, hi,
-                  xtol=1e-15, rtol=8.9e-16)
-    # Newton polish; guard against stepping out of (0, hi).
-    for _ in range(4):
-        f = laplace_exponent(spec, root) - q
-        df = laplace_exponent_deriv(spec, root)
-        if df == 0:
-            break
-        step = f / df
-        cand = root - step
-        if 0.0 < cand <= hi:
-            root = cand
-        if abs(step) < 1e-14 * max(1.0, abs(root)):
-            break
-    return root
-
-
 def _psi_poly_coeffs(spec: LevySpec, q: float) -> np.ndarray:
     """Coefficients (highest degree first) of (psi(s) - q) * prod_k(mu_k + s)."""
-    rates = [r for _, r in spec.jump_mix] if spec.jump_rate > 0 else []
     base = np.array([0.5 * spec.sigma**2, -spec.drift_mu,
                      -(spec.jump_rate + q)])
     if spec.sigma == 0:
         base = base[1:]
-    prod_all = np.array([1.0])
-    for r in rates:
-        prod_all = np.polymul(prod_all, [1.0, r])
-    poly = np.polymul(base, prod_all)
-    if spec.jump_rate > 0:
-        for k, (w, r) in enumerate(spec.jump_mix):
-            partial = np.array([1.0])
-            for l, (_, r2) in enumerate(spec.jump_mix):
-                if l != k:
-                    partial = np.polymul(partial, [1.0, r2])
-            term = spec.jump_rate * w * r * partial
-            poly = np.polyadd(poly, term)
+    mix = spec.jump_mix if spec.jump_rate > 0 else ()
+    poles = -np.array([r for _, r in mix])
+    poly = np.polymul(base, np.poly(poles))
+    for k, (w, r) in enumerate(mix):
+        poly = np.polyadd(poly, spec.jump_rate * w * r
+                          * np.poly(np.delete(poles, k)))
     return poly

@@ -39,7 +39,7 @@ class ConcavePayoff:
         return evaluate(self, x)
 
 
-def make_payoff(knots, slope_tail: float, warning: str | None = None) -> ConcavePayoff:
+def make_payoff(knots, slope_tail: float) -> ConcavePayoff:
     """Validate knots and build a ConcavePayoff.
 
     Rejects non-ascending knots and concavity violations above roundoff scale.
@@ -56,8 +56,7 @@ def make_payoff(knots, slope_tail: float, warning: str | None = None) -> Concave
     last = slopes[-1] if len(slopes) else np.inf
     if slope_tail > last + _ACCEPT_TOL:
         raise ModelError("bad tail slope")
-    return ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail),
-                         warning=warning)
+    return ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
 
 
 def evaluate(pw: ConcavePayoff, x):

@@ -12,14 +12,15 @@ max_i lambda_i / (lambda_i + delta_i).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .auxiliary import AuxProblem, barrier_root, value_derivative, z_inverse
 from .errors import ModelError, NumericsError
-from .levy import LevySpec, require_valid, validate
+from .levy import LevySpec, _mixture_error, validate
 from .payoff import ConcavePayoff, concavify
-from .scale import build_scale_evaluator
+from .scale import ScaleEvaluator, build_scale_evaluator
 from .value_grid import value_on_grid
 
 _CONE_TOL = 1e-7
@@ -32,11 +33,6 @@ class SwitchJump:
 
     kind: str                                   # "none" | "hyperexp"
     mix: tuple[tuple[float, float], ...] = ()   # (weight, rate) of |J|
-
-    def mean_abs(self) -> float:
-        if self.kind == "none":
-            return 0.0
-        return sum(w / r for w, r in self.mix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +56,13 @@ class RegimeModel:
 
     def jump(self, i: int, j: int) -> SwitchJump:
         return self.switch_jumps.get((i, j), SwitchJump("none"))
+
+    @cached_property
+    def evaluators(self) -> tuple[ScaleEvaluator, ...]:
+        """The scale evaluator of each state at q_i = delta_i + lambda_i,
+        built once per model and shared by every iteration."""
+        return tuple(build_scale_evaluator(self.levy[i], self.q(i))
+                     for i in range(self.n))
 
     @property
     def beta(self) -> float:
@@ -86,11 +89,9 @@ def validate_model(model: RegimeModel) -> str | None:
     for (i, j), sj in model.switch_jumps.items():
         if sj.kind not in ("none", "hyperexp"):
             return f"jump {i}->{j}: unknown kind"
-        if sj.kind == "hyperexp":
-            if abs(sum(w for w, _ in sj.mix) - 1.0) > 1e-12:
-                return f"jump {i}->{j}: weights sum != 1"
-            if any(r <= 0 for _, r in sj.mix):
-                return f"jump {i}->{j}: rates must be positive"
+        diag = _mixture_error(sj.mix) if sj.kind == "hyperexp" else None
+        if diag is not None:
+            return f"jump {i}->{j}: {diag}"
     return None
 
 
@@ -214,39 +215,34 @@ def _aux_problem(model: RegimeModel, i: int, pw: ConcavePayoff) -> AuxProblem:
                       payoff=pw)
 
 
-def apply_T_b(model: RegimeModel, f: ValueField, barriers,
-              evaluators=None) -> ValueField:
+def apply_T_b(model: RegimeModel, f: ValueField, barriers) -> ValueField:
     """One-switch value mapping at a fixed barrier vector."""
     require_valid_model(model)
     barriers = np.asarray(barriers, dtype=float)
-    evaluators = evaluators or [build_scale_evaluator(model.levy[i], model.q(i))
-                                for i in range(model.n)]
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
         pw = hat_operator(model, f, i, check_cone=False)
         problem = _aux_problem(model, i, pw)
         new_vals[i], _ = value_on_grid(problem, float(barriers[i]), f.grid,
-                                       evaluators[i])
+                                       model.evaluators[i])
     return ValueField(grid=f.grid, values=new_vals, phi=model.phi,
                       barriers=barriers)
 
 
-def apply_T_sup(model: RegimeModel, f: ValueField,
-                evaluators=None) -> tuple[ValueField, np.ndarray]:
+def apply_T_sup(model: RegimeModel,
+                f: ValueField) -> tuple[ValueField, np.ndarray]:
     """Optimal one-switch mapping: solve the single-regime barrier problem
     per state against the hat payoff and evaluate its value."""
     require_valid_model(model)
-    evaluators = evaluators or [build_scale_evaluator(model.levy[i], model.q(i))
-                                for i in range(model.n)]
     barriers = np.empty(model.n)
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
         pw = hat_operator(model, f, i)
         problem = _aux_problem(model, i, pw)
-        sol = barrier_root(problem, evaluators[i])
+        sol = barrier_root(problem, model.evaluators[i])
         barriers[i] = sol.barrier
         new_vals[i], _ = value_on_grid(problem, sol.barrier, f.grid,
-                                       evaluators[i])
+                                       sol.evaluator)
     out = ValueField(grid=f.grid, values=new_vals, phi=model.phi,
                      barriers=barriers)
     return out, barriers
@@ -273,7 +269,7 @@ class RegimeSolution:
         """(|V'(b_i-) - 1|, |V'(0+) - phi|) via the closed-form derivative."""
         pw = hat_operator(self.model, self.value, i, check_cone=False)
         problem = _aux_problem(self.model, i, pw)
-        ev = build_scale_evaluator(self.model.levy[i], self.model.q(i))
+        ev = self.model.evaluators[i]
         b = float(self.barriers[i])
         return (abs(value_derivative(problem, b, b, ev) - 1.0),
                 abs(value_derivative(problem, b, 0.0, ev) - self.model.phi))
@@ -308,12 +304,10 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
         f = seed if (seed is not None and len(seed.grid) == len(grid)
                      and np.array_equal(seed.grid, grid)) else \
             identity_field(model, grid)
-        evaluators = [build_scale_evaluator(model.levy[i], model.q(i))
-                      for i in range(model.n)]
         rho_trace = []
         regrow = False
         for it in range(1, max_iter + 1):
-            f_new, barriers = apply_T_sup(model, f, evaluators)
+            f_new, barriers = apply_T_sup(model, f)
             if np.max(barriers) > 0.8 * x_max:
                 regrow = True
                 break

@@ -1,12 +1,16 @@
-"""Exact q-scale functions via root/residue decomposition of 1/(psi(s)-q).
+"""The roots of psi(s) = q, found in one place, and the q-scale functions
+built from them.
 
-For the Brownian-plus-hyperexponential class psi(s)-q is a rational function,
-so clearing denominators gives a real-rooted polynomial and
+For the Brownian-plus-hyperexponential class psi(s) - q is a rational
+function, so clearing its poles gives a real-rooted polynomial.
+build_scale_evaluator finds all its roots s_j, once per (spec, q): the
+largest is Phi(q), the right inverse of psi, and then
 
-    W_q(x) = sum_j c_j exp(s_j x),  c_j = 1/psi'(s_j),
+    W_q(x) = sum_j c_j exp(s_j x),  c_j = 1/psi'(s_j).
 
-with the companions Z_q = 1 + q int_0^x W_q and Zbar_q = int_0^x Z_q evaluated
-analytically from the same roots.
+The coefficients of the companions Z_q = 1 + q int_0^x W_q and
+Zbar_q = int_0^x Z_q (q c_j / s_j) and of W_q' (c_j s_j) are computed there
+too, and every kernel reads them from the evaluator.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ class ScaleEvaluator:
     spec: LevySpec
     q: float
     roots: np.ndarray       # all real roots of psi(s)=q, descending; roots[0]=Phi(q)
-    residues: np.ndarray    # 1/psi'(s_j), aligned with roots
+    residues: np.ndarray    # c_j = 1/psi'(s_j), aligned with roots
+    z_coeffs: np.ndarray    # q c_j / s_j, the terms of Z_q and Zbar_q
+    w_prime_coeffs: np.ndarray  # c_j s_j, the terms of W_q'
     w_at_zero: float        # W_q(0+)
 
     @property
@@ -84,9 +90,15 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
     if np.sum(roots > 0) != 1:
         raise NumericsError("expected exactly one positive root")
     residues = np.array([1.0 / _psi(spec, s)[1] for s in roots])
-    w0 = float(residues.sum())
     return ScaleEvaluator(spec=spec, q=q, roots=roots, residues=residues,
-                          w_at_zero=w0)
+                          z_coeffs=q * residues / roots,
+                          w_prime_coeffs=residues * roots,
+                          w_at_zero=float(residues.sum()))
+
+
+def phi_inverse(spec: LevySpec, q: float) -> float:
+    """Phi(q), the largest root of psi(s) = q, for q > 0."""
+    return build_scale_evaluator(spec, q).phi_q
 
 
 def W(ev: ScaleEvaluator, x) -> float | np.ndarray:
@@ -94,7 +106,7 @@ def W(ev: ScaleEvaluator, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     ev._check_domain(x)
     vals = np.where(x[..., None] >= 0,
-                    ev.residues * np.exp(ev.roots * np.minimum(x[..., None], ev.x_cap)),
+                    ev.residues * np.exp(ev.roots * x[..., None]),
                     0.0).sum(axis=-1)
     out = np.where(x >= 0, vals, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -106,7 +118,7 @@ def W_deriv(ev: ScaleEvaluator, x) -> float | np.ndarray:
     if np.any(x <= 0):
         raise ValueError("x must be positive")
     ev._check_domain(x)
-    out = (ev.residues * ev.roots * np.exp(ev.roots * x[..., None])).sum(axis=-1)
+    out = (ev.w_prime_coeffs * np.exp(ev.roots * x[..., None])).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -114,9 +126,8 @@ def Z(ev: ScaleEvaluator, x) -> float | np.ndarray:
     """Z_q(x) = 1 + q int_0^x W_q; identically 1 for x <= 0."""
     x = np.asarray(x, dtype=float)
     ev._check_domain(x)
-    d = ev.q * ev.residues / ev.roots
     xp = np.maximum(x[..., None], 0.0)
-    vals = 1.0 + (d * (np.exp(ev.roots * xp) - 1.0)).sum(axis=-1)
+    vals = 1.0 + (ev.z_coeffs * (np.exp(ev.roots * xp) - 1.0)).sum(axis=-1)
     out = np.where(x >= 0, vals, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -125,9 +136,9 @@ def Zbar(ev: ScaleEvaluator, x) -> float | np.ndarray:
     """Zbar_q(x) = int_0^x Z_q; equals x for x <= 0."""
     x = np.asarray(x, dtype=float)
     ev._check_domain(x)
-    d = ev.q * ev.residues / ev.roots
     xp = np.maximum(x[..., None], 0.0)
-    vals = xp[..., 0] + (d * ((np.exp(ev.roots * xp) - 1.0) / ev.roots - xp)).sum(axis=-1)
+    vals = xp[..., 0] + (ev.z_coeffs * ((np.exp(ev.roots * xp) - 1.0)
+                                        / ev.roots - xp)).sum(axis=-1)
     out = np.where(x >= 0, vals, x)
     return float(out) if out.ndim == 0 else out
 

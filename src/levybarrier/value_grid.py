@@ -70,9 +70,7 @@ def _closed_form(problem: AuxProblem, b: float, ev: ScaleEvaluator):
     form; V'' is the closed form on [0, b) and 0 elsewhere.
     """
     pw, lam, phi, q = problem.payoff, problem.lam, problem.phi, problem.q
-    c = ev.residues
-    d = q * c / ev.roots
-    cs = c * ev.roots
+    c, d, cs = ev.residues, ev.z_coeffs, ev.w_prime_coeffs
     a0 = 1.0 - float(d.sum())
     psi_p0 = laplace_exponent_deriv(problem.spec, 0.0)
     w_b, z_b = float(W(ev, b)), float(Z(ev, b))

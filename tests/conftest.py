@@ -3,12 +3,49 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from levybarrier import (AuxProblem, LevySpec, NumericsError, RegimeModel,
-                         SwitchJump, make_payoff)
-from levybarrier.levy import laplace_exponent_deriv
+from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
+                         RegimeModel, SwitchJump, make_payoff)
+from levybarrier.levy import (laplace_exponent, laplace_exponent_deriv,
+                              require_valid)
 from levybarrier.payoff import evaluate, right_derivative
 from levybarrier.scale import W, W_deriv, Z, Zbar
 from levybarrier.value_grid import _closed_form
+
+
+# ---------------------------------------------------------------------------
+# Phi(q) by its own root search on psi, independent of the polynomial roots
+# in levybarrier.scale.
+
+def reference_phi_inverse(spec, q):
+    """Largest root Phi(q) of psi(s) = q, for q > 0.
+
+    psi is convex with psi(0) = 0 and psi(inf) = inf, so {psi <= q} is an
+    interval containing 0 and the crossing to the right of it is unique.
+    Bracket by doubling, then Brent plus a Newton polish.
+    """
+    if q <= 0:
+        raise ValueError("q must be positive")
+    require_valid(spec)
+    hi = 1.0
+    while laplace_exponent(spec, hi) <= q:
+        hi *= 2.0
+        if hi > 1e12:  # pragma: no cover - unreachable for valid specs
+            raise ModelError("psi does not reach q")
+    root = brentq(lambda s: laplace_exponent(spec, s) - q, 0.0, hi,
+                  xtol=1e-15, rtol=8.9e-16)
+    # Newton polish; guard against stepping out of (0, hi).
+    for _ in range(4):
+        f = laplace_exponent(spec, root) - q
+        df = laplace_exponent_deriv(spec, root)
+        if df == 0:
+            break
+        step = f / df
+        cand = root - step
+        if 0.0 < cand <= hi:
+            root = cand
+        if abs(step) < 1e-14 * max(1.0, abs(root)):
+            break
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,42 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     assert "no convergence" in err
 
 
+# a switch-jump mixture that sums to 1 but has a negative weight
+BAD_JUMP = """
+[jumps.a.b]
+kind = "hyperexp"
+weights = [1.5, -0.5]
+rates = [3.0, 5.0]
+"""
+
+
+@pytest.mark.parametrize("argv", [["solve-regime"],
+                                  ["simulate", "--paths", "10",
+                                   "--barrier", "1,1"]])
+def test_bad_switch_jump_exit_2(tmp_path, capsys, argv):
+    p = tmp_path / "bad.cfg"
+    p.write_text(REGIME_CONFIG + BAD_JUMP)
+    rc = main(argv[:1] + ["--config", str(p)] + argv[1:])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "jump 0->1: mixture weights must be positive" in err
+
+
+@pytest.mark.parametrize("weights, rates, message", [
+    ("[1.0]", "[3.0, 0.01]", "jumps.a.b: weights and rates differ in length"),
+    ("1.0", "3.0", "jumps.a.b: weights and rates must be lists of numbers"),
+])
+def test_switch_jump_lists_exit_2(tmp_path, capsys, weights, rates,
+                                  message):
+    p = tmp_path / "bad.cfg"
+    p.write_text(REGIME_CONFIG + BAD_JUMP.replace(
+        "[1.5, -0.5]", weights).replace("[3.0, 5.0]", rates))
+    rc = main(["solve-regime", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+
+
 def test_solve_regime_collapse(regime_config, tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["solve-regime", "--config", str(regime_config), "--out",

@@ -5,6 +5,8 @@ from levybarrier import (LevySpec, ModelError, laplace_exponent,
                          laplace_exponent_deriv, phi_inverse, require_valid,
                          validate)
 
+from conftest import reference_phi_inverse
+
 
 def test_laplace_exponent_brownian(brownian_spec):
     # psi(theta) = theta^2 for sigma = sqrt(2)
@@ -48,6 +50,20 @@ def test_phi_inverse_is_right_inverse(three_specs):
         for q in (0.2, 1.0, 4.0):
             s = phi_inverse(spec, q)
             assert laplace_exponent(spec, s) == pytest.approx(q, rel=1e-10)
+
+
+def test_phi_inverse_matches_reference(three_specs):
+    # the sigma = 0 specs of test_large_phi_bounded_variation_barrier put
+    # Phi(q) between about 850 and 4,000
+    large = [LevySpec(drift_mu=mu, sigma=0.0, jump_rate=1.0,
+                      jump_mix=((1.0, 1.0),))
+             for mu in (-0.002, -0.001, -0.0005)]
+    cases = [(spec, q) for spec in three_specs for q in (0.2, 1.0, 4.0)]
+    cases += [(spec, q) for spec in large for q in (0.7, 1.0)]
+    for spec, q in cases:
+        ref = reference_phi_inverse(spec, q)
+        assert abs(phi_inverse(spec, q) - ref) <= 1e-13 * ref
+    assert max(phi_inverse(spec, 1.0) for spec in large) > 3900.0
 
 
 def test_negative_theta_rejected(brownian_spec):

@@ -6,6 +6,7 @@ import pytest
 from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
                          RegimeModel, SwitchJump, barrier_root,
                          build_scale_evaluator, make_payoff, solve, value)
+from levybarrier import regime
 from levybarrier.regime import (ValueField, _hyperexp_average, apply_T_b,
                                 apply_T_sup, default_x_max, hat_operator,
                                 identity_field, in_cone, rho_metric,
@@ -25,6 +26,23 @@ def test_validate_model(two_state_model):
                       discounts=np.array([1.0, 1.0]),
                       levy=two_state_model.levy, switch_jumps={}, phi=2.0)
     assert "switch" in validate_model(bad)
+
+
+@pytest.mark.parametrize("mix, message", [
+    (((1.5, 3.0), (-0.5, 5.0)), "weights must be positive"),
+    (((float("nan"), 3.0),), "weights must be positive"),
+    (((0.5, 3.0), (0.2, 5.0)), "weights sum != 1"),
+    (((1.0, -3.0),), "rates must be strictly positive"),
+    ((), "weights sum != 1"),
+])
+def test_validate_model_rejects_bad_switch_jump(two_state_model, mix,
+                                                message):
+    # a mixture summing to 1 with a negative weight is no probability law
+    model = dataclasses.replace(
+        two_state_model, switch_jumps={(0, 1): SwitchJump("hyperexp", mix)})
+    assert message in validate_model(model)
+    with pytest.raises(ModelError, match="jump 0->1"):
+        solve(model, grid_points=200)
 
 
 def test_beta_formula(two_state_model):
@@ -210,3 +228,26 @@ def test_large_phi_bounded_variation_solve():
 def test_nonconvergence_reports_decay(two_state_model):
     with pytest.raises(NumericsError, match="decay"):
         solve(two_state_model, tol=1e-14, max_iter=3, grid_points=400)
+
+
+def test_evaluators_built_once_per_model(two_state_model, monkeypatch):
+    # counted through regime's own binding, the one the solver calls
+    built = []
+    build = regime.build_scale_evaluator
+
+    def counting(spec, q):
+        built.append(q)
+        return build(spec, q)
+
+    monkeypatch.setattr(regime, "build_scale_evaluator", counting)
+    model = two_state_model
+    sol = solve(model, tol=1e-8, grid_points=400)
+    # default_x_max's at delta_i, then one per state at q_i
+    assert built == [float(d) for d in model.discounts] + [
+        model.q(i) for i in range(model.n)]
+    built.clear()
+    for i in range(model.n):
+        assert max(sol.smooth_fit_residuals(i)) <= 1e-8
+    apply_T_sup(model, sol.value)
+    apply_T_b(model, sol.value, sol.barriers)
+    assert built == []
