@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ModelError
 from .levy import LevySpec
 from .payoff import ConcavePayoff, make_payoff
-from .regime import RegimeModel, SwitchJump
+from .regime import RegimeModel, SwitchJump, _solver_error
 from .simulate import SimConfig
 
 
@@ -77,29 +77,6 @@ def parse_config(text: str) -> dict:
         except (ValueError, SyntaxError):
             raise ConfigError(f"line {lineno}: bad value for {key!r}") from None
     return tree
-
-
-def serialize_config(tree: dict) -> str:
-    """Inverse of parse_config (parse(serialize(parse(t))) == parse(t))."""
-    lines: list[str] = []
-
-    def emit(prefix: str, node: dict) -> None:
-        scalars = {k: v for k, v in node.items() if not isinstance(v, dict)}
-        subs = {k: v for k, v in node.items() if isinstance(v, dict)}
-        if scalars or not subs:
-            lines.append(f"[{prefix}]")
-            for k, v in scalars.items():
-                lines.append(f"{k} = {v!r}")
-            lines.append("")
-        for k, v in subs.items():
-            emit(f"{prefix}.{k}" if prefix else k, v)
-
-    for k, v in tree.items():
-        if isinstance(v, dict):
-            emit(k, v)
-        else:
-            raise ConfigError("top-level keys must live in a section")
-    return "\n".join(lines)
 
 
 def _require(section: dict, key: str, where: str):
@@ -200,21 +177,39 @@ def regime_model_from(tree: dict) -> RegimeModel:
                        levy=tuple(specs), switch_jumps=jumps, phi=phi)
 
 
+def _integer(section: dict, key: str, default: int, where: str) -> int:
+    """section[key] as an int; an integral float such as 2e3 counts, any
+    other value is rejected rather than cut."""
+    val = section.get(key, default)
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
+
+
 def solver_options_from(tree: dict) -> dict:
     solver = tree.get("solver", {})
-    return {"tol": float(solver.get("tol", 1e-8)),
-            "max_iter": int(solver.get("max_iter", 500)),
-            "grid_points": int(solver.get("grid_points", 2000))}
+    opts = {"tol": solver.get("tol", 1e-8),
+            "max_iter": _integer(solver, "max_iter", 500, "solver"),
+            "grid_points": _integer(solver, "grid_points", 2000, "solver")}
+    diag = _solver_error(**opts)
+    if diag is not None:
+        raise ConfigError(f"solver.{diag}")
+    return opts
 
 
 def sim_config_from(tree: dict, **overrides) -> SimConfig:
     sim = dict(tree.get("sim", {}))
     sim.update({k: v for k, v in overrides.items() if v is not None})
+    antithetic = sim.get("antithetic", False)
+    if not isinstance(antithetic, bool):
+        raise ConfigError(f"sim.antithetic: expected True or False, got "
+                          f"{antithetic!r}")
     try:
-        return SimConfig(n_paths=int(sim.get("paths", 100_000)),
-                         dt=float(sim.get("dt", 1e-3)),
-                         t_max=float(sim.get("tmax", 20.0)),
-                         rng_seed=int(sim.get("seed", 0)),
-                         antithetic=bool(sim.get("antithetic", False)))
+        dt, t_max = float(sim.get("dt", 1e-3)), float(sim.get("tmax", 20.0))
     except (TypeError, ValueError):
         raise ConfigError("sim: bad field") from None
+    return SimConfig(n_paths=_integer(sim, "paths", 100_000, "sim"), dt=dt,
+                     t_max=t_max, rng_seed=_integer(sim, "seed", 0, "sim"),
+                     antithetic=antithetic)

@@ -3,6 +3,14 @@
 The payoff is stored as ascending knots plus a tail slope.  All solver
 integrals pair piecewise-constant right derivatives against exponential sums,
 so nothing smoother than piecewise-linear is ever needed.
+
+Every payoff passes one concavity rule, _payoff_error: knots ascending from
+0, segment slopes nonincreasing and a tail slope no steeper than the last
+segment, each within a tolerance.  Payoffs read from a model (make_payoff)
+get a tolerance at roundoff scale.  Sampled payoffs (concavify), such as the
+regime hat operator's post-switch average of a concave value field, are
+concave in exact arithmetic and are used as sampled; a slope rise above
+_SAMPLE_TOL there is a fault upstream, not roundoff, and is raised.
 """
 
 from __future__ import annotations
@@ -12,12 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, NumericsError
 
-# Violations above this signal a bug upstream, not roundoff.
-_WARN_TOL = 1e-6
-# make_payoff accepts concavity violations up to this (absorbed, not rejected).
+# make_payoff accepts concavity violations up to this (roundoff in the input).
 _ACCEPT_TOL = 1e-9
+# concavify rejects sampled payoffs whose slopes rise by more than this.
+_SAMPLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -25,7 +33,6 @@ class ConcavePayoff:
     xs: np.ndarray          # ascending knot abscissae, xs[0] = 0
     vals: np.ndarray        # payoff values at knots
     slope_tail: float       # right derivative beyond the last knot
-    warning: str | None = None
 
     @cached_property
     def slopes(self) -> np.ndarray:
@@ -39,24 +46,34 @@ class ConcavePayoff:
         return evaluate(self, x)
 
 
+def _payoff_error(pw: ConcavePayoff, tol: float) -> str | None:
+    """The first violated law of a concave payoff: knots ascending from 0,
+    slopes nonincreasing within tol, tail slope at most the last slope plus
+    tol.  None when pw is concave within tol."""
+    if not len(pw.xs) or pw.xs[0] != 0.0 or np.any(np.diff(pw.xs) <= 0):
+        return "knots not ascending"
+    slopes = pw.slopes
+    if np.any(np.diff(slopes) > tol):
+        return "not concave"
+    last = slopes[-1] if len(slopes) else np.inf
+    if pw.slope_tail > last + tol:
+        return "bad tail slope"
+    return None
+
+
 def make_payoff(knots, slope_tail: float) -> ConcavePayoff:
     """Validate knots and build a ConcavePayoff.
 
-    Rejects non-ascending knots and concavity violations above roundoff scale.
+    Rejects non-ascending knots and concavity violations above roundoff
+    scale with ModelError.
     """
-    xs = np.asarray([k[0] for k in knots], dtype=float)
-    vals = np.asarray([k[1] for k in knots], dtype=float)
-    if xs[0] != 0.0:
-        raise ModelError("knots not ascending")  # must start at 0
-    if np.any(np.diff(xs) <= 0):
-        raise ModelError("knots not ascending")
-    slopes = np.diff(vals) / np.diff(xs)
-    if len(slopes) and np.any(np.diff(slopes) > _ACCEPT_TOL):
-        raise ModelError("not concave")
-    last = slopes[-1] if len(slopes) else np.inf
-    if slope_tail > last + _ACCEPT_TOL:
-        raise ModelError("bad tail slope")
-    return ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
+    pw = ConcavePayoff(xs=np.asarray([k[0] for k in knots], dtype=float),
+                       vals=np.asarray([k[1] for k in knots], dtype=float),
+                       slope_tail=float(slope_tail))
+    diag = _payoff_error(pw, _ACCEPT_TOL)
+    if diag is not None:
+        raise ModelError(diag)
+    return pw
 
 
 def evaluate(pw: ConcavePayoff, x):
@@ -86,46 +103,21 @@ def right_derivative(pw: ConcavePayoff, x):
 
 
 def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
-    """Project sampled values onto the concave cone by pooling adjacent
-    slope violators (PAV on slopes, weighted by segment widths).
+    """The sampled values as a ConcavePayoff, unchanged.
 
-    samples is an (n, 2) array of (x, value) rows or a sequence of pairs.
-    Idempotent on concave input; the sup-norm distance to the input is
-    bounded by the largest pooled violation.  A warning diagnostic is
-    attached when the violation exceeds roundoff scale.
+    samples is an (n, 2) array of (x, value) rows or a sequence of pairs;
+    slope_tail defaults to the last segment's slope.  The samples must pass
+    the concavity rule within _SAMPLE_TOL, the bound above which a slope
+    rise is no longer roundoff; otherwise NumericsError names the violation.
+    Nothing is projected: a concave input within that bound is used as is.
     """
     xs, vals = np.asarray(samples, dtype=float).reshape(-1, 2).T.copy()
-    if np.any(np.diff(xs) <= 0):
-        raise ModelError("knots not ascending")
-    widths = np.diff(xs)
-    slopes = np.diff(vals) / widths
-
-    max_violation = float(np.max(np.diff(slopes), initial=0.0))
-    # Violations at roundoff scale are left alone; this makes the projection
-    # exactly idempotent (a second pass sees only its own cumsum roundoff).
-    ulp_tol = 1e-13 * max(1.0, float(np.max(np.abs(slopes), initial=0.0)))
-    if max_violation <= ulp_tol:
-        if slope_tail is None:
-            slope_tail = float(slopes[-1]) if len(slopes) else 0.0
-        return ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
-    # Pool-adjacent-violators for a nonincreasing slope sequence.
-    # Each block: [weighted slope sum, weight, segment count].
-    pooled: list[list[float]] = []
-    for s, w in zip(slopes.tolist(), widths.tolist()):
-        pooled.append([s * w, w, 1])
-        while len(pooled) > 1 and pooled[-1][0] / pooled[-1][1] > pooled[-2][0] / pooled[-2][1]:
-            b = pooled.pop()
-            pooled[-1][0] += b[0]
-            pooled[-1][1] += b[1]
-            pooled[-1][2] += b[2]
-    sums, weights, counts = zip(*pooled)
-    new_slopes = np.repeat(np.divide(sums, weights), counts)
-    new_vals = np.concatenate(([vals[0]], vals[0] + np.cumsum(new_slopes * widths)))
-
     if slope_tail is None:
-        slope_tail = float(new_slopes[-1]) if len(new_slopes) else 0.0
-    warning = None
-    if max_violation > _WARN_TOL:
-        warning = f"concavity violation {max_violation:.3e} exceeds {_WARN_TOL:.0e}"
-    return ConcavePayoff(xs=xs, vals=new_vals, slope_tail=float(slope_tail),
-                         warning=warning)
+        slope_tail = ((vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
+                      if len(xs) > 1 else 0.0)
+    pw = ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
+    diag = _payoff_error(pw, _SAMPLE_TOL)
+    if diag is not None:
+        raise NumericsError(f"sampled payoff: {diag} (tolerance "
+                            f"{_SAMPLE_TOL:.0e})")
+    return pw

@@ -11,6 +11,8 @@ max_i lambda_i / (lambda_i + delta_i).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +23,7 @@ from .errors import ModelError, NumericsError
 from .levy import LevySpec, _mixture_error, validate
 from .payoff import ConcavePayoff, concavify
 from .scale import ScaleEvaluator, build_scale_evaluator
-from .value_grid import value_on_grid
+from .value_grid import _first_order, value_on_grid
 
 _CONE_TOL = 1e-7
 
@@ -109,7 +111,6 @@ class ValueField:
     grid: np.ndarray                 # ascending, grid[0] = 0
     values: np.ndarray               # shape (n_states, len(grid))
     phi: float
-    barriers: np.ndarray | None = None
 
     def at_zero(self, i: int) -> float:
         return float(self.values[i, 0])
@@ -147,20 +148,17 @@ def in_cone(f: ValueField, tol: float = _CONE_TOL) -> str | None:
 # ---------------------------------------------------------------------------
 # hat operator
 
-def hat_operator(model: RegimeModel, f: ValueField, i: int,
-                 check_cone: bool = True) -> ConcavePayoff:
+def hat_operator(model: RegimeModel, f: ValueField, i: int) -> ConcavePayoff:
     """Expected continuation value in state i just after a regime switch.
 
     Averages the destination-state field over the switch jump, pricing the
     below-zero overshoot linearly at slope phi.  Point-mass jumps are exact;
     hyperexponential jumps integrate the piecewise-linear field in closed
-    form via a per-rate forward recursion.  The sampled result is passed
-    through the concavity projection with tail slope pinned to 1.
+    form via a per-rate forward recursion.  The average maps the concave
+    cone into itself, so the sampled result is the payoff as it is, with
+    tail slope pinned to 1; concavify only checks it.  f is not checked
+    for the cone here: apply_T_sup does that once per iteration.
     """
-    if check_cone:
-        diag = in_cone(f)
-        if diag is not None:
-            raise ModelError(f"f not in cone: {diag}")
     lam_i = model.lam(i)
     out = np.zeros_like(f.grid)
     for j in range(model.n):
@@ -175,10 +173,7 @@ def hat_operator(model: RegimeModel, f: ValueField, i: int,
             out += p * f.values[j]
         else:
             out += p * _hyperexp_average(f, j, sj)
-    pw = concavify(np.column_stack((f.grid, out)), slope_tail=1.0)
-    if pw.warning is not None:
-        raise NumericsError(f"hat operator output: {pw.warning}")
-    return pw
+    return concavify(np.column_stack((f.grid, out)), slope_tail=1.0)
 
 
 def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
@@ -197,12 +192,10 @@ def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
         zint = (1.0 - e) / nu - h * e
         loc = vals[1:] * (1.0 - e) - s * zint
         # body: I(x) = int_0^x f(x-z, j) nu e^{-nu z} dz by forward recursion
-        body = [0.0]
-        for em, lm in zip(e.tolist(), loc.tolist()):
-            body.append(em * body[-1] + lm)
+        body = np.array([0.0] + _first_order(e, loc))
         # tail: int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z} dz
         tail = np.exp(-nu * grid) * (f0 - phi / nu)
-        out += w * (np.array(body) + tail)
+        out += w * (body + tail)
     return out
 
 
@@ -221,19 +214,22 @@ def apply_T_b(model: RegimeModel, f: ValueField, barriers) -> ValueField:
     barriers = np.asarray(barriers, dtype=float)
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
-        pw = hat_operator(model, f, i, check_cone=False)
+        pw = hat_operator(model, f, i)
         problem = _aux_problem(model, i, pw)
         new_vals[i], _ = value_on_grid(problem, float(barriers[i]), f.grid,
                                        model.evaluators[i])
-    return ValueField(grid=f.grid, values=new_vals, phi=model.phi,
-                      barriers=barriers)
+    return ValueField(grid=f.grid, values=new_vals, phi=model.phi)
 
 
 def apply_T_sup(model: RegimeModel,
                 f: ValueField) -> tuple[ValueField, np.ndarray]:
     """Optimal one-switch mapping: solve the single-regime barrier problem
-    per state against the hat payoff and evaluate its value."""
+    per state against the hat payoff and evaluate its value.  f must lie
+    in the cone (concave, slopes in [1, phi]), checked once for all states."""
     require_valid_model(model)
+    diag = in_cone(f)
+    if diag is not None:
+        raise ModelError(f"f not in cone: {diag}")
     barriers = np.empty(model.n)
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
@@ -243,9 +239,7 @@ def apply_T_sup(model: RegimeModel,
         barriers[i] = sol.barrier
         new_vals[i], _ = value_on_grid(problem, sol.barrier, f.grid,
                                        sol.evaluator)
-    out = ValueField(grid=f.grid, values=new_vals, phi=model.phi,
-                     barriers=barriers)
-    return out, barriers
+    return ValueField(grid=f.grid, values=new_vals, phi=model.phi), barriers
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +261,7 @@ class RegimeSolution:
 
     def smooth_fit_residuals(self, i: int) -> tuple[float, float]:
         """(|V'(b_i-) - 1|, |V'(0+) - phi|) via the closed-form derivative."""
-        pw = hat_operator(self.model, self.value, i, check_cone=False)
+        pw = hat_operator(self.model, self.value, i)
         problem = _aux_problem(self.model, i, pw)
         ev = self.model.evaluators[i]
         b = float(self.barriers[i])
@@ -284,6 +278,19 @@ def default_x_max(model: RegimeModel) -> float:
     return 4.0 * worst
 
 
+def _solver_error(tol, max_iter, grid_points) -> str | None:
+    """The first solve() setting out of range, as 'name: reason': tol
+    finite and > 0, max_iter an integer >= 1, grid_points an integer >= 2.
+    None when all three are valid."""
+    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+        return f"tol: must be positive and finite, got {tol!r}"
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        return f"max_iter: must be an integer >= 1, got {max_iter!r}"
+    if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
+        return f"grid_points: must be an integer >= 2, got {grid_points!r}"
+    return None
+
+
 def solve(model: RegimeModel, seed: ValueField | None = None,
           tol: float = 1e-8, max_iter: int = 500,
           grid_points: int = 2000, x_max: float | None = None) -> RegimeSolution:
@@ -294,8 +301,9 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
     result.
     """
     require_valid_model(model)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    diag = _solver_error(tol, max_iter, grid_points)
+    if diag is not None:
+        raise ValueError(diag)
     if x_max is None:
         x_max = default_x_max(model)
 

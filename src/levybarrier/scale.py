@@ -40,7 +40,6 @@ class ScaleEvaluator:
     residues: np.ndarray    # c_j = 1/psi'(s_j), aligned with roots
     z_coeffs: np.ndarray    # q c_j / s_j, the terms of Z_q and Zbar_q
     w_prime_coeffs: np.ndarray  # c_j s_j, the terms of W_q'
-    w_at_zero: float        # W_q(0+)
 
     @property
     def phi_q(self) -> float:
@@ -92,8 +91,7 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
     residues = np.array([1.0 / _psi(spec, s)[1] for s in roots])
     return ScaleEvaluator(spec=spec, q=q, roots=roots, residues=residues,
                           z_coeffs=q * residues / roots,
-                          w_prime_coeffs=residues * roots,
-                          w_at_zero=float(residues.sum()))
+                          w_prime_coeffs=residues * roots)
 
 
 def phi_inverse(spec: LevySpec, q: float) -> float:

@@ -34,6 +34,16 @@ if TYPE_CHECKING:
     from .auxiliary import AuxProblem
 
 
+def _first_order(e, c) -> list[float]:
+    """y_1, ..., y_M of the recurrence y_m = e_m y_{m-1} + c_m from y_0 = 0,
+    over Python floats in index order."""
+    y, out = 0.0, []
+    for em, cm in zip(e.tolist(), c.tolist()):
+        y = em * y + cm
+        out.append(y)
+    return out
+
+
 def _k_on_points(payoff, roots: np.ndarray, pts: np.ndarray,
                  b: float) -> np.ndarray:
     """K_j at each of the ascending points pts (all <= b); shape
@@ -46,17 +56,9 @@ def _k_on_points(payoff, roots: np.ndarray, pts: np.ndarray,
     h = np.append(pts[1:], b) - pts
     e = np.exp(np.outer(h, roots))
     c = right_derivative(payoff, pts)[:, None] * (e - 1.0) / roots
-    live = (h > 0).tolist()[::-1]
     out = np.empty_like(e)
     for j in range(len(roots)):
-        k = 0.0
-        col = []
-        for step, em, cm in zip(live, e[::-1, j].tolist(),
-                                c[::-1, j].tolist()):
-            if step:
-                k = em * k + cm
-            col.append(k)
-        out[::-1, j] = col
+        out[::-1, j] = _first_order(e[::-1, j], c[::-1, j])
     return out
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from levybarrier.cli import main
 from levybarrier.config import (ConfigError, parse_config, regime_model_from,
-                                serialize_config, sim_config_from)
+                                sim_config_from)
 
 AUX_CONFIG = """
 # single-regime problem on the Brownian model with W_1 = sinh
@@ -79,13 +79,6 @@ def _report(out: str) -> dict:
             k, _, v = line.partition("=")
             pairs[k] = v
     return pairs
-
-
-def test_config_round_trip():
-    tree = parse_config(AUX_CONFIG)
-    assert parse_config(serialize_config(tree)) == tree
-    tree2 = parse_config(REGIME_CONFIG)
-    assert parse_config(serialize_config(tree2)) == tree2
 
 
 def test_config_line_anchored_diagnostics():
@@ -172,6 +165,30 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "no convergence" in err
+
+
+@pytest.mark.parametrize("line", ["tol = -1.0", 'tol = "abc"', "max_iter = 0",
+                                  "max_iter = 2.5", "grid_points = 0",
+                                  "grid_points = 1.5"])
+def test_bad_solver_option_exit_2(tmp_path, capsys, line):
+    # rejected as a config error, never crashed on, cut or run as given
+    p = tmp_path / "bad.cfg"
+    p.write_text(REGIME_CONFIG + "\n[solver]\n" + line + "\n")
+    rc = main(["solve-regime", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "solver." + line.split()[0] + ":" in err
+
+
+@pytest.mark.parametrize("line", ['antithetic = "false"', "paths = 2.5",
+                                  "seed = 1.9"])
+def test_bad_sim_field_exit_2(tmp_path, capsys, line):
+    p = tmp_path / "bad.cfg"
+    p.write_text(AUX_CONFIG + "\n[sim]\n" + line + "\n")
+    rc = main(["simulate", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "sim." + line.split()[0] + ":" in err
 
 
 # a switch-jump mixture that sums to 1 but has a negative weight

@@ -119,7 +119,19 @@ def test_hat_operator_rejects_out_of_cone(two_state_model):
     vals = np.tile(grid**2, (2, 1))  # convex, slope > phi
     f = ValueField(grid=grid, values=vals, phi=two_state_model.phi)
     with pytest.raises(ModelError, match="cone"):
-        hat_operator(two_state_model, f, 0)
+        apply_T_sup(two_state_model, f)
+
+
+def test_hat_operator_is_the_unprojected_average(two_state_model):
+    # each state has one destination (p = 1): the hat payoff is that
+    # state's post-switch average exactly, with nothing pooled away
+    model = two_state_model
+    f = solve(model, tol=1e-8, grid_points=1200).value
+    averages = (_hyperexp_average(f, 1, model.jump(0, 1)), f.values[0])
+    for i, average in enumerate(averages):
+        pw = hat_operator(model, f, i)
+        assert np.array_equal(pw.vals, average)
+        assert pw.slope_tail == 1.0
 
 
 def test_t_sup_dominates_t_b(two_state_model):
@@ -223,6 +235,16 @@ def test_large_phi_bounded_variation_solve():
     sol = solve(model, tol=1e-8, grid_points=1000)
     for i in range(model.n):
         assert max(sol.smooth_fit_residuals(i)) <= 1e-8
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"tol": -1.0}, "tol"), ({"tol": float("nan")}, "tol"),
+    ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
+    ({"grid_points": 1}, "grid_points"),
+])
+def test_solve_rejects_bad_options(two_state_model, options, message):
+    with pytest.raises(ValueError, match=message):
+        solve(two_state_model, **options)
 
 
 def test_nonconvergence_reports_decay(two_state_model):

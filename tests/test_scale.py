@@ -37,12 +37,12 @@ def test_cramer_lundberg_roots(cramer_lundberg_spec):
     ev = build_scale_evaluator(cramer_lundberg_spec, 1.0)
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     assert ev.roots == pytest.approx([golden, 1.0 - golden], rel=1e-12)
-    assert ev.w_at_zero == pytest.approx(1.0, rel=1e-12)  # 1/|drift| at sigma=0
+    assert W(ev, 0.0) == pytest.approx(1.0, rel=1e-12)  # 1/|drift| at sigma=0
 
 
 def test_w_at_zero_brownian(brownian_spec):
     ev = build_scale_evaluator(brownian_spec, 1.0)
-    assert ev.w_at_zero == pytest.approx(0.0, abs=1e-13)
+    assert W(ev, 0.0) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_behaviour_on_negative_half_line(mixed_spec):
