@@ -125,12 +125,20 @@ def _pair_means(samples: np.ndarray) -> np.ndarray:
                            samples[half:half + odd]))
 
 
-def _hyperexp(rng, m: int, mix) -> np.ndarray:
-    """m iid draws from the mixture of (weight, rate) exponentials: first
-    the components, then the unit exponentials scaled by their rates."""
-    weights = np.array([w for w, _ in mix])
-    rates = np.array([r for _, r in mix])
-    comp = rng.choice(len(mix), size=m, p=weights)
+def _mixture(mix) -> tuple[np.ndarray, np.ndarray]:
+    """(component cdf, rates) of a mixture of (weight, rate) exponentials,
+    built once per simulator call for _hyperexp."""
+    cdf = np.cumsum([w for w, _ in mix], dtype=float)
+    cdf /= cdf[-1]
+    return cdf, np.array([r for _, r in mix], dtype=float)
+
+
+def _hyperexp(rng, m: int, mixture) -> np.ndarray:
+    """m iid draws from a _mixture: first the components, by inverting the
+    cdf at uniforms (the draws of rng.choice with p=weights), then the unit
+    exponentials scaled by their rates."""
+    cdf, rates = mixture
+    comp = cdf.searchsorted(rng.random(m), side="right")
     return rng.standard_exponential(m) / rates[comp]
 
 
@@ -143,15 +151,15 @@ def _jump_probs(rate: float, dt: float) -> tuple[float, float]:
     return p_any, 1.0 - rate * dt * math.exp(-rate * dt) / p_any
 
 
-def _jump_sizes(rng, extra: np.ndarray, mix) -> np.ndarray:
+def _jump_sizes(rng, extra: np.ndarray, mixture) -> np.ndarray:
     """Total claim size in each jump-bearing step, given one arrival: a draw
-    from the mixture, plus a second where `extra` flags a second arrival
+    from the _mixture, plus a second where `extra` flags a second arrival
     (drawn by the caller with probability p_two of _jump_probs).  Three or
     more arrivals, order (rate*dt)^2 of those steps, are folded into two."""
-    sizes = _hyperexp(rng, len(extra), mix)
+    sizes = _hyperexp(rng, len(extra), mixture)
     e = np.nonzero(extra)[0]
     if len(e):
-        sizes[e] += _hyperexp(rng, len(e), mix)
+        sizes[e] += _hyperexp(rng, len(e), mixture)
     return sizes
 
 
@@ -189,16 +197,18 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
         if lam[i] > 0:
             dest_cdf[i] = np.cumsum(probs / probs.sum())
 
-    # Per-state per-step quantities, gathered into per-path arrays that are
-    # refreshed only when a path switches state.  The path state itself is
-    # single precision; the discounted cashflow accumulator stays double.
-    phi32 = np.float32(model.phi)
-    zero32 = np.float32(0.0)
-    drift_s = (mu * dt).astype(np.float32)
-    vol_s = (sig * sqdt).astype(np.float32)
-    lo_s = lo_eff.astype(np.float32)
-    hi_s = hi_eff.astype(np.float32)
-    dfac_s = np.exp(-deltas * dt)
+    # Per-state quantities, one column per state: the boundaries in double
+    # precision (for the clamps at a switch), then the per-step boundaries,
+    # drift and volatility in single precision, then the one-step discount
+    # factor.  Paths gather their column only when they switch state; the
+    # path state itself is single precision, the discounted cashflow
+    # accumulator double.
+    f32 = np.float32
+    table = np.vstack((lo_eff, hi_eff, lo_eff.astype(f32), hi_eff.astype(f32),
+                       (mu * dt).astype(f32), (sig * sqdt).astype(f32),
+                       np.exp(-deltas * dt)))
+    phi32 = f32(model.phi)
+    zero32 = f32(0.0)
     # Jumps and switches are rare per step, so both are driven by geometric
     # clocks at the maximal rate, thinned by the path's current state.
     eta_max = float(eta.max())
@@ -208,6 +218,10 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
     p_sw = _jump_probs(lam_max, dt)[0]
     jump_accept = eta / eta_max if eta_max > 0 else eta
     sw_accept = lam / lam_max if lam_max > 0 else lam
+    jump_mix = [_mixture(s.jump_mix) if s.jump_mix else None
+                for s in model.levy]
+    drop_mix = {ij: _mixture(sj.mix) for ij, sj in model.switch_jumps.items()
+                if sj.kind == "hyperexp"}
 
     pool = _Pool()
     for rng, n in _chunks(config):
@@ -216,11 +230,9 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
         u = np.full(n, min(max(x0, lo0), hi0), dtype=np.float32)
         pv = np.full(n, max(x0 - hi0, 0.0)
                      - model.phi * max(lo0 - x0, 0.0))
-        lo_cur = lo_s[state]
-        hi_cur = hi_s[state]
-        drift_cur = drift_s[state]
-        vol_cur = vol_s[state]
-        dfac_cur = dfac_s[state]
+        step = table[2:6, state].astype(f32)
+        lo_cur, hi_cur, drift_cur, vol_cur = step
+        dfac_cur = table[6, state]
         disc = np.ones(n)
         jump_till = rng.geometric(p_jump, n) if eta_max > 0 else None
         sw_till = rng.geometric(p_sw, n) if lam_max > 0 else None
@@ -229,21 +241,18 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
             origins = state[ja]
             dests = (rng.random((len(ja), 1))
                      > dest_cdf[origins]).sum(axis=1)
-            drop = _sample_switch_drops(rng, origins, dests, model)
+            drop = _sample_switch_drops(rng, origins, dests, drop_mix)
             uj = u[ja] - drop
-            lo_new = lo_eff[dests]
-            hi_new = hi_eff[dests]
+            col = table[:, dests]
+            lo_new, hi_new = col[0], col[1]
             pv[ja] -= (model.phi * disc[ja]
                        * np.maximum(lo_new - uj, 0.0))
             uj = np.maximum(uj, lo_new)
             pv[ja] += disc[ja] * np.maximum(uj - hi_new, 0.0)
             u[ja] = np.minimum(uj, hi_new)
             state[ja] = dests
-            lo_cur[ja] = lo_s[dests]
-            hi_cur[ja] = hi_s[dests]
-            drift_cur[ja] = drift_s[dests]
-            vol_cur[ja] = vol_s[dests]
-            dfac_cur[ja] = dfac_s[dests]
+            step[:, ja] = col[2:6]
+            dfac_cur[ja] = col[6]
 
         for _ in range(n_steps):
             # The true switch time is uniform within its step; applying the
@@ -268,7 +277,8 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
             u += vol_cur * _normals(rng, n, config.antithetic, np.float32)
             pay = np.maximum(u - hi_cur, zero32)
             inj = np.maximum(lo_cur - u, zero32)
-            np.clip(u, lo_cur, hi_cur, out=u)
+            np.maximum(u, lo_cur, out=u)
+            np.minimum(u, hi_cur, out=u)
             pv += disc * (pay - phi32 * inj)
 
             if jump_till is not None:
@@ -282,11 +292,11 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                         st = state[ja]
                         extra = rng.random(len(ja)) < p_jump_two[st]
                         sizes = np.zeros(len(ja))
-                        for i, spec in enumerate(model.levy):
+                        for i, mix in enumerate(jump_mix):
                             mask = st == i
                             if mask.any():
                                 sizes[mask] = _jump_sizes(rng, extra[mask],
-                                                          spec.jump_mix)
+                                                          mix)
                         uj = u[ja] + sizes
                         hj = hi_cur[ja]
                         pv[ja] += disc[ja] * np.maximum(uj - hj, 0.0)
@@ -301,13 +311,14 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
     return pool
 
 
-def _sample_switch_drops(rng, origins, dests, model: RegimeModel) -> np.ndarray:
-    """|J_ij| draws for each switching path (0 for point-mass jumps)."""
+def _sample_switch_drops(rng, origins, dests, drop_mix) -> np.ndarray:
+    """|J_ij| draws for each switching path, from the _mixture of each
+    hyperexponential switch jump (i, j) in drop_mix (0 for the others)."""
     out = np.zeros(len(origins))
-    for (i, j), sj in model.switch_jumps.items():
+    for (i, j), mixture in drop_mix.items():
         mask = (origins == i) & (dests == j)
-        if sj.kind == "hyperexp" and mask.any():
-            out[mask] = _hyperexp(rng, int(mask.sum()), sj.mix)
+        if mask.any():
+            out[mask] = _hyperexp(rng, int(mask.sum()), mixture)
     return out
 
 
@@ -427,6 +438,7 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
                             config.antithetic) if spec.sigma > 0 else None)
     p_any, p_two = _jump_probs(spec.jump_rate, dt)
     till = rng.geometric(p_any, n) if p_any > 0 else None
+    mixture = _mixture(spec.jump_mix) if p_any > 0 else None
     for k in range(int(math.ceil(config.t_max / dt))):
         disc_mid = math.exp(-q * (k + 0.5) * dt)
         if not len(idx) or disc_mid < _DISC_CUTOFF:
@@ -461,7 +473,7 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
             j = j[~dead[j]]
             if len(j):
                 extra = rng.random(len(j)) < p_two
-                cand = new[j] + _jump_sizes(rng, extra, spec.jump_mix)
+                cand = new[j] + _jump_sizes(rng, extra, mixture)
                 till[j] = rng.geometric(p_any, len(j))
                 if reflect_at is None:
                     jup = j[cand > b]
