@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from levybarrier import (AuxProblem, ModelError, SimConfig, W, Z,
-                         barrier_root, build_scale_evaluator,
+from levybarrier import (AuxProblem, LevySpec, ModelError, RegimeModel,
+                         SimConfig, W, Z, barrier_root, build_scale_evaluator,
                          estimate_exit_identities, simulate_aux_npv,
                          simulate_regime_npv, solve, value)
+from levybarrier import simulate
 from levybarrier.scale import exit_identities_analytic
-from levybarrier.simulate import _LiveNormals, _normals, _pair_means, _Pool
+from levybarrier.simulate import (_double_barrier_npv, _first_passage,
+                                  _LiveNormals, _normals, _pair_means, _Pool)
 
 
 def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
@@ -57,6 +61,66 @@ def test_live_normals_keep_pairs_after_exits():
                 assert z[k] == -z[partner]
             else:
                 assert all(abs(z[k]) != abs(z[j]) for j in z if j != k)
+
+
+# A drift-only surplus (sigma = 0, no jumps) is not a valid LevySpec for the
+# public simulators, so the roulette tests run the kernels on it directly:
+# every path is the same until roulette ends it, and the exact value is known.
+_DRIFT_DOWN = LevySpec(drift_mu=-0.5, sigma=0.0)
+# dt = 0.05 makes the survivor weight per step e^{kappa dt} = e^{0.075} at
+# q = 1, so an off-by-one step in the kill or the weight moves the estimate
+# by several standard errors.
+_COARSE = SimConfig(n_paths=20_001, dt=0.05, t_max=8.0, rng_seed=4)
+
+
+def _drift_down_model(delta=1.0, phi=2.0):
+    return RegimeModel(states=("s",), switch_rates=np.zeros((1, 1)),
+                       discounts=np.array([delta]), levy=(_DRIFT_DOWN,),
+                       switch_jumps={}, phi=phi)
+
+
+def test_roulette_npv_unbiased_on_drift_down():
+    # From x0 = 0 each step injects |mu| dt, so without roulette every
+    # path's NPV is -phi |mu| dt sum_k e^{-delta k dt}.
+    delta, phi, dt = 1.0, 2.0, _COARSE.dt
+    est = _double_barrier_npv(_drift_down_model(delta, phi), np.array([1.0]),
+                              0.0, 0, _COARSE).estimate()
+    k = np.arange(1, math.ceil(_COARSE.t_max / dt) + 1)
+    exact = -phi * abs(_DRIFT_DOWN.drift_mu) * dt * np.exp(-delta * k * dt).sum()
+    assert est.std_error > 0
+    assert abs(est.mean - exact) <= 3.0 * est.std_error
+
+
+def test_roulette_exit_unbiased_on_drift_down():
+    # From x, the drift meets 0 at x/|mu| = 4 > T0 = ln(20)/q, so every exit
+    # value is roulette-weighted; its mean is exactly e^{-q x/|mu|}.
+    q, x = 1.0, 2.0
+    down, up = _first_passage(_DRIFT_DOWN, q, 3.0, x, _COARSE,
+                              np.random.default_rng(6), _COARSE.n_paths)
+    pool = _Pool()
+    pool.add(down)
+    est = pool.estimate()
+    assert not up.any()
+    assert est.std_error > 0
+    assert abs(est.mean - math.exp(-q * x / abs(_DRIFT_DOWN.drift_mu))) \
+        <= 3.0 * est.std_error
+
+
+def test_antithetic_partners_die_together(monkeypatch):
+    # On the drift-only model partners k and k + ceil(n/2) differ only if
+    # roulette ends them on different steps.
+    cfg = SimConfig(n_paths=2_001, dt=0.05, t_max=8.0, rng_seed=8,
+                    antithetic=True)
+    half, odd = divmod(cfg.n_paths, 2)
+    npvs = []
+    monkeypatch.setattr(simulate, "_pair_means",
+                        lambda samples: npvs.append(samples) or samples)
+    _double_barrier_npv(_drift_down_model(), np.array([1.0]), 0.0, 0, cfg)
+    down, _ = _first_passage(_DRIFT_DOWN, 1.0, 3.0, 2.0, cfg,
+                             np.random.default_rng(8), cfg.n_paths)
+    for samples in (npvs[0], down):
+        assert len(np.unique(samples)) > 1
+        np.testing.assert_array_equal(samples[:half], samples[half + odd:])
 
 
 def test_config_check_rejects_short_horizon():
