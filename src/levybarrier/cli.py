@@ -20,7 +20,7 @@ from .auxiliary import (AuxProblem, barrier_root, dominance_gap, hjb_residual,
 from .config import (ConfigError, aux_inputs_from, parse_config,
                      regime_model_from, sim_config_from, solver_options_from)
 from .errors import ModelError, NumericsError
-from .regime import solve
+from .regime import require_valid_model, solve
 from .scale import (W, Z, Zbar, exit_identities_analytic,
                     verify_laplace_transform)
 from .simulate import (estimate_exit_identities, simulate_aux_npv,
@@ -64,19 +64,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _aux_solution(tree, state):
-    """The config's single-regime problem (on the Levy section of `state`,
-    the first one by default) and its barrier solution."""
+def _aux_problem(tree, state):
+    """The config's single-regime problem, on the Levy section of `state`
+    (the first one by default)."""
     spec, lam, delta, phi, payoff = aux_inputs_from(tree, state)
-    problem = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi,
-                         payoff=payoff)
+    return AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi, payoff=payoff)
+
+
+def _aux_solution(tree, state):
+    """The config's single-regime problem and its barrier solution."""
+    problem = _aux_problem(tree, state)
     return problem, barrier_root(problem)
 
 
-def _regime_solution(tree):
-    """The config's regime model, solved under the config's solver options
-    (the model is the solution's `model`)."""
-    return solve(regime_model_from(tree), **solver_options_from(tree))
+def _regime_solution(tree, model=None):
+    """The config's regime model (or `model`, read from it already), solved
+    under the config's solver options (the model is the solution's
+    `model`)."""
+    model = regime_model_from(tree) if model is None else model
+    return solve(model, **solver_options_from(tree))
+
+
+def _sim_config(tree, args, q_min: float):
+    """The config's [sim] settings under the command-line overrides,
+    checked against the run's smallest discount rate q_min before any
+    solve, so a bad setting fails at once."""
+    config = sim_config_from(tree, paths=args.paths, dt=args.dt,
+                             tmax=args.tmax, seed=args.seed,
+                             antithetic=args.antithetic)
+    config.check(q_min)
+    return config
 
 
 def _solve_aux(tree, args, out):
@@ -145,16 +162,15 @@ def _parse_barriers(arg: str | None, n: int):
 
 
 def _simulate(tree, args, out):
-    config = sim_config_from(tree, paths=args.paths, dt=args.dt,
-                             tmax=args.tmax, seed=args.seed,
-                             antithetic=args.antithetic)
     rows = []
     if "chain" in tree:
+        model = regime_model_from(tree)
+        require_valid_model(model)
+        config = _sim_config(tree, args, float(np.min(model.discounts)))
         if args.barrier is None:
-            sol = _regime_solution(tree)
-            model, barriers = sol.model, sol.barriers
+            sol = _regime_solution(tree, model)
+            barriers = sol.barriers
         else:
-            model = regime_model_from(tree)
             barriers = np.asarray(_parse_barriers(args.barrier, model.n))
         if args.state is None:
             i0 = 0
@@ -168,7 +184,9 @@ def _simulate(tree, args, out):
         est = simulate_regime_npv(model, barriers, x0, i0, config)
     else:
         override = _parse_barriers(args.barrier, 1)
-        problem, sol = _aux_solution(tree, args.state)
+        problem = _aux_problem(tree, args.state)
+        config = _sim_config(tree, args, problem.q)
+        sol = barrier_root(problem)
         b = override[0] if override is not None else sol.barrier
         x0 = args.x0 if args.x0 is not None else b
         analytic = value(problem, b, x0, sol.evaluator)
@@ -211,7 +229,10 @@ def _run_verify(tree, args, out):
         checks.append((name, ok, detail))
         print(("PASS " if ok else "FAIL ") + name + " " + detail, file=out)
 
-    problem, sol = _aux_solution(tree, args.state)
+    problem = _aux_problem(tree, args.state)
+    # the exit identities discount at the problem's q
+    config = _sim_config(tree, args, problem.q)
+    sol = barrier_root(problem)
     ev, b, phi = sol.evaluator, sol.barrier, problem.phi
 
     # Laplace transform residuals of W_q
@@ -248,9 +269,6 @@ def _run_verify(tree, args, out):
                f"b={_g17(factor * b)} min_gap={_g17(float(gap.min()))}")
 
     # exit identities against MC
-    config = sim_config_from(tree, paths=args.paths, dt=args.dt,
-                             tmax=args.tmax, seed=args.seed,
-                             antithetic=args.antithetic)
     x = 0.5 * b
     ests = estimate_exit_identities(problem.spec, problem.q, b, x, config)
     targets = exit_identities_analytic(ev, b, x)

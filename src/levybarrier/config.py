@@ -85,6 +85,27 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _float(section: dict, key: str, where: str, default=None) -> float:
+    """section[key] as a float; the key is required when default is None."""
+    val = (_require(section, key, where) if default is None
+           else section.get(key, default))
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key}: expected a number, got {val!r}") \
+            from None
+
+
+def _floats(section: dict, key: str, where: str) -> np.ndarray:
+    """The required section[key] as a float array."""
+    val = _require(section, key, where)
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key}: expected numbers, got {val!r}") \
+            from None
+
+
 def levy_spec_from(section: dict, where: str) -> LevySpec:
     mix = section.get("jump_mix", [])
     try:
@@ -92,20 +113,25 @@ def levy_spec_from(section: dict, where: str) -> LevySpec:
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.jump_mix: expected [[weight, rate], ...]") \
             from None
-    return LevySpec(drift_mu=float(_require(section, "drift_mu", where)),
-                    sigma=float(section.get("sigma", 0.0)),
-                    jump_rate=float(section.get("jump_rate", 0.0)),
+    return LevySpec(drift_mu=_float(section, "drift_mu", where),
+                    sigma=_float(section, "sigma", where, 0.0),
+                    jump_rate=_float(section, "jump_rate", where, 0.0),
                     jump_mix=mix)
 
 
 def payoff_from(problem: dict) -> ConcavePayoff:
     knots = problem.get("payoff_knots", [[0.0, 0.0], [1.0, 1.0]])
-    tail = problem.get("payoff_tail_slope", 1.0)
-    return make_payoff(knots, float(tail))
+    try:
+        knots = [(float(x), float(v)) for x, v in knots]
+    except (TypeError, ValueError):
+        raise ConfigError("problem.payoff_knots: expected [[x, omega], ...]") \
+            from None
+    return make_payoff(knots,
+                       _float(problem, "payoff_tail_slope", "problem", 1.0))
 
 
 def phi_from(problem: dict) -> float:
-    phi = float(_require(problem, "phi", "problem"))
+    phi = _float(problem, "phi", "problem")
     if phi <= 1.0:
         raise ConfigError("problem.phi: phi must exceed 1")
     return phi
@@ -125,8 +151,8 @@ def aux_inputs_from(tree: dict, state: str | None = None):
     if problem is None:
         raise ConfigError("problem: required")
     phi = phi_from(problem)
-    lam = float(problem.get("lambda", 0.0))
-    delta = float(_require(problem, "delta", "problem"))
+    lam = _float(problem, "lambda", "problem", 0.0)
+    delta = _float(problem, "delta", "problem")
     return spec, lam, delta, phi, payoff_from(problem)
 
 
@@ -135,8 +161,8 @@ def regime_model_from(tree: dict) -> RegimeModel:
     if chain is None:
         raise ConfigError("chain: required")
     states = tuple(str(s) for s in _require(chain, "states", "chain"))
-    rates = np.asarray(_require(chain, "switch_rates", "chain"), dtype=float)
-    discounts = np.asarray(_require(chain, "discounts", "chain"), dtype=float)
+    rates = _floats(chain, "switch_rates", "chain")
+    discounts = _floats(chain, "discounts", "chain")
     levy_sections = tree.get("levy", {})
     specs = []
     for s in states:
@@ -206,10 +232,8 @@ def sim_config_from(tree: dict, **overrides) -> SimConfig:
     if not isinstance(antithetic, bool):
         raise ConfigError(f"sim.antithetic: expected True or False, got "
                           f"{antithetic!r}")
-    try:
-        dt, t_max = float(sim.get("dt", 1e-3)), float(sim.get("tmax", 20.0))
-    except (TypeError, ValueError):
-        raise ConfigError("sim: bad field") from None
-    return SimConfig(n_paths=_integer(sim, "paths", 100_000, "sim"), dt=dt,
-                     t_max=t_max, rng_seed=_integer(sim, "seed", 0, "sim"),
+    return SimConfig(n_paths=_integer(sim, "paths", 100_000, "sim"),
+                     dt=_float(sim, "dt", "sim", 1e-3),
+                     t_max=_float(sim, "tmax", "sim", 20.0),
+                     rng_seed=_integer(sim, "seed", 0, "sim"),
                      antithetic=antithetic)

@@ -191,6 +191,50 @@ def test_bad_sim_field_exit_2(tmp_path, capsys, line):
     assert "sim." + line.split()[0] + ":" in err
 
 
+@pytest.mark.parametrize("which, section, line", [
+    ("aux", "levy.base", 'drift_mu = "abc"'),
+    ("aux", "levy.base", 'sigma = "abc"'),
+    ("aux", "levy.base", "jump_rate = [1.0]"),
+    ("aux", "problem", 'phi = "abc"'),
+    ("aux", "problem", 'lambda = "abc"'),
+    ("aux", "problem", "delta = None"),
+    ("aux", "problem", 'payoff_tail_slope = "abc"'),
+    ("aux", "problem", 'payoff_knots = [[0.0, "a"], [1.0, 1.0]]'),
+    ("aux", "sim", 'dt = "abc"'),
+    ("aux", "sim", 'tmax = "abc"'),
+    ("regime", "levy.a", 'drift_mu = "abc"'),
+    ("regime", "problem", 'phi = "abc"'),
+    ("regime", "chain", 'switch_rates = [["a", 1.0], [1.0, 0.0]]'),
+    ("regime", "chain", 'discounts = ["a", 1.0]'),
+])
+def test_non_numeric_field_exit_2(aux_config, regime_config, capsys, which,
+                                  section, line):
+    # a config error naming the field, never an uncaught ValueError
+    cfg = aux_config if which == "aux" else regime_config
+    cfg.write_text(cfg.read_text() + f"\n[{section}]\n{line}\n")
+    rc = main(["simulate", "--config", str(cfg), "--paths", "10"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{section}.{line.split()[0]}:" in err
+
+
+@pytest.mark.parametrize("which", ["aux", "regime"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_sim_settings_checked_before_any_solve(aux_config, regime_config,
+                                               capsys, monkeypatch, which,
+                                               command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before [sim] was checked")
+
+    monkeypatch.setattr("levybarrier.cli.solve", no_solve)
+    monkeypatch.setattr("levybarrier.cli.barrier_root", no_solve)
+    cfg = aux_config if which == "aux" else regime_config
+    rc = main([command, "--config", str(cfg), "--dt", "-1.0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "dt must be positive and finite" in err
+
+
 # a switch-jump mixture that sums to 1 but has a negative weight
 BAD_JUMP = """
 [jumps.a.b]
