@@ -77,12 +77,10 @@ def _aux_solution(tree, state):
     return problem, barrier_root(problem)
 
 
-def _regime_solution(tree, model=None):
-    """The config's regime model (or `model`, read from it already), solved
-    under the config's solver options (the model is the solution's
-    `model`)."""
-    model = regime_model_from(tree) if model is None else model
-    return solve(model, **solver_options_from(tree))
+def _regime_solution(tree):
+    """The config's regime model, solved under the config's solver options
+    (the model is the solution's `model`)."""
+    return solve(regime_model_from(tree), **solver_options_from(tree))
 
 
 def _sim_config(tree, args, q_min: float):
@@ -168,7 +166,7 @@ def _simulate(tree, args, out):
         require_valid_model(model)
         config = _sim_config(tree, args, float(np.min(model.discounts)))
         if args.barrier is None:
-            sol = _regime_solution(tree, model)
+            sol = solve(model, **solver_options_from(tree))
             barriers = sol.barriers
         else:
             barriers = np.asarray(_parse_barriers(args.barrier, model.n))

@@ -164,7 +164,6 @@ def test_payoff_ignored_when_lambda_zero(brownian_spec, linear_payoff,
     assert a.mean == b.mean
 
 
-@pytest.mark.slow
 def test_npv_matches_analytic_sinh(brownian_spec, linear_payoff):
     prob = AuxProblem(spec=brownian_spec, lam=0.0, delta=1.0, phi=2.0,
                       payoff=linear_payoff)
@@ -178,7 +177,6 @@ def test_npv_matches_analytic_sinh(brownian_spec, linear_payoff):
         assert abs(est.mean - an) <= 3.0 * est.std_error
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("spec_name", ["mixed_spec", "cramer_lundberg_spec"])
 def test_npv_with_payoff_stream(spec_name, kinked_payoff, request):
     # the sigma = 0 case runs the jump clock with no boundary shift
@@ -204,7 +202,6 @@ def test_npv_decreasing_in_phi(cramer_lundberg_spec, linear_payoff):
     assert hi.mean < lo.mean
 
 
-@pytest.mark.slow
 def test_dt_halving_within_2_se(brownian_spec, linear_payoff):
     cfg1 = small_cfg(seed=31, paths=30_000, dt=2e-3)
     cfg2 = small_cfg(seed=32, paths=30_000, dt=1e-3)
@@ -286,7 +283,6 @@ def test_regime_npv_collapse(symmetric_two_state, brownian_spec,
     assert abs(est.mean - an) <= 3.0 * est.std_error
 
 
-@pytest.mark.slow
 def test_regime_npv_matches_solution(two_state_model):
     sol = solve(two_state_model, tol=1e-8, grid_points=1200)
     cfg = SimConfig(n_paths=40_000, dt=2e-3, t_max=24.0, rng_seed=29)
@@ -296,7 +292,6 @@ def test_regime_npv_matches_solution(two_state_model):
     assert abs(est.mean - an) <= 3.0 * est.std_error
 
 
-@pytest.mark.slow
 def test_regime_npv_perturbed_barriers_dominated(two_state_model):
     sol = solve(two_state_model, tol=1e-8, grid_points=1200)
     cfg = SimConfig(n_paths=30_000, dt=2e-3, t_max=24.0, rng_seed=37)
