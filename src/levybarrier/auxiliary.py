@@ -4,13 +4,14 @@ derivatives, dominance comparisons and generator residuals.
 The optimal barrier is the zero of ell(x) = Z_q(x) - lam int_0^x omega'_+ W_q
 - phi.  The payoff's right derivative is constant between knots, so on each
 knot segment ell is an exponential sum in closed form: one array call of Z
-tabulates it at every knot below the overflow horizon, and Brent and Newton
-run only inside the segment where it changes sign.  Z_q^{-1}(phi) is the
-lam = 0 case of the same solve.  The value function and its derivatives are
-one-point calls of the closed-form kernel in value_grid.  The generator
-residual is an independent check of that closed form: it integrates the
-jump part numerically, with a fixed Gauss-Legendre rule on each kink-free
-segment, over values taken from one kernel call.
+tabulates it at every knot below the overflow horizon.  On the segment where
+it turns positive ell is increasing and convex, so Newton from the right end
+of a piece at most 1/Phi(q) wide reaches the root with no bracket.
+Z_q^{-1}(phi) is the lam = 0 case of the same solve.  The value function and
+its derivatives are one-point calls of the closed-form kernel in value_grid.
+The generator residual is an independent check of that closed form: it
+integrates the jump part numerically, with a fixed Gauss-Legendre rule on
+each kink-free segment, over values taken from one kernel call.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ModelError, NumericsError
 from .levy import LevySpec, require_valid
 from .payoff import ConcavePayoff, evaluate, right_derivative
-from .scale import (W, Z, ScaleEvaluator, _composite_rule,
-                    build_scale_evaluator)
+from .scale import Z, ScaleEvaluator, _composite_rule, build_scale_evaluator
 from .value_grid import _closed_form, value_on_grid
 
 
@@ -80,8 +79,13 @@ def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
     One array call of Z tabulates ell at the knots below x_cap and at x_cap,
     with the prefix sums S_k = sum_{m<k} s_m (Z(x_{m+1}) - Z(x_m)) from one
     cumsum.  On the segment [x_m, x_{m+1}] that ends at the first positive
-    entry, ell is the exponential sum Z - phi - lam (S_m + s_m (Z - Z(x_m)))
-    / q, and Brent then Newton run on that form inside the segment.
+    entry, ell is Z - phi - lam (S_m + s_m (Z - Z(x_m))) / q, increasing and
+    convex.  If it is wider than 1/Phi(q), a second array call of Z cuts it
+    into pieces at most that wide.  Newton runs from the right end of the
+    first piece where ell > 0: on a convex increasing function it falls
+    monotonically to the root, so it needs no bracket.  It runs in Python
+    floats, one exp per root of psi = q giving both Z and W, and stops once
+    a step no longer lowers the iterate by more than a few ulps.
     """
     q = ev.q
     t = np.append(xs[xs < ev.x_cap], ev.x_cap)
@@ -92,24 +96,35 @@ def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
     if len(above) == 0:
         raise NumericsError("no sign change within overflow horizon")
     m = above[0] - 1
-    lo, hi, sm, zm, am = t[m], t[m + 1], s[m], zt[m], acc[m]
-
-    def f(x):
-        z = float(Z(ev, x))
-        return z - phi - lam * (am + sm * (z - zm)) / q
-
-    root = brentq(f, lo, hi, xtol=1e-14)
-    for _ in range(5):
-        val = f(root)
-        if abs(val) < 1e-13:
+    lo, hi = t[m], t[m + 1]
+    sm, zm, am = float(s[m]), float(zt[m]), float(acc[m])
+    n = int(ev.phi_q * (hi - lo))
+    if n:
+        # the table has ell(hi) > 0; should the segment form round it
+        # to <= 0, the last piece stands in
+        grid = np.linspace(lo, hi, n + 2)[1:]
+        zg = Z(ev, grid)
+        pos = zg - phi - lam * (am + sm * (zg - zm)) / q > 0
+        pos[-1] = True
+        hi = grid[pos.argmax()]
+    terms = list(zip(ev.roots.tolist(), ev.z_coeffs.tolist(),
+                     ev.residues.tolist()))
+    gain = q - lam * sm     # ell' = W_q gain on the segment
+    x = float(hi)
+    for _ in range(100):
+        z, w = 1.0, 0.0
+        for r, zc, c in terms:
+            e = math.exp(r * x)
+            z += zc * (e - 1.0)
+            w += c * e
+        val = z - phi - lam * (am + sm * (z - zm)) / q
+        nxt = x - val / (w * gain)
+        if not x - nxt > 4.0 * math.ulp(x):
             break
-        d = float(W(ev, root)) * (q - lam * sm)
-        if d <= 0:
-            break
-        root = min(max(root - val / d, lo), hi)
-    if abs(f(root)) > 1e-10:
+        x = nxt
+    if abs(val) > 1e-10:
         raise NumericsError("barrier root did not converge")
-    return float(root)
+    return x
 
 
 def z_inverse(ev: ScaleEvaluator, phi: float) -> float:
@@ -128,11 +143,13 @@ def barrier_root(problem: AuxProblem,
     then rises through its one zero.  omega'_+ is constant
     between payoff knots, so on each knot segment ell is an exponential sum
     in closed form.  ell is tabulated at every knot below the overflow
-    horizon x_cap and at x_cap with one array call of Z; Brent (xtol 1e-14)
-    and a Newton polish to |ell| < 1e-13 then run inside the one segment
-    where it turns positive.  No Z is evaluated past x_cap.  Raises
-    NumericsError if ell stays nonpositive up to x_cap or if |ell| at the
-    root exceeds 1e-10.
+    horizon x_cap and at x_cap with one array call of Z.  On the one
+    segment where it turns positive, ell' > 0 and ell'' >= 0, so Newton
+    started at the right end of the first piece of width at most 1/Phi(q)
+    with ell > 0 falls monotonically to the root; it stops when a step no
+    longer lowers the iterate by more than a few ulps.  No Z is evaluated
+    past x_cap.  Raises NumericsError if ell stays nonpositive up to x_cap
+    or if |ell| at the root exceeds 1e-10.
     """
     ev = evaluator if evaluator is not None else problem.evaluator()
     pw = problem.payoff

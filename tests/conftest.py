@@ -118,6 +118,23 @@ def reference_barrier_root(problem, ev):
     return float(root)
 
 
+def reference_z_inverse(ev, phi):
+    """Z_q^{-1}(phi) by Brent on [0, x_cap] to 4 ulp relative, then a
+    Newton polish: the bracket needs no doubling, so it also holds when
+    x_cap < 1 (Phi(q) > 700)."""
+    f = lambda x: float(Z(ev, x)) - phi
+    root = brentq(f, 0.0, ev.x_cap, xtol=1e-300, rtol=8.9e-16)
+    for _ in range(4):
+        d = ev.q * float(W(ev, root))
+        if d <= 0:
+            break
+        step = f(root) / d
+        root -= step
+        if abs(step) < 1e-15 * root:
+            break
+    return float(root)
+
+
 # ---------------------------------------------------------------------------
 # Reference closed form of the (0, b) value: scalar segment sums, one point
 # at a time, independent of the K recursion in levybarrier.value_grid.

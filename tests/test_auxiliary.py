@@ -10,7 +10,8 @@ from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError, Z,
 from conftest import (ell, ell_deriv, payoff_W_integral,
                       reference_barrier_root, reference_payoff_Z_integral,
                       reference_value, reference_value_derivative,
-                      seeded_aux_problems)
+                      reference_z_inverse, seeded_aux_problems)
+from levybarrier.auxiliary import z_inverse
 from levybarrier.regime import _aux_problem, default_x_max
 from levybarrier.scale import W
 from levybarrier.value_grid import value_on_grid
@@ -225,6 +226,19 @@ def test_barrier_root_matches_reference(twelve_cases, brownian_spec,
         assert abs(b - b_ref) <= 1e-12 * (1.0 + b_ref)
     assert barrier_root(past).barrier > kinked_payoff.xs[-1]
     assert barrier_root(on_knot).barrier == pytest.approx(1.5, abs=1e-12)
+
+
+def test_z_inverse_matches_reference(three_specs):
+    # the lam = 0 root over the whole overflow horizon, from the three
+    # fixtures up to sigma = 0 specs with Phi(1) of 1,000 to 4,000
+    specs = three_specs + [LevySpec(drift_mu=mu, sigma=0.0, jump_rate=1.0,
+                                    jump_mix=((1.0, 1.0),))
+                           for mu in (-0.002, -0.001, -0.0005)]
+    for spec in specs:
+        ev = build_scale_evaluator(spec, 1.0)
+        for phi in (1.01, 1.5, 2.5, 40.0):
+            b, b_ref = z_inverse(ev, phi), reference_z_inverse(ev, phi)
+            assert abs(b - b_ref) <= 1e-12 * b_ref
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -381,3 +386,15 @@ def test_verify_antithetic(aux_config, capsys):
         ses.append(float(line.rsplit("se=", 1)[1]))
     # antithetic pairs cut the exit_down SE about 2.5-fold
     assert ses[1] < 0.6 * ses[0]
+
+
+def test_runtime_imports_no_scipy():
+    # the library and its command line run on numpy alone; scipy is a
+    # test-only dependency (cold start was mostly its import)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, levybarrier, levybarrier.cli, levybarrier.config; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

@@ -237,6 +237,39 @@ def test_large_phi_bounded_variation_solve():
         assert max(sol.smooth_fit_residuals(i)) <= 1e-8
 
 
+def _fuzz_model(k):
+    # two-state model k of a seeded box: a sigma = 0 state with a small
+    # expense rate (Phi(q) up to several hundred) and a Brownian state
+    rng = np.random.default_rng([11, k])
+    s0 = LevySpec(drift_mu=-10 ** rng.uniform(-2.5, 0), sigma=0.0,
+                  jump_rate=rng.uniform(0.3, 2),
+                  jump_mix=((1.0, rng.uniform(1, 5)),))
+    s1 = LevySpec(drift_mu=rng.uniform(-0.5, 0.5),
+                  sigma=rng.uniform(0.4, 1.5))
+    a, b = rng.uniform(0.2, 1.5, 2)
+    discounts = rng.uniform(0.3, 1.5, 2)
+    phi = rng.uniform(1.3, 3)
+    jumps = ({(0, 1): SwitchJump("hyperexp", ((0.5, 2.0), (0.5, 5.0)))}
+             if k % 3 == 0 else {})
+    return RegimeModel(states=("a", "b"),
+                       switch_rates=np.array([[0.0, a], [b, 0.0]]),
+                       discounts=discounts, levy=(s0, s1),
+                       switch_jumps=jumps, phi=phi)
+
+
+@pytest.mark.parametrize("k", [35, 51, 61, 71])
+def test_fuzz_models_fail_loudly_or_fit(k):
+    # barriers where |ell| cannot reach 1e-10 in floating point: a barrier
+    # returned with no error must still meet smooth fit in every state
+    model = _fuzz_model(k)
+    try:
+        sol = solve(model, grid_points=1000)
+    except NumericsError:
+        return
+    for i in range(model.n):
+        assert max(sol.smooth_fit_residuals(i)) <= 1e-8
+
+
 @pytest.mark.parametrize("options, message", [
     ({"tol": -1.0}, "tol"), ({"tol": float("nan")}, "tol"),
     ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
