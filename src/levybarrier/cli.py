@@ -32,11 +32,14 @@ def _g17(v: float) -> str:
     return "%.17g" % v
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
+    """Write rows as out_dir/name, creating out_dir if need be."""
+    d = Path(out_dir)
+    d.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_g17(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    (d / name).write_text("\n".join(lines) + "\n")
 
 
 # argparse settings of every option but --config
@@ -109,11 +112,9 @@ def _solve_aux(tree, args, out):
         vals, derivs = value_on_grid(problem, b, xs, ev)
         res = [hjb_residual(problem, b, float(x), ev) if x > 0
                else float("nan") for x in xs]
-        rows = zip(xs, vals, derivs, res)
-        d = Path(args.out)
-        d.mkdir(parents=True, exist_ok=True)
-        _write_csv(d / "value_curve.csv", ["x", "V", "V_prime",
-                                           "hjb_residual"], rows)
+        _write_csv(args.out, "value_curve.csv",
+                   ["x", "V", "V_prime", "hjb_residual"],
+                   zip(xs, vals, derivs, res))
     return 0
 
 
@@ -134,11 +135,9 @@ def _solve_regime(tree, args, out):
     for i, s in enumerate(model.states):
         print(f"value_at_zero_{s}={_g17(sol.value.at_zero(i))}", file=out)
     if args.out:
-        d = Path(args.out)
-        d.mkdir(parents=True, exist_ok=True)
         for i, s in enumerate(model.states):
-            rows = zip(sol.value.grid, sol.value.values[i])
-            _write_csv(d / f"curve_{s}.csv", ["x", "V"], rows)
+            _write_csv(args.out, f"curve_{s}.csv", ["x", "V"],
+                       zip(sol.value.grid, sol.value.values[i]))
     return 0
 
 
@@ -195,13 +194,15 @@ def _simulate(tree, args, out):
     for row in rows:
         print(",".join(_g17(v) for v in row), file=out)
     if args.out:
-        d = Path(args.out)
-        d.mkdir(parents=True, exist_ok=True)
-        _write_csv(d / "simulate.csv", ["mean", "std_error", "analytic"], rows)
+        _write_csv(args.out, "simulate.csv", ["mean", "std_error", "analytic"],
+                   rows)
     return 0
 
 
 def _curve(tree, args, out):
+    if args.x0 is not None and not 0 < args.x0 < math.inf:
+        raise ConfigError("--x0: the curve's right end must be positive and "
+                          "finite")
     _, sol = _aux_solution(tree, args.state)
     ev = sol.evaluator
     hi = args.x0 if args.x0 is not None else 2.0 * sol.barrier
@@ -211,9 +212,7 @@ def _curve(tree, args, out):
     for row in rows:
         print(",".join(_g17(v) for v in row), file=out)
     if args.out:
-        d = Path(args.out)
-        d.mkdir(parents=True, exist_ok=True)
-        _write_csv(d / "scale_curve.csv", ["x", "W", "Z", "Zbar"], rows)
+        _write_csv(args.out, "scale_curve.csv", ["x", "W", "Z", "Zbar"], rows)
     return 0
 
 

@@ -298,7 +298,8 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
 
     The grid is widened (and the solve restarted) whenever a barrier
     approaches the grid boundary, so truncation never silently biases the
-    result.
+    result.  A seed outside the cone raises ModelError; a field the solver
+    made that leaves it raises NumericsError.
     """
     require_valid_model(model)
     diag = _solver_error(tol, max_iter, grid_points)
@@ -315,7 +316,13 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
         rho_trace = []
         regrow = False
         for it in range(1, max_iter + 1):
-            f_new, barriers = apply_T_sup(model, f)
+            try:
+                f_new, barriers = apply_T_sup(model, f)
+            except ModelError as e:
+                # only the caller's seed is a model input
+                if f is seed or not str(e).startswith("f not in cone"):
+                    raise
+                raise NumericsError(str(e)) from None
             if np.max(barriers) > 0.8 * x_max:
                 regrow = True
                 break

@@ -9,9 +9,10 @@ dividends and injections: the regime NPV runs it on the model's chain, the
 single-regime NPV on a one-state chain.  _first_passage runs paths until
 they exit below 0 or above b, or reflects them at the upper boundary, with
 Brownian-bridge crossings inside a step: the exit identities run it twice
-per chunk.  Chunks of paths draw from RNG substreams spawned from the seed
-and merge by pooled mean/variance, so results are bit-reproducible and seed
-reuse gives common random numbers.
+per chunk.  _run_chunks runs a kernel on each chunk of paths, with an RNG
+substream spawned from the seed, and pools the per-path arrays it returns
+in chunk order, so results are bit-reproducible and seed reuse gives common
+random numbers.
 
 Both kernels end paths by Russian roulette (Kahn & Harris 1951) once their
 discount is spent.  Roulette starts at T0, where the slowest discount of the
@@ -78,6 +79,8 @@ class SimConfig:
                              f"got {seed!r}")
         if not q_min > 0:
             raise ModelError(f"discount rate must be positive, got {q_min!r}")
+        if not math.isfinite(self.t_max):
+            raise ModelError(f"t_max must be finite, got {self.t_max!r}")
         if not math.exp(-q_min * self.t_max) < 1e-3:
             raise ModelError("t_max too short: discount tail above 1e-3")
 
@@ -87,39 +90,6 @@ class SimEstimate:
     mean: float
     std_error: float
     n_effective: int
-
-
-class _Pool:
-    """Streaming pooled mean/variance across chunks."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, samples: np.ndarray) -> None:
-        n_b = len(samples)
-        mean_b = float(samples.mean())
-        m2_b = float(((samples - mean_b) ** 2).sum())
-        delta = mean_b - self.mean
-        tot = self.n + n_b
-        self.m2 += m2_b + delta**2 * self.n * n_b / tot
-        self.mean += delta * n_b / tot
-        self.n = tot
-
-    def estimate(self, bias_allowance: float = 0.0) -> SimEstimate:
-        var = self.m2 / (self.n - 1) if self.n > 1 else 0.0
-        se = math.sqrt(var / self.n) + bias_allowance
-        return SimEstimate(mean=self.mean, std_error=se, n_effective=self.n)
-
-
-def _chunks(config: SimConfig):
-    """Deterministic (rng, size) substreams partitioning the path budget."""
-    seq = np.random.SeedSequence(config.rng_seed)
-    full, rest = divmod(config.n_paths, _CHUNK)
-    sizes = [_CHUNK] * full + ([rest] if rest else [])
-    for child, size in zip(seq.spawn(len(sizes)), sizes):
-        yield np.random.default_rng(child), size
 
 
 def _normals(rng, n: int, antithetic: bool, dtype=np.float64) -> np.ndarray:
@@ -137,6 +107,35 @@ def _pair_means(samples: np.ndarray) -> np.ndarray:
     half, odd = divmod(len(samples), 2)
     return np.concatenate((0.5 * (samples[:half] + samples[half + odd:]),
                            samples[half:half + odd]))
+
+
+def _run_chunks(config: SimConfig, kernel,
+                bias_allowance: float = 0.0) -> list[SimEstimate]:
+    """One SimEstimate, its standard error plus bias_allowance, per array
+    of the tuple kernel(rng, n) returns on chunks of at most _CHUNK paths,
+    chunk j on child j of the seed's SeedSequence.  Arrays are pooled (as
+    antithetic pair means when asked for) by streaming mean/variance in
+    chunk order, so only one chunk's paths are held at a time."""
+    full, rest = divmod(config.n_paths, _CHUNK)
+    sizes = [_CHUNK] * full + ([rest] if rest else [])
+    children = np.random.SeedSequence(config.rng_seed).spawn(len(sizes))
+    pooled = {}  # array number: (n, mean, m2) over the chunks so far
+    for child, size in zip(children, sizes):
+        arrays = kernel(np.random.default_rng(child), size)
+        for i, samples in enumerate(arrays):
+            if config.antithetic:
+                samples = _pair_means(samples)
+            n, mean, m2 = pooled.get(i, (0, 0.0, 0.0))
+            n_b = len(samples)
+            mean_b = float(samples.mean())
+            m2_b = float(((samples - mean_b) ** 2).sum())
+            delta = mean_b - mean
+            tot = n + n_b
+            pooled[i] = (tot, mean + delta * n_b / tot,
+                         m2 + (m2_b + delta**2 * n * n_b / tot))
+    return [SimEstimate(mean=mean, n_effective=n, std_error=math.sqrt(
+                (m2 / (n - 1) if n > 1 else 0.0) / n) + bias_allowance)
+            for n, mean, m2 in pooled.values()]
 
 
 def _mixture(mix) -> tuple[np.ndarray, np.ndarray]:
@@ -205,13 +204,14 @@ def _jump_sizes(rng, extra: np.ndarray, mixture) -> np.ndarray:
 def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                         i0: int, config: SimConfig,
                         payoff: ConcavePayoff | None = None,
-                        payoff_weight: float = 0.0) -> _Pool:
-    """Per-path NPVs of the dynamic double-barrier strategy (0, b_{Y_t}),
-    pooled over the chunks (as antithetic pair means when asked for):
-    discounted dividends minus phi times injections, each state discounting
-    at its entry of model.discounts.  With a payoff, every step also adds
-    payoff_weight * omega(U), discounted, after its jumps.  Roulette runs at
-    the smallest entry of model.discounts."""
+                        payoff_weight: float = 0.0):
+    """Set up once, then return the kernel(rng, n) for _run_chunks: the
+    1-tuple of per-path NPVs of the dynamic double-barrier strategy
+    (0, b_{Y_t}) on n paths, discounted dividends minus phi times
+    injections, each state discounting at its entry of model.discounts.
+    With a payoff, every step also adds payoff_weight * omega(U),
+    discounted, after its jumps.  Roulette runs at the smallest entry of
+    model.discounts."""
     n_steps = int(math.ceil(config.t_max / config.dt))
     dt = config.dt
     sqdt = math.sqrt(dt)
@@ -260,15 +260,13 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
     drop_mix = {ij: _mixture(sj.mix) for ij, sj in model.switch_jumps.items()
                 if sj.kind == "hyperexp"}
 
-    # Roulette from step k0 on: the one-step discount factors of `weighted`
-    # carry the survivor weight e^{kappa dt}.
     k0, kdt = _roulette(float(deltas.min()), dt)
-    weighted = table.copy()
-    weighted[6] *= math.exp(kdt)
+    lo0, hi0 = float(lo_eff[i0]), float(hi_eff[i0])
 
-    pool = _Pool()
-    for rng, n in _chunks(config):
-        lo0, hi0 = float(lo_eff[i0]), float(hi_eff[i0])
+    def kernel(rng, n):
+        # The chunk's own copy of the table: from step k0 on, its one-step
+        # discount factors carry the survivor weight e^{kappa dt}.
+        cols = table.copy()
         # Per-path working arrays, one row per quantity and one block per
         # dtype, so that dropping the dead paths is one selection per block:
         # U with its per-step boundaries, drift and volatility; the NPV, the
@@ -292,7 +290,6 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
         pv, disc, dfac_cur = fs
         state, jump_till, sw_till, death, idx = ints
         npv = np.empty(n)
-        cols = table
         n_dead = 0
 
         def apply_switches(ja):
@@ -337,7 +334,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                     death[:] = _death_steps(rng, n, k0, kdt,
                                             config.antithetic)
                     dfac_cur *= math.exp(kdt)
-                    cols = weighted
+                    cols[6] *= math.exp(kdt)
                 dying = death == k
                 disc[dying] = 0.0
                 n_dead += int(np.count_nonzero(dying))
@@ -390,8 +387,8 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                 if not len(idx):
                     break
         npv[idx] = pv
-        pool.add(_pair_means(npv) if config.antithetic else npv)
-    return pool
+        return (npv,)
+    return kernel
 
 
 def _sample_switch_drops(rng, origins, dests, drop_mix) -> np.ndarray:
@@ -425,11 +422,11 @@ def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
     model = RegimeModel(states=("aux",), switch_rates=np.zeros((1, 1)),
                         discounts=np.array([q]), levy=(spec,),
                         switch_jumps={}, phi=phi)
-    pool = _double_barrier_npv(model, np.array([float(b)]), x0, 0, config,
-                               payoff if lam > 0 else None, lam * config.dt)
+    kernel = _double_barrier_npv(model, np.array([float(b)]), x0, 0, config,
+                                 payoff if lam > 0 else None, lam * config.dt)
     scale = b + abs(x0) + (abs(evaluate(payoff, b)) if lam > 0 else 0.0) + 1.0
     tail = math.exp(-q * config.t_max) * phi * scale
-    return pool.estimate(bias_allowance=tail)
+    return _run_chunks(config, kernel, tail)[0]
 
 
 def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
@@ -451,10 +448,10 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
     # decays at the smallest delta
     delta_min = float(np.min(model.discounts))
     config.check(delta_min)
-    pool = _double_barrier_npv(model, barriers, x0, i0, config)
+    kernel = _double_barrier_npv(model, barriers, x0, i0, config)
     tail = math.exp(-delta_min * config.t_max) * model.phi * (
         float(barriers.max()) + abs(x0) + 1.0)
-    return pool.estimate(bias_allowance=tail)
+    return _run_chunks(config, kernel, tail)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +600,10 @@ def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
         raise ModelError("x must lie in [0, b]")
     config.check(q)
     b_eff = max(b - _AGP * spec.sigma * math.sqrt(config.dt), 0.5 * b)
-    pools = [_Pool(), _Pool(), _Pool()]
-    for rng, n in _chunks(config):
+
+    def kernel(rng, n):
         r_free, r_refl = rng.spawn(2)
         res_d, res_u = _first_passage(spec, q, b, x, config, r_free, n)
         res_r, _ = _first_passage(spec, q, b, x, config, r_refl, n, b_eff)
-        for pool, res in zip(pools, (res_d, res_u, res_r)):
-            pool.add(_pair_means(res) if config.antithetic else res)
-    return tuple(p.estimate() for p in pools)
+        return res_d, res_u, res_r
+    return tuple(_run_chunks(config, kernel))

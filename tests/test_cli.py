@@ -63,6 +63,9 @@ seed = 5
 """
 
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
 @pytest.fixture
 def aux_config(tmp_path):
     p = tmp_path / "aux.cfg"
@@ -234,10 +237,15 @@ def test_sim_settings_checked_before_any_solve(aux_config, regime_config,
     monkeypatch.setattr("levybarrier.cli.solve", no_solve)
     monkeypatch.setattr("levybarrier.cli.barrier_root", no_solve)
     cfg = aux_config if which == "aux" else regime_config
-    rc = main([command, "--config", str(cfg), "--dt", "-1.0"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "dt must be positive and finite" in err
+    # an infinite t_max passes the discount-tail check, e^{-q t_max} = 0,
+    # but no step count is finite
+    for flag, message in (
+            (["--dt", "-1.0"], "dt must be positive and finite"),
+            (["--tmax", "inf"], "t_max must be finite, got inf")):
+        rc = main([command, "--config", str(cfg)] + flag)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
 
 
 # a switch-jump mixture that sums to 1 but has a negative weight
@@ -344,6 +352,48 @@ def test_curve_csv(aux_config, capsys):
     x, w, z, zbar = map(float, lines[-1].split(","))
     assert w == pytest.approx(np.sinh(x), rel=1e-12)
     assert z == pytest.approx(np.cosh(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("x0", ["nan", "-1", "0", "inf"])
+def test_curve_bad_x0_exit_2(aux_config, capsys, x0):
+    # --x0 is the curve's right end
+    rc = main(["curve", "--config", str(aux_config), "--x0", x0])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert "--x0: the curve's right end must be positive and finite" in cap.err
+
+
+@pytest.mark.parametrize("command, name, extra", [
+    ("simulate", "simulate.csv", ["--paths", "200", "--dt", "0.01"]),
+    ("curve", "scale_curve.csv", []),
+])
+def test_out_csv_equals_stdout(aux_config, tmp_path, capsys, command, name,
+                               extra):
+    out_dir = tmp_path / "a" / "b"
+    rc = main([command, "--config", str(aux_config), "--out", str(out_dir)]
+              + extra)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert (out_dir / name).read_text() == out
+
+
+def test_simulate_regime_demo(capsys):
+    # the cli-demos settings on the demo regime model: the estimate against
+    # the solved value, then a start state and point, then fixed barriers
+    argv = ["simulate", "--config", str(DEMOS / "regime.cfg"), "--paths",
+            "2000", "--dt", "0.005", "--seed", "11"]
+    rows = []
+    for extra in ([], ["--state", "stress", "--x0", "0.3"],
+                  ["--barrier", "1.0,0.8"]):
+        rc = main(argv + extra)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[0] == "mean,std_error,analytic"
+        rows.append(list(map(float, out.splitlines()[1].split(","))))
+    for mean, se, analytic in rows[:2]:
+        assert abs(mean - analytic) <= 3.0 * se
+    assert np.isnan(rows[2][2])
 
 
 def test_verify_all_pass(aux_config, capsys):

@@ -199,6 +199,26 @@ def test_seed_independence(two_state_model):
     assert sol_a.barriers == pytest.approx(sol_b.barriers, abs=1e-6)
 
 
+def test_seed_outside_cone_is_a_model_error(two_state_model):
+    # a field the caller passed in is a model input, unlike the solver's own
+    grid = np.linspace(0.0, 2.0, 401)
+    convex = ValueField(grid=grid, values=np.tile(grid**2, (2, 1)),
+                        phi=two_state_model.phi)
+    with pytest.raises(ModelError, match="f not in cone"):
+        solve(two_state_model, seed=convex, grid_points=400, x_max=2.0)
+
+
+def test_regrow_matches_solve_on_the_final_grid(two_state_model):
+    # a barrier above 0.8 x_max doubles the grid end and restarts: from
+    # 0.5 twice, to 2.0, after which the solve is the one started there
+    grown = solve(two_state_model, tol=1e-8, grid_points=400, x_max=0.5)
+    direct = solve(two_state_model, tol=1e-8, grid_points=400, x_max=2.0)
+    assert grown.value.grid[-1] == 2.0
+    np.testing.assert_array_equal(grown.barriers, direct.barriers)
+    np.testing.assert_array_equal(grown.value.values, direct.value.values)
+    assert grown.iterations == direct.iterations
+
+
 def test_smooth_fit_per_state(two_state_model, three_state_model):
     for model in (two_state_model, three_state_model):
         sol = solve(model, tol=1e-8, grid_points=1200)
@@ -257,10 +277,12 @@ def _fuzz_model(k):
                        switch_jumps=jumps, phi=phi)
 
 
-@pytest.mark.parametrize("k", [35, 51, 61, 71])
+@pytest.mark.parametrize("k", [0, 17, 35, 51, 61, 71])
 def test_fuzz_models_fail_loudly_or_fit(k):
     # barriers where |ell| cannot reach 1e-10 in floating point: a barrier
-    # returned with no error must still meet smooth fit in every state
+    # returned with no error must still meet smooth fit in every state.
+    # Models 0 and 17 make value fields that leave the cone, a numerical
+    # failure, not a model error.
     model = _fuzz_model(k)
     try:
         sol = solve(model, grid_points=1000)

@@ -10,7 +10,8 @@ from levybarrier import (AuxProblem, LevySpec, ModelError, RegimeModel,
 from levybarrier import simulate
 from levybarrier.scale import exit_identities_analytic
 from levybarrier.simulate import (_double_barrier_npv, _first_passage,
-                                  _LiveNormals, _normals, _pair_means, _Pool)
+                                  _LiveNormals, _normals, _pair_means,
+                                  _run_chunks)
 
 
 def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
@@ -18,18 +19,42 @@ def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
                      antithetic=antithetic)
 
 
-def test_pool_matches_direct_moments():
-    rng = np.random.default_rng(1)
-    a, b = rng.standard_normal(1000), 2.0 + rng.standard_normal(700)
-    pool = _Pool()
-    pool.add(a)
-    pool.add(b)
-    allx = np.concatenate((a, b))
-    est = pool.estimate()
-    assert est.mean == pytest.approx(allx.mean(), rel=1e-12)
-    assert est.std_error == pytest.approx(
-        allx.std(ddof=1) / np.sqrt(len(allx)), rel=1e-12)
-    assert est.n_effective == 1700
+def _direct_moments(samples):
+    """(mean, standard error) of samples in one pass over all of them."""
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(len(samples))
+
+
+def test_pool_matches_direct_moments(monkeypatch):
+    # 3 full chunks of 1,000 paths and an odd last chunk of 301; the
+    # recording kernel returns two arrays per chunk
+    monkeypatch.setattr(simulate, "_CHUNK", 1000)
+    for antithetic in (False, True):
+        cfg = SimConfig(n_paths=3301, dt=0.1, t_max=100.0, rng_seed=12,
+                        antithetic=antithetic)
+        drawn, returned = [], []
+
+        def kernel(rng, n):
+            z = rng.standard_normal(n)
+            drawn.append(z)
+            returned.append((1.0 + z, 2.0 + 3.0 * z**2))
+            return returned[-1]
+
+        ests = _run_chunks(cfg, kernel, bias_allowance=0.25)
+        assert [len(z) for z in drawn] == [1000, 1000, 1000, 301]
+        # chunk j draws from child j of the seed's SeedSequence
+        children = np.random.SeedSequence(12).spawn(4)
+        for z, child in zip(drawn, children):
+            np.testing.assert_array_equal(
+                z, np.random.default_rng(child).standard_normal(len(z)))
+        pairs = _pair_means if antithetic else (lambda samples: samples)
+        assert len(ests) == 2
+        for k, est in enumerate(ests):
+            allx = np.concatenate([pairs(arrays[k]) for arrays in returned])
+            mean, se = _direct_moments(allx)
+            assert est.n_effective == len(allx) == (1651 if antithetic
+                                                    else 3301)
+            assert est.mean == pytest.approx(mean, rel=1e-12)
+            assert est.std_error == pytest.approx(se + 0.25, rel=1e-12)
 
 
 def test_pair_means_match_antithetic_normals():
@@ -83,8 +108,9 @@ def test_roulette_npv_unbiased_on_drift_down():
     # From x0 = 0 each step injects |mu| dt, so without roulette every
     # path's NPV is -phi |mu| dt sum_k e^{-delta k dt}.
     delta, phi, dt = 1.0, 2.0, _COARSE.dt
-    est = _double_barrier_npv(_drift_down_model(delta, phi), np.array([1.0]),
-                              0.0, 0, _COARSE).estimate()
+    kernel = _double_barrier_npv(_drift_down_model(delta, phi),
+                                 np.array([1.0]), 0.0, 0, _COARSE)
+    est, = _run_chunks(_COARSE, kernel)
     k = np.arange(1, math.ceil(_COARSE.t_max / dt) + 1)
     exact = -phi * abs(_DRIFT_DOWN.drift_mu) * dt * np.exp(-delta * k * dt).sum()
     assert est.std_error > 0
@@ -97,28 +123,24 @@ def test_roulette_exit_unbiased_on_drift_down():
     q, x = 1.0, 2.0
     down, up = _first_passage(_DRIFT_DOWN, q, 3.0, x, _COARSE,
                               np.random.default_rng(6), _COARSE.n_paths)
-    pool = _Pool()
-    pool.add(down)
-    est = pool.estimate()
+    mean, se = _direct_moments(down)
     assert not up.any()
-    assert est.std_error > 0
-    assert abs(est.mean - math.exp(-q * x / abs(_DRIFT_DOWN.drift_mu))) \
-        <= 3.0 * est.std_error
+    assert se > 0
+    assert abs(mean - math.exp(-q * x / abs(_DRIFT_DOWN.drift_mu))) <= 3.0 * se
 
 
-def test_antithetic_partners_die_together(monkeypatch):
+def test_antithetic_partners_die_together():
     # On the drift-only model partners k and k + ceil(n/2) differ only if
     # roulette ends them on different steps.
     cfg = SimConfig(n_paths=2_001, dt=0.05, t_max=8.0, rng_seed=8,
                     antithetic=True)
     half, odd = divmod(cfg.n_paths, 2)
-    npvs = []
-    monkeypatch.setattr(simulate, "_pair_means",
-                        lambda samples: npvs.append(samples) or samples)
-    _double_barrier_npv(_drift_down_model(), np.array([1.0]), 0.0, 0, cfg)
+    kernel = _double_barrier_npv(_drift_down_model(), np.array([1.0]), 0.0, 0,
+                                 cfg)
+    npv, = kernel(np.random.default_rng(8), cfg.n_paths)
     down, _ = _first_passage(_DRIFT_DOWN, 1.0, 3.0, 2.0, cfg,
                              np.random.default_rng(8), cfg.n_paths)
-    for samples in (npvs[0], down):
+    for samples in (npv, down):
         assert len(np.unique(samples)) > 1
         np.testing.assert_array_equal(samples[:half], samples[half + odd:])
 
@@ -324,7 +346,7 @@ def test_regime_npv_rejects_non_finite_start(symmetric_two_state, x0):
                                   "exit-q-negative", "npv-phi-below-1",
                                   "npv-lam-negative", "npv-b-nan",
                                   "fractional-n-paths", "negative-seed",
-                                  "fractional-seed"])
+                                  "fractional-seed", "tmax-inf"])
 def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
                                            case):
     spec, pw, cfg = brownian_spec, linear_payoff, small_cfg(paths=10)
@@ -352,6 +374,11 @@ def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
         "fractional-seed": (lambda: estimate_exit_identities(
             spec, 1.0, 2.0, 1.0, small_cfg(seed=1.5, paths=10)),
             "rng_seed must be an integer >= 0"),
+        # e^{-q t_max} = 0 passes the tail check, but the step count is not
+        # an integer
+        "tmax-inf": (lambda: estimate_exit_identities(
+            spec, 1.0, 2.0, 1.0, small_cfg(paths=10, tmax=float("inf"))),
+            "t_max must be finite"),
     }
     call, message = calls[case]
     with pytest.raises(ModelError, match=message):
