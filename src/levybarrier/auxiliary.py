@@ -240,7 +240,7 @@ def hjb_residual(problem: AuxProblem, b: float, x: float,
         nodes, wts = _composite_rule(np.concatenate(panels + [edges[-1:]]),
                                      _GL24)
     v, vp, vpp = _closed_form(problem, b, ev)(
-        np.concatenate(([x, b], x + nodes)))
+        np.concatenate(([x, b], x + nodes)), 1)
     vx, vb, vp, vpp = v[0], v[1], vp[0], vpp[0]
     if x >= b:
         vp = 1.0        # the right derivative; V'' is 0 there already

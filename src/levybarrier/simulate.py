@@ -27,6 +27,14 @@ follows the live paths.  kappa below 2q keeps the weighted second moment
 finite.  At 1.5 q, the regime NPV runs of acceptance criterion 9 take 2.6
 times fewer live path-steps than running every path to t_max, at standard
 errors 0.2% higher.
+
+Every Gaussian increment comes from a _Normals source that each chunk's
+kernel makes on its own generator: single-precision Box-Muller normals
+(Box & Muller 1958) made from the generator's raw bits in blocks of 8,192,
+a few branch-free array passes each, at about half the cost of numpy's
+ziggurat.  Its uniforms have 24 bits, so |Z| never exceeds
+sqrt(48 ln 2) = 5.77; the normal mass beyond that is 8.0e-9 per draw, far
+below any standard error here.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ from .payoff import ConcavePayoff, evaluate
 from .regime import RegimeModel, require_valid_model
 
 _CHUNK = 100_000
+
+# Normals per Box-Muller block of _Normals: 32 KB of float32
+_BLOCK = 8192
 
 # Broadie-Glasserman-Kou (1997) continuity correction, -zeta(1/2)/sqrt(2*pi):
 # reflecting the Euler path at a boundary shifted inward by
@@ -68,8 +79,12 @@ class SimConfig:
     def check(self, q_min: float) -> None:
         """Reject the settings, or the smallest discount rate q_min of the
         run, for which the estimate would be undefined or truncated."""
-        if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
-            raise ModelError(f"n_paths must be an integer >= 1, "
+        # a standard error needs 2 samples: 2 paths, or 2 antithetic pair
+        # means (a pair and an unpaired path)
+        need, when = (3, " when antithetic") if self.antithetic else (2, "")
+        if not isinstance(self.n_paths, numbers.Integral) or \
+                self.n_paths < need:
+            raise ModelError(f"n_paths must be an integer >= {need}{when}, "
                              f"got {self.n_paths!r}")
         if not 0 < self.dt < math.inf:
             raise ModelError("dt must be positive and finite")
@@ -92,11 +107,65 @@ class SimEstimate:
     n_effective: int
 
 
-def _normals(rng, n: int, antithetic: bool, dtype=np.float64) -> np.ndarray:
+class _Normals:
+    """Single-precision standard normals from one generator, handed out in
+    order by take(m), made by the Box-Muller transform in blocks of _BLOCK
+    so that each of its array passes stays in cache.
+
+    A block is _BLOCK/2 pairs (k1, k2) of 24-bit integers, the top bits of
+    the generator's raw 32-bit words.  The radius sqrt(-2 log u) takes
+    u = (k1 + 1) 2^-24 in (0, 1], the angle is 2 pi k2 2^-24, and the pair
+    gives r cos and r sin of it.  So |Z| <= sqrt(48 ln 2) = 5.77: the
+    normal mass beyond that, 8.0e-9 per draw, is never drawn."""
+
+    def __init__(self, rng):
+        self.bits = rng.bit_generator
+        self.buf = np.empty(_BLOCK, np.float32)
+        self.pos = _BLOCK
+        self.r = np.empty(_BLOCK // 2, np.float32)
+        self.t = np.empty(_BLOCK // 2, np.float32)
+
+    def _fill(self, out: np.ndarray) -> None:
+        """The next block of normals, into out (length _BLOCK)."""
+        h = _BLOCK // 2
+        k = self.bits.random_raw(h).view(np.uint32)
+        np.right_shift(k, 8, out=k)
+        r, t = self.r, self.t
+        np.add(k[:h], 1, out=r, dtype=np.float32)
+        r *= np.float32(2.0**-24)
+        np.log(r, out=r)
+        r *= np.float32(-2.0)
+        np.sqrt(r, out=r)
+        np.multiply(k[h:], np.float32(2.0 * math.pi * 2.0**-24), out=t,
+                    dtype=np.float32)
+        np.cos(t, out=out[:h])
+        out[:h] *= r
+        np.sin(t, out=out[h:])
+        out[h:] *= r
+
+    def take(self, m: int) -> np.ndarray:
+        """The next m normals; whole blocks are made in place in the
+        result, and what is left of a block waits for the next call."""
+        out = np.empty(m, np.float32)
+        got = min(m, _BLOCK - self.pos)
+        out[:got] = self.buf[self.pos:self.pos + got]
+        self.pos += got
+        while m - got >= _BLOCK:
+            self._fill(out[got:got + _BLOCK])
+            got += _BLOCK
+        if got < m:
+            self._fill(self.buf)
+            self.pos = m - got
+            out[got:] = self.buf[:self.pos]
+        return out
+
+
+def _normals(source: _Normals, n: int, antithetic: bool) -> np.ndarray:
+    """n normals from source; antithetic paths k and k + ceil(n/2) get one
+    draw with opposite signs."""
     if not antithetic:
-        return rng.standard_normal(n, dtype=dtype)
-    half = (n + 1) // 2
-    z = rng.standard_normal(half, dtype=dtype)
+        return source.take(n)
+    z = source.take((n + 1) // 2)
     return np.concatenate((z, -z))[:n]
 
 
@@ -133,8 +202,8 @@ def _run_chunks(config: SimConfig, kernel,
             tot = n + n_b
             pooled[i] = (tot, mean + delta * n_b / tot,
                          m2 + (m2_b + delta**2 * n * n_b / tot))
-    return [SimEstimate(mean=mean, n_effective=n, std_error=math.sqrt(
-                (m2 / (n - 1) if n > 1 else 0.0) / n) + bias_allowance)
+    return [SimEstimate(mean=mean, n_effective=n,
+                        std_error=math.sqrt(m2 / (n - 1) / n) + bias_allowance)
             for n, mean, m2 in pooled.values()]
 
 
@@ -291,6 +360,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
         state, jump_till, sw_till, death, idx = ints
         npv = np.empty(n)
         n_dead = 0
+        normals = _Normals(rng)
 
         def apply_switches(ja):
             origins = state[ja]
@@ -340,7 +410,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                 n_dead += int(np.count_nonzero(dying))
             disc *= dfac_cur
             u += drift_cur
-            u += vol_cur * _normals(rng, len(u), config.antithetic, f32)
+            u += vol_cur * _normals(normals, len(u), config.antithetic)
             pay = np.maximum(u - hi_cur, zero32)
             inj = np.maximum(lo_cur - u, zero32)
             np.maximum(u, lo_cur, out=u)
@@ -458,15 +528,15 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
 # exit identities: one first-passage loop
 
 class _LiveNormals:
-    """Per-step single-precision normals, times vol, for the live paths of a
-    chunk.  Antithetic paths k and k + ceil(n/2) (as in _normals) share one
-    draw with opposite signs.  Draws are made per pair slot, and the slots
-    are renumbered to the live pairs whenever they outnumber the live paths,
-    so the pairs outlive exits at no more draws per step than plain
-    sampling."""
+    """Per-step single-precision normals of a _Normals source on rng, times
+    vol, for the live paths of a chunk.  Antithetic paths k and k + ceil(n/2)
+    (as in _normals) share one draw with opposite signs.  Draws are made per
+    pair slot, and the slots are renumbered to the live pairs whenever they
+    outnumber the live paths, so the pairs outlive exits at no more draws
+    per step than plain sampling."""
 
     def __init__(self, rng, n: int, vol: np.float32, antithetic: bool):
-        self.rng, self.vol, self.slot = rng, vol, None
+        self.source, self.vol, self.slot = _Normals(rng), vol, None
         if antithetic:
             half = (n + 1) // 2
             k = np.arange(n)
@@ -476,9 +546,8 @@ class _LiveNormals:
 
     def draw(self, m: int) -> np.ndarray:
         if self.slot is None:
-            return self.vol * self.rng.standard_normal(m, dtype=np.float32)
-        z = self.rng.standard_normal(self.n_slots, dtype=np.float32)
-        return self.vol * z[self.slot]
+            return self.vol * self.source.take(m)
+        return self.vol * self.source.take(self.n_slots)[self.slot]
 
     def keep(self, keep: np.ndarray) -> None:
         if self.slot is None:

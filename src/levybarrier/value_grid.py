@@ -64,7 +64,8 @@ def _k_on_points(payoff, roots: np.ndarray, pts: np.ndarray,
 
 def _closed_form(problem: AuxProblem, b: float, ev: ScaleEvaluator):
     """The value of the (0, b) strategy as one vectorised function
-    xs -> (V, V', V'') over any real xs.
+    (xs, n_second=0) -> (V, V', V'') over any real xs, with V'' at
+    xs[:n_second] only: its W_q' pass is paid only where a caller reads it.
 
     The (problem, b) constants are computed here, once; each call of the
     returned function makes one K pass over {0}, its points in [0, b], the
@@ -79,7 +80,7 @@ def _closed_form(problem: AuxProblem, b: float, ev: ScaleEvaluator):
     om0, omb = evaluate(pw, 0.0), evaluate(pw, b)
     knots = pw.xs[(pw.xs > 0) & (pw.xs < b)]
 
-    def at(xs):
+    def at(xs, n_second=0):
         xs = np.asarray(xs, dtype=float)
         inside = (xs >= 0) & (xs <= b)
         # V(0) and V(b) anchor the linear branches
@@ -97,17 +98,20 @@ def _closed_form(problem: AuxProblem, b: float, ev: ScaleEvaluator):
         v = (-Zbar(ev, t) - psi_p0 / q + (lam / q) * (om0 + i1)
              + z_t * bracket / (q * w_b))
         vp = w_t / w_b * (phi + lam * i2 - z_b) + z_t - lam * (k_ys @ c)
-        vpp = np.zeros_like(t)
-        sub = t > 0
-        vpp[sub] = (bracket * W_deriv(ev, t[sub]) / w_b - q * w_t[sub]
-                    + lam * (k_ys[sub] @ cs))
+        vpp = np.zeros(min(n_second, len(xs)))
+        if n_second:
+            # the points of xs[:n_second] in [0, b] lead ys, in order
+            head = np.flatnonzero(inside[:n_second])
+            sub = np.flatnonzero(t[:len(head)] > 0)
+            vpp[head[sub]] = (bracket * W_deriv(ev, t[sub]) / w_b
+                              - q * w_t[sub] + lam * (k_ys[sub] @ cs))
 
         below = xs < 0
         out = (np.where(below, phi * xs + v[-2], (xs - b) + v[-1]),
-               np.where(below, phi, 1.0), np.zeros_like(xs))
-        for o, y in zip(out, (v, vp, vpp)):
+               np.where(below, phi, 1.0))
+        for o, y in zip(out, (v, vp)):
             o[inside] = y[:-2]
-        return out
+        return out + (vpp,)
 
     return at
 

@@ -333,6 +333,10 @@ def test_simulate_matches_analytic(aux_config, capsys):
     ("aux", ["--barrier", "wide"], "comma-separated numbers"),
     ("aux", ["--barrier", "-1.0"], "positive and finite"),
     ("aux", ["--state", "stress"], "levy.stress: unknown state"),
+    # one path, or one antithetic pair, has no standard error
+    ("aux", ["--paths", "1"], "n_paths must be an integer >= 2"),
+    ("aux", ["--paths", "2", "--antithetic"],
+     "n_paths must be an integer >= 3 when antithetic"),
 ])
 def test_simulate_bad_inputs_exit_2(aux_config, regime_config, capsys, which,
                                     extra, message):

@@ -9,9 +9,9 @@ from levybarrier import (AuxProblem, LevySpec, ModelError, RegimeModel,
                          simulate_regime_npv, solve, value)
 from levybarrier import simulate
 from levybarrier.scale import exit_identities_analytic
-from levybarrier.simulate import (_double_barrier_npv, _first_passage,
-                                  _LiveNormals, _normals, _pair_means,
-                                  _run_chunks)
+from levybarrier.simulate import (_BLOCK, _double_barrier_npv,
+                                  _first_passage, _LiveNormals, _Normals,
+                                  _normals, _pair_means, _run_chunks)
 
 
 def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
@@ -60,10 +60,70 @@ def test_pool_matches_direct_moments(monkeypatch):
 def test_pair_means_match_antithetic_normals():
     # _pair_means must pair the paths exactly as _normals negates them
     for n in (1, 6, 7):
-        z = _normals(np.random.default_rng(0), n, True)
+        z = _normals(_Normals(np.random.default_rng(0)), n, True)
+        assert z.dtype == np.float32
         pm = _pair_means(z)
         assert len(pm) == (n + 1) // 2
         assert np.all(pm[:n // 2] == 0.0)
+
+
+def test_normal_source_distribution():
+    # 2^21 draws: KS distance to N(0, 1), mean, variance and 4th moment
+    # within 5 SE, and the sqrt(48 ln 2) = 5.77 cap of 24-bit uniforms
+    from scipy import stats
+    n = 2**21
+    z = _Normals(np.random.default_rng(2024)).take(n).astype(float)
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    for moment, exact, var in ((z, 0.0, 1.0), (z**2, 1.0, 2.0),
+                               (z**4, 3.0, 96.0)):
+        assert abs(moment.mean() - exact) <= 5.0 * math.sqrt(var / n)
+    assert np.abs(z).max() <= 5.78
+
+
+def test_normal_source_is_box_muller_of_raw_bits():
+    # the first block from the documented construction, in double precision
+    k = (np.random.default_rng(5).bit_generator.random_raw(_BLOCK // 2)
+         .view(np.uint32) >> 8).astype(float)
+    h = _BLOCK // 2
+    r = np.sqrt(-2.0 * np.log((k[:h] + 1) * 2.0**-24))
+    angle = 2.0 * math.pi * k[h:] * 2.0**-24
+    z = _Normals(np.random.default_rng(5)).take(_BLOCK)
+    np.testing.assert_allclose(z, np.concatenate((r * np.cos(angle),
+                                                  r * np.sin(angle))),
+                               rtol=1e-5, atol=1e-5)
+
+
+def test_normal_source_order_across_refills():
+    # requests within, up to and across blocks hand out one stream in order
+    parts = _Normals(np.random.default_rng(3))
+    got = np.concatenate([parts.take(m) for m in (3, 8190, 20000)])
+    whole = _Normals(np.random.default_rng(3)).take(28193)
+    np.testing.assert_array_equal(got, whole)
+
+
+def test_antithetic_pairs_span_a_block_refill():
+    # partners k and k + ceil(n/2) stay exact negatives when their draws
+    # straddle a refill, in both the NPV and the exit-loop normals
+    n, half = 21, 11
+    src = _Normals(np.random.default_rng(4))
+    src.take(_BLOCK - 5)
+    z = _normals(src, n, True)
+    np.testing.assert_array_equal(z[:n - half], -z[half:])
+    ref = _Normals(np.random.default_rng(4)).take(_BLOCK + 6)[-half:]
+    np.testing.assert_array_equal(z[:half], ref)
+
+    ln = _LiveNormals(np.random.default_rng(4), n, np.float32(1.0), True)
+    ln.source.take(_BLOCK - 5)
+    live = np.arange(n)
+    for keep in (None, np.arange(n) % 4 != 1):
+        if keep is not None:
+            live = live[keep]
+            ln.keep(keep)
+        z = dict(zip(live, ln.draw(len(live))))
+        pairs = [k for k in live if k < n - half and k + half in z]
+        assert pairs
+        for k in pairs:
+            assert z[k] == -z[k + half]
 
 
 def test_live_normals_keep_pairs_after_exits():
@@ -346,7 +406,8 @@ def test_regime_npv_rejects_non_finite_start(symmetric_two_state, x0):
                                   "exit-q-negative", "npv-phi-below-1",
                                   "npv-lam-negative", "npv-b-nan",
                                   "fractional-n-paths", "negative-seed",
-                                  "fractional-seed", "tmax-inf"])
+                                  "fractional-seed", "tmax-inf", "one-sample",
+                                  "one-antithetic-pair"])
 def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
                                            case):
     spec, pw, cfg = brownian_spec, linear_payoff, small_cfg(paths=10)
@@ -379,6 +440,13 @@ def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
         "tmax-inf": (lambda: estimate_exit_identities(
             spec, 1.0, 2.0, 1.0, small_cfg(paths=10, tmax=float("inf"))),
             "t_max must be finite"),
+        # one sample has no variance: the standard error would read 0
+        "one-sample": (lambda: simulate_aux_npv(
+            spec, pw, 0.0, 1.0, 2.0, 1.3, 0.6, small_cfg(paths=1)),
+            "n_paths must be an integer >= 2"),
+        "one-antithetic-pair": (lambda: estimate_exit_identities(
+            spec, 1.0, 2.0, 1.0, small_cfg(paths=2, antithetic=True)),
+            "n_paths must be an integer >= 3 when antithetic"),
     }
     call, message = calls[case]
     with pytest.raises(ModelError, match=message):

@@ -83,7 +83,7 @@ def test_second_derivative_twelve_cases(twelve_cases):
         b, ev = sol.barrier, sol.evaluator
         xs = np.linspace(0.1 * b, 0.9 * b, 7)
         xs = xs[np.min(np.abs(xs[:, None] - prob.payoff.xs), axis=1) > 4 * h]
-        _, _, vpp = _closed_form(prob, b, ev)(xs)
+        _, _, vpp = _closed_form(prob, b, ev)(xs, len(xs))
         num = np.array([(value_derivative(prob, b, x + h, ev)
                          - value_derivative(prob, b, x - h, ev)) / (2 * h)
                         for x in xs])
