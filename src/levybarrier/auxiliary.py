@@ -44,12 +44,12 @@ class AuxProblem:
 
     def __post_init__(self):
         require_valid(self.spec)
-        if not self.delta > 0:
-            raise ModelError("delta must be positive")
-        if not self.lam >= 0:
-            raise ModelError("lam must be nonnegative")
-        if not self.phi > 1:
-            raise ModelError("phi must exceed 1")
+        if not 0 < self.delta < math.inf:
+            raise ModelError("delta must be positive and finite")
+        if not 0 <= self.lam < math.inf:
+            raise ModelError("lam must be nonnegative and finite")
+        if not 1 < self.phi < math.inf:
+            raise ModelError("phi must exceed 1 and be finite")
         if self.lam > 0 and right_derivative(self.payoff, 0.0) > self.phi + 1e-9:
             raise ModelError("payoff slope at 0+ exceeds phi")
 

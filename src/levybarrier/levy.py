@@ -15,6 +15,7 @@ switch jumps, before any of this is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,23 +58,25 @@ class LevySpec:
 def _mixture_error(mix) -> str | None:
     """The first violated law of a hyperexponential mixture, given as
     (weight, rate) pairs: weights positive and summing to 1, rates
-    positive.  None when the mixture is a probability law."""
-    if not all(w > 0 for w, _ in mix):
-        return "mixture weights must be positive"
+    positive, all finite.  None when the mixture is a probability law."""
+    if not all(0 < w < math.inf for w, _ in mix):
+        return "mixture weights must be positive and finite"
     if abs(sum(w for w, _ in mix) - 1.0) > _WEIGHT_TOL:
         return "weights sum != 1"
-    if not all(r > 0 for _, r in mix):
-        return "mixture rates must be strictly positive"
+    if not all(0 < r < math.inf for _, r in mix):
+        return "mixture rates must be strictly positive and finite"
     return None
 
 
 def validate(spec: LevySpec) -> str | None:
     """Check every LevySpec invariant; return a diagnostic naming the first
     violated one, or None when the spec is valid."""
-    if spec.sigma < 0:
-        return "sigma must be nonnegative"
-    if spec.jump_rate < 0:
-        return "jump_rate must be nonnegative"
+    if not math.isfinite(spec.drift_mu):
+        return "drift_mu must be finite"
+    if not 0 <= spec.sigma < math.inf:
+        return "sigma must be nonnegative and finite"
+    if not 0 <= spec.jump_rate < math.inf:
+        return "jump_rate must be nonnegative and finite"
     if spec.jump_rate > 0:
         if not spec.jump_mix:
             return "jump_rate > 0 but jump_mix is empty"

@@ -74,17 +74,18 @@ class RegimeModel:
 
 
 def validate_model(model: RegimeModel) -> str | None:
-    if model.phi <= 1:
-        return "phi must exceed 1"
+    if not 1 < model.phi < math.inf:
+        return "phi must exceed 1 and be finite"
     if model.switch_rates.shape != (model.n, model.n):
         return "switch_rates shape mismatch"
-    if np.any(model.switch_rates - np.diag(np.diag(model.switch_rates)) < 0):
-        return "negative switch rate"
+    off = model.switch_rates - np.diag(np.diag(model.switch_rates))
+    if not np.all((off >= 0) & (off < math.inf)):
+        return "switch rates must be nonnegative and finite"
     for i in range(model.n):
         if model.lam(i) <= 0:
             return f"state {model.states[i]}: every state must switch (lambda_i > 0)"
-        if model.discounts[i] <= 0:
-            return f"state {model.states[i]}: discount must be positive"
+        if not 0 < model.discounts[i] < math.inf:
+            return f"state {model.states[i]}: discount must be positive and finite"
         diag = validate(model.levy[i])
         if diag is not None:
             return f"state {model.states[i]}: {diag}"

@@ -35,6 +35,11 @@ a few branch-free array passes each, at about half the cost of numpy's
 ziggurat.  Its uniforms have 24 bits, so |Z| never exceeds
 sqrt(48 ln 2) = 5.77; the normal mass beyond that is 8.0e-9 per draw, far
 below any standard error here.
+
+Each path loop (a chunk's NPV kernel, each _first_passage run) makes one
+_Normals, and only when some state diffuses (sigma > 0).  That source keeps
+the antithetic pair slots through every compaction of the loop's arrays, so
+a path's partner follows its slot, not its position.
 """
 
 from __future__ import annotations
@@ -108,22 +113,35 @@ class SimEstimate:
 
 
 class _Normals:
-    """Single-precision standard normals from one generator, handed out in
-    order by take(m), made by the Box-Muller transform in blocks of _BLOCK
-    so that each of its array passes stays in cache.
+    """Single-precision standard normals from one generator: take(m) hands
+    out the raw stream in order, made by the Box-Muller transform in blocks
+    of _BLOCK so that each of its array passes stays in cache, and draw(m)
+    gives one to each live path of a chunk of n.
 
     A block is _BLOCK/2 pairs (k1, k2) of 24-bit integers, the top bits of
     the generator's raw 32-bit words.  The radius sqrt(-2 log u) takes
     u = (k1 + 1) 2^-24 in (0, 1], the angle is 2 pi k2 2^-24, and the pair
     gives r cos and r sin of it.  So |Z| <= sqrt(48 ln 2) = 5.77: the
-    normal mass beyond that, 8.0e-9 per draw, is never drawn."""
+    normal mass beyond that, 8.0e-9 per draw, is never drawn.
 
-    def __init__(self, rng):
+    Antithetic paths k and k + ceil(n/2) share a pair slot and take its
+    draw with opposite signs.  keep(mask) follows the live paths and
+    renumbers the slots to the live pairs when they outnumber the live
+    paths, so pairs outlive exits at no more draws than plain sampling."""
+
+    def __init__(self, rng, n: int, antithetic: bool):
         self.bits = rng.bit_generator
         self.buf = np.empty(_BLOCK, np.float32)
         self.pos = _BLOCK
         self.r = np.empty(_BLOCK // 2, np.float32)
         self.t = np.empty(_BLOCK // 2, np.float32)
+        self.slot = None
+        if antithetic:
+            half = (n + 1) // 2
+            k = np.arange(n)
+            self.slot = k % half
+            self.sign = np.where(k < half, 1, -1).astype(np.float32)
+            self.n_slots = half
 
     def _fill(self, out: np.ndarray) -> None:
         """The next block of normals, into out (length _BLOCK)."""
@@ -159,20 +177,27 @@ class _Normals:
             out[got:] = self.buf[:self.pos]
         return out
 
+    def draw(self, m: int) -> np.ndarray:
+        if self.slot is None:
+            return self.take(m)
+        return self.sign * self.take(self.n_slots)[self.slot]
 
-def _normals(source: _Normals, n: int, antithetic: bool) -> np.ndarray:
-    """n normals from source; antithetic paths k and k + ceil(n/2) get one
-    draw with opposite signs."""
-    if not antithetic:
-        return source.take(n)
-    z = source.take((n + 1) // 2)
-    return np.concatenate((z, -z))[:n]
+    def keep(self, keep: np.ndarray) -> None:
+        if self.slot is None:
+            return
+        self.slot, self.sign = self.slot[keep], self.sign[keep]
+        if self.n_slots > len(self.slot):
+            live = np.zeros(self.n_slots, dtype=bool)
+            live[self.slot] = True
+            renumber = np.cumsum(live) - 1
+            self.slot = renumber[self.slot]
+            self.n_slots = int(renumber[-1]) + 1
 
 
 def _pair_means(samples: np.ndarray) -> np.ndarray:
-    """Means of the antithetic pairs, paths k and k + ceil(n/2) (see
-    _normals): those are the independent samples, so the standard error
-    sees the variance reduction.  With n odd, the unpaired path stays."""
+    """Means of the antithetic pairs, paths k and k + ceil(n/2) (the pair
+    slots of _Normals): those are the independent samples, so the standard
+    error sees the variance reduction.  With n odd, the unpaired path stays."""
     half, odd = divmod(len(samples), 2)
     return np.concatenate((0.5 * (samples[:half] + samples[half + odd:]),
                            samples[half:half + odd]))
@@ -239,7 +264,7 @@ def _death_steps(rng, n: int, k0: int, kdt: float,
     geometric number of steps with p = 1 - e^{-kappa dt}, so a path lives
     through roulette step k with probability e^{-kappa dt (k - k0 + 1)},
     the inverse of its survivor weight there.  Antithetic partners k and
-    k + ceil(n/2) (as in _normals) share one draw."""
+    k + ceil(n/2) (the pairs of _Normals) share one draw."""
     g = rng.geometric(-math.expm1(-kdt), (n + 1) // 2 if antithetic else n)
     if antithetic:
         g = np.concatenate((g, g))[:n]
@@ -360,7 +385,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
         state, jump_till, sw_till, death, idx = ints
         npv = np.empty(n)
         n_dead = 0
-        normals = _Normals(rng)
+        normals = _Normals(rng, n, config.antithetic) if sig.any() else None
 
         def apply_switches(ja):
             origins = state[ja]
@@ -410,7 +435,8 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                 n_dead += int(np.count_nonzero(dying))
             disc *= dfac_cur
             u += drift_cur
-            u += vol_cur * _normals(normals, len(u), config.antithetic)
+            if normals is not None:
+                u += vol_cur * normals.draw(len(u))
             pay = np.maximum(u - hi_cur, zero32)
             inj = np.maximum(lo_cur - u, zero32)
             np.maximum(u, lo_cur, out=u)
@@ -450,6 +476,8 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                 npv[idx] = pv
                 keep = np.flatnonzero(death > k)
                 xs, fs, ints = (a.take(keep, axis=1) for a in (xs, fs, ints))
+                if normals is not None:
+                    normals.keep(keep)
                 u, lo_cur, hi_cur, drift_cur, vol_cur = xs
                 pv, disc, dfac_cur = fs
                 state, jump_till, sw_till, death, idx = ints
@@ -527,40 +555,6 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
 # ---------------------------------------------------------------------------
 # exit identities: one first-passage loop
 
-class _LiveNormals:
-    """Per-step single-precision normals of a _Normals source on rng, times
-    vol, for the live paths of a chunk.  Antithetic paths k and k + ceil(n/2)
-    (as in _normals) share one draw with opposite signs.  Draws are made per
-    pair slot, and the slots are renumbered to the live pairs whenever they
-    outnumber the live paths, so the pairs outlive exits at no more draws
-    per step than plain sampling."""
-
-    def __init__(self, rng, n: int, vol: np.float32, antithetic: bool):
-        self.source, self.vol, self.slot = _Normals(rng), vol, None
-        if antithetic:
-            half = (n + 1) // 2
-            k = np.arange(n)
-            self.slot = k % half
-            self.vol = np.where(k < half, vol, -vol).astype(np.float32)
-            self.n_slots = half
-
-    def draw(self, m: int) -> np.ndarray:
-        if self.slot is None:
-            return self.vol * self.source.take(m)
-        return self.vol * self.source.take(self.n_slots)[self.slot]
-
-    def keep(self, keep: np.ndarray) -> None:
-        if self.slot is None:
-            return
-        self.slot, self.vol = self.slot[keep], self.vol[keep]
-        if self.n_slots > len(self.slot):
-            live = np.zeros(self.n_slots, dtype=bool)
-            live[self.slot] = True
-            renumber = np.cumsum(live) - 1
-            self.slot = renumber[self.slot]
-            self.n_slots = int(renumber[-1]) + 1
-
-
 def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
     """One chunk of n paths from x until they pass below 0 or above b, or,
     with reflect_at (< b), below 0 only, pushed back to reflect_at from
@@ -584,8 +578,8 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
     top = b if reflect_at is None else reflect_at
     xs = np.full(n, min(float(x), top), dtype=np.float32)
     drift = np.float32(spec.drift_mu * dt)
-    normals = (_LiveNormals(rng, n, np.float32(spec.sigma * sqdt),
-                            config.antithetic) if spec.sigma > 0 else None)
+    vol = np.float32(spec.sigma * sqdt)
+    normals = _Normals(rng, n, config.antithetic) if spec.sigma > 0 else None
     p_any, p_two = _jump_probs(spec.jump_rate, dt)
     till = rng.geometric(p_any, n) if p_any > 0 else None
     mixture = _mixture(spec.jump_mix) if p_any > 0 else None
@@ -600,7 +594,7 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
         disc_mid = math.exp(-q * (k + 0.5) * dt + log_w)
         new = xs + drift
         if normals is not None:
-            new += normals.draw(len(idx))
+            new += vol * normals.draw(len(idx))
         dead = new < 0
         if normals is not None:
             res_d[idx[dead]] = disc_mid

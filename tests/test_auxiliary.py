@@ -187,6 +187,12 @@ def test_problem_validation(brownian_spec, linear_payoff):
     with pytest.raises(ModelError, match="delta"):
         AuxProblem(spec=brownian_spec, lam=0.0, delta=0.0, phi=2.0,
                    payoff=linear_payoff)
+    for bad in (float("inf"), float("nan")):
+        for name in ("delta", "lam", "phi"):
+            fields = {**dict(delta=1.0, lam=0.0, phi=2.0), name: bad}
+            with pytest.raises(ModelError, match=f"{name} .* finite"):
+                AuxProblem(spec=brownian_spec, payoff=linear_payoff,
+                           **fields)
     steep = make_payoff([[0.0, 0.0], [1.0, 5.0]], 1.0)
     with pytest.raises(ModelError, match="slope"):
         AuxProblem(spec=brownian_spec, lam=0.5, delta=1.0, phi=2.0,

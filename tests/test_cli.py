@@ -284,6 +284,46 @@ def test_switch_jump_lists_exit_2(tmp_path, capsys, weights, rates,
     assert message in err
 
 
+# 1e400 reads as inf: each model value must be finite, or the solvers fail
+# with a numpy error (exit 1) or a false numerical reason (exit 3)
+@pytest.mark.parametrize("command, demo, old, new, message", [
+    ("solve-aux", "aux.cfg", "drift_mu = 0.0", "drift_mu = 1e400",
+     "drift_mu must be finite"),
+    ("solve-aux", "aux.cfg", "sigma = 1.4142135623730951", "sigma = 1e400",
+     "sigma must be nonnegative and finite"),
+    ("solve-aux", "aux.cfg", "jump_rate = 0.0",
+     "jump_rate = 1e400\njump_mix = [[1.0, 2.0]]", "jump_rate must be nonnegative and finite"),
+    ("solve-aux", "aux.cfg", "jump_rate = 0.0",
+     "jump_rate = 1.0\njump_mix = [[1.0, 1e400]]",
+     "mixture rates must be strictly positive and finite"),
+    ("solve-aux", "aux.cfg", "delta = 1.0", "delta = 1e400",
+     "delta must be positive and finite"),
+    ("solve-aux", "aux.cfg", "lambda = 0.0", "lambda = 1e400",
+     "lam must be nonnegative and finite"),
+    ("solve-aux", "aux.cfg", "phi = 2.0", "phi = 1e400",
+     "phi must exceed 1 and be finite"),
+    ("solve-regime", "regime.cfg", "discounts = [0.8, 1.2]",
+     "discounts = [1e400, 1.0]", "state calm: discount must be positive and "
+     "finite"),
+    ("solve-regime", "regime.cfg", "[[0.0, 0.5], [1.0, 0.0]]",
+     "[[0.0, 1e400], [1.0, 0.0]]", "switch rates must be nonnegative and finite"),
+    ("solve-regime", "regime.cfg", "rates = [3.0]", "rates = [1e400]",
+     "jump 0->1: mixture rates must be strictly positive and finite"),
+    ("solve-regime", "regime.cfg", "phi = 1.6", "phi = 1e400",
+     "phi must exceed 1 and be finite"),
+])
+def test_non_finite_model_value_exit_2(tmp_path, capsys, command, demo, old,
+                                       new, message):
+    text = (DEMOS / demo).read_text()
+    assert old in text
+    p = tmp_path / "bad.cfg"
+    p.write_text(text.replace(old, new, 1))
+    rc = main([command, "--config", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == message + "\n"
+
+
 def test_solve_regime_collapse(regime_config, tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["solve-regime", "--config", str(regime_config), "--out",

@@ -86,6 +86,28 @@ def test_validate_rejects_bad_weights():
     assert validate(spec) is not None
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(drift_mu=float("inf")), "drift_mu must be finite"),
+    (dict(drift_mu=float("nan")), "drift_mu must be finite"),
+    (dict(sigma=float("inf")), "sigma must be nonnegative and finite"),
+    (dict(sigma=float("nan")), "sigma must be nonnegative and finite"),
+    (dict(jump_rate=float("inf")), "jump_rate must be nonnegative and finite"),
+    (dict(jump_rate=float("nan")), "jump_rate must be nonnegative and finite"),
+    (dict(jump_mix=((1.0, float("inf")),)),
+     "rates must be strictly positive and finite"),
+    (dict(jump_mix=((1.0, float("nan")),)),
+     "rates must be strictly positive and finite"),
+    (dict(jump_mix=((float("inf"), 2.0),)),
+     "weights must be positive and finite"),
+])
+def test_validate_rejects_non_finite(fields, message):
+    spec = LevySpec(**{**dict(drift_mu=-1.0, sigma=0.5, jump_rate=1.0,
+                              jump_mix=((1.0, 2.0),)), **fields})
+    assert message in validate(spec)
+    with pytest.raises(ModelError, match=message):
+        require_valid(spec)
+
+
 def test_validate_rejects_degenerate():
     spec = LevySpec(drift_mu=0.0, sigma=0.0, jump_rate=0.0, jump_mix=())
     assert validate(spec) is not None

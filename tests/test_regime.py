@@ -28,12 +28,31 @@ def test_validate_model(two_state_model):
     assert "switch" in validate_model(bad)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+@pytest.mark.parametrize("field, message", [
+    ("phi", "phi must exceed 1 and be finite"),
+    ("discounts", "state calm: discount must be positive and finite"),
+    ("switch_rates", "switch rates must be nonnegative and finite"),
+])
+def test_validate_model_rejects_non_finite(two_state_model, bad, field,
+                                           message):
+    value = {"phi": bad, "discounts": np.array([bad, 1.0]),
+             "switch_rates": np.array([[0.0, bad], [1.0, 0.0]])}[field]
+    model = dataclasses.replace(two_state_model, **{field: value})
+    assert validate_model(model) == message
+    with pytest.raises(ModelError, match=message):
+        solve(model, grid_points=200)
+
+
 @pytest.mark.parametrize("mix, message", [
     (((1.5, 3.0), (-0.5, 5.0)), "weights must be positive"),
     (((float("nan"), 3.0),), "weights must be positive"),
     (((0.5, 3.0), (0.2, 5.0)), "weights sum != 1"),
     (((1.0, -3.0),), "rates must be strictly positive"),
     ((), "weights sum != 1"),
+    (((float("inf"), 3.0),), "weights must be positive and finite"),
+    (((1.0, float("inf")),), "rates must be strictly positive and finite"),
+    (((1.0, float("nan")),), "rates must be strictly positive and finite"),
 ])
 def test_validate_model_rejects_bad_switch_jump(two_state_model, mix,
                                                 message):

@@ -10,8 +10,8 @@ from levybarrier import (AuxProblem, LevySpec, ModelError, RegimeModel,
 from levybarrier import simulate
 from levybarrier.scale import exit_identities_analytic
 from levybarrier.simulate import (_BLOCK, _double_barrier_npv,
-                                  _first_passage, _LiveNormals, _Normals,
-                                  _normals, _pair_means, _run_chunks)
+                                  _first_passage, _Normals, _pair_means,
+                                  _run_chunks)
 
 
 def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
@@ -58,9 +58,9 @@ def test_pool_matches_direct_moments(monkeypatch):
 
 
 def test_pair_means_match_antithetic_normals():
-    # _pair_means must pair the paths exactly as _normals negates them
+    # _pair_means must pair the paths exactly as _Normals negates them
     for n in (1, 6, 7):
-        z = _normals(_Normals(np.random.default_rng(0)), n, True)
+        z = _Normals(np.random.default_rng(0), n, True).draw(n)
         assert z.dtype == np.float32
         pm = _pair_means(z)
         assert len(pm) == (n + 1) // 2
@@ -72,7 +72,7 @@ def test_normal_source_distribution():
     # within 5 SE, and the sqrt(48 ln 2) = 5.77 cap of 24-bit uniforms
     from scipy import stats
     n = 2**21
-    z = _Normals(np.random.default_rng(2024)).take(n).astype(float)
+    z = _Normals(np.random.default_rng(2024), 0, False).take(n).astype(float)
     assert stats.kstest(z, "norm").pvalue > 1e-3
     for moment, exact, var in ((z, 0.0, 1.0), (z**2, 1.0, 2.0),
                                (z**4, 3.0, 96.0)):
@@ -87,7 +87,7 @@ def test_normal_source_is_box_muller_of_raw_bits():
     h = _BLOCK // 2
     r = np.sqrt(-2.0 * np.log((k[:h] + 1) * 2.0**-24))
     angle = 2.0 * math.pi * k[h:] * 2.0**-24
-    z = _Normals(np.random.default_rng(5)).take(_BLOCK)
+    z = _Normals(np.random.default_rng(5), 0, False).take(_BLOCK)
     np.testing.assert_allclose(z, np.concatenate((r * np.cos(angle),
                                                   r * np.sin(angle))),
                                rtol=1e-5, atol=1e-5)
@@ -95,57 +95,92 @@ def test_normal_source_is_box_muller_of_raw_bits():
 
 def test_normal_source_order_across_refills():
     # requests within, up to and across blocks hand out one stream in order
-    parts = _Normals(np.random.default_rng(3))
+    parts = _Normals(np.random.default_rng(3), 0, False)
     got = np.concatenate([parts.take(m) for m in (3, 8190, 20000)])
-    whole = _Normals(np.random.default_rng(3)).take(28193)
+    whole = _Normals(np.random.default_rng(3), 0, False).take(28193)
     np.testing.assert_array_equal(got, whole)
 
 
 def test_antithetic_pairs_span_a_block_refill():
     # partners k and k + ceil(n/2) stay exact negatives when their draws
-    # straddle a refill, in both the NPV and the exit-loop normals
+    # straddle a refill, and keep their pairing after exits
     n, half = 21, 11
-    src = _Normals(np.random.default_rng(4))
+    src = _Normals(np.random.default_rng(4), n, True)
     src.take(_BLOCK - 5)
-    z = _normals(src, n, True)
+    z = src.draw(n)
     np.testing.assert_array_equal(z[:n - half], -z[half:])
-    ref = _Normals(np.random.default_rng(4)).take(_BLOCK + 6)[-half:]
-    np.testing.assert_array_equal(z[:half], ref)
+    ref = _Normals(np.random.default_rng(4), n, False).take(_BLOCK + 6)
+    np.testing.assert_array_equal(z[:half], ref[-half:])
 
-    ln = _LiveNormals(np.random.default_rng(4), n, np.float32(1.0), True)
-    ln.source.take(_BLOCK - 5)
     live = np.arange(n)
-    for keep in (None, np.arange(n) % 4 != 1):
-        if keep is not None:
-            live = live[keep]
-            ln.keep(keep)
-        z = dict(zip(live, ln.draw(len(live))))
-        pairs = [k for k in live if k < n - half and k + half in z]
-        assert pairs
-        for k in pairs:
-            assert z[k] == -z[k + half]
+    keep = np.arange(n) % 4 != 1
+    live = live[keep]
+    src.keep(keep)
+    z = dict(zip(live, src.draw(len(live))))
+    pairs = [k for k in live if k < n - half and k + half in z]
+    assert pairs
+    for k in pairs:
+        assert z[k] == -z[k + half]
+
+
+def _check_pairs(src, live, half):
+    """Draw for the live paths of src: partners k and k + half are exact
+    negatives, a path without a live partner shares no draw, and no more
+    pair slots are drawn than there are live paths."""
+    assert src.n_slots <= len(live)
+    z = dict(zip(live, src.draw(len(live))))
+    for k in live:
+        partner = k + half if k < half else k - half
+        if partner in z:
+            assert z[k] == -z[partner]
+        else:
+            assert all(abs(z[k]) != abs(z[j]) for j in z if j != k)
 
 
 def test_live_normals_keep_pairs_after_exits():
-    # partners k and k + ceil(n/2) keep opposite draws after exits, and no
-    # more pair slots are drawn than there are live paths
+    # the exit loop's boolean masks; the second exit leaves pair (0, 4)
+    # whole and renumbers the slots
     n, half = 8, 4
-    ln = _LiveNormals(np.random.default_rng(0), n, np.float32(0.5), True)
+    src = _Normals(np.random.default_rng(0), n, True)
     live = np.arange(n)
-    # the second exit leaves pair (0, 4) whole and renumbers the slots
-    for keep in (None, [1, 1, 0, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0]):
-        if keep is not None:
-            keep = np.array(keep, dtype=bool)
-            live = live[keep]
-            ln.keep(keep)
-            assert ln.n_slots <= len(live)
-        z = dict(zip(live, ln.draw(len(live))))
-        for k in live:
-            partner = k + half if k < half else k - half
-            if partner in z:
-                assert z[k] == -z[partner]
-            else:
-                assert all(abs(z[k]) != abs(z[j]) for j in z if j != k)
+    _check_pairs(src, live, half)
+    for keep in ([1, 1, 0, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0]):
+        keep = np.array(keep, dtype=bool)
+        live = live[keep]
+        src.keep(keep)
+        _check_pairs(src, live, half)
+
+
+def test_normals_keep_pairs_through_npv_compactions():
+    # the NPV kernel's compactions: index arrays of the paths that stay,
+    # where partners die together; first the pair (1, 5), then the
+    # unpaired path 3 of n = 7, then the pair (0, 4)
+    n, half = 7, 4
+    src = _Normals(np.random.default_rng(9), n, True)
+    live = np.arange(n)
+    _check_pairs(src, live, half)
+    for dead in ((1, 5), (3,), (0, 4)):
+        keep = np.flatnonzero(~np.isin(live, dead))
+        live = live[keep]
+        src.keep(keep)
+        _check_pairs(src, live, half)
+    # the slots were renumbered to the one live pair (2, 6)
+    assert src.n_slots == 1
+
+
+def test_no_normals_where_nothing_diffuses(cramer_lundberg_spec,
+                                           linear_payoff, monkeypatch):
+    # sigma = 0: neither kernel makes a normal source
+    def no_source(*args):
+        raise AssertionError("normal source made for a sigma = 0 run")
+    monkeypatch.setattr(simulate, "_Normals", no_source)
+    cfg = small_cfg(seed=2, paths=2000)
+    npv = simulate_aux_npv(cramer_lundberg_spec, linear_payoff, 0.0, 1.0,
+                           1.5, 1.0, 0.5, cfg)
+    assert npv.std_error > 0
+    for est in estimate_exit_identities(cramer_lundberg_spec, 1.0, 2.0, 1.0,
+                                        cfg):
+        assert est.std_error > 0
 
 
 # A drift-only surplus (sigma = 0, no jumps) is not a valid LevySpec for the
