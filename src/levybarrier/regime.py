@@ -78,6 +78,15 @@ def validate_model(model: RegimeModel) -> str | None:
         return "phi must exceed 1 and be finite"
     if model.switch_rates.shape != (model.n, model.n):
         return "switch_rates shape mismatch"
+    if np.shape(model.discounts) != (model.n,):
+        return (f"discounts: expected one per state, shape ({model.n},), "
+                f"got {np.shape(model.discounts)}")
+    if len(model.levy) != model.n:
+        return (f"levy: expected one LevySpec per state ({model.n}), "
+                f"got {len(model.levy)}")
+    for i, j in model.switch_jumps:
+        if not (0 <= i < model.n and 0 <= j < model.n):
+            return f"jump {i}->{j}: state index outside 0..{model.n - 1}"
     off = model.switch_rates - np.diag(np.diag(model.switch_rates))
     if not np.all((off >= 0) & (off < math.inf)):
         return "switch rates must be nonnegative and finite"

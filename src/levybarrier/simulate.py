@@ -6,13 +6,17 @@ clocks with exact hyperexponential sizes (_jump_probs, _jump_sizes); and
 boundaries shifted inward by the Broadie-Glasserman-Kou continuity
 correction.  _double_barrier_npv reflects at 0 and b_{Y_t} and pays out
 dividends and injections: the regime NPV runs it on the model's chain, the
-single-regime NPV on a one-state chain.  _first_passage runs paths until
-they exit below 0 or above b, or reflects them at the upper boundary, with
-Brownian-bridge crossings inside a step: the exit identities run it twice
-per chunk.  _run_chunks runs a kernel on each chunk of paths, with an RNG
-substream spawned from the seed, and pools the per-path arrays it returns
-in chunk order, so results are bit-reproducible and seed reuse gives common
-random numbers.
+single-regime NPV on a one-state chain.  _first_passage runs diffusing
+paths until they exit below 0 or above b, or reflects them at the upper
+boundary, with Brownian-bridge crossings inside a step: the exit
+identities run it twice per chunk, or, when sigma = 0, _claim_to_claim,
+which needs no steps: such a path is a straight line between claims, so
+it moves from one claim to the next and exits below 0 at the exact time
+the drift reaches 0, with no dt, roulette or two-arrival folding, in about
+jump_rate * t_max rounds.  _run_chunks runs a kernel on each chunk of
+paths, with an RNG substream spawned from the seed, and pools the per-path
+arrays it returns in chunk order, so results are bit-reproducible and seed
+reuse gives common random numbers.
 
 Both kernels end paths by Russian roulette (Kahn & Harris 1951) once their
 discount is spent.  Roulette starts at T0, where the slowest discount of the
@@ -36,10 +40,10 @@ ziggurat.  Its uniforms have 24 bits, so |Z| never exceeds
 sqrt(48 ln 2) = 5.77; the normal mass beyond that is 8.0e-9 per draw, far
 below any standard error here.
 
-Each path loop (a chunk's NPV kernel, each _first_passage run) makes one
-_Normals, and only when some state diffuses (sigma > 0).  That source keeps
-the antithetic pair slots through every compaction of the loop's arrays, so
-a path's partner follows its slot, not its position.
+Each _first_passage run makes one _Normals, and so does each chunk's NPV
+kernel when some state diffuses (sigma > 0).  That source keeps the
+antithetic pair slots through every compaction of the loop's arrays, so a
+path's partner follows its slot, not its position.
 """
 
 from __future__ import annotations
@@ -127,7 +131,9 @@ class _Normals:
     Antithetic paths k and k + ceil(n/2) share a pair slot and take its
     draw with opposite signs.  keep(mask) follows the live paths and
     renumbers the slots to the live pairs when they outnumber the live
-    paths, so pairs outlive exits at no more draws than plain sampling."""
+    paths, so pairs outlive exits at no more draws than plain sampling;
+    the exit loop's antithetic streams rest on that rule.  The NPV kernel,
+    whose partners die together, renumbers at every compaction."""
 
     def __init__(self, rng, n: int, antithetic: bool):
         self.bits = rng.bit_generator
@@ -187,11 +193,17 @@ class _Normals:
             return
         self.slot, self.sign = self.slot[keep], self.sign[keep]
         if self.n_slots > len(self.slot):
-            live = np.zeros(self.n_slots, dtype=bool)
-            live[self.slot] = True
-            renumber = np.cumsum(live) - 1
-            self.slot = renumber[self.slot]
-            self.n_slots = int(renumber[-1]) + 1
+            self.renumber()
+
+    def renumber(self) -> None:
+        """Number the slots of the live pairs 0, 1, ..., so that draw takes
+        no normal for a pair whose paths have both left."""
+        if self.slot is None:
+            return
+        live = np.zeros(self.n_slots, dtype=bool)
+        live[self.slot] = True
+        self.slot = (np.cumsum(live) - 1)[self.slot]
+        self.n_slots = int(np.count_nonzero(live))
 
 
 def _pair_means(samples: np.ndarray) -> np.ndarray:
@@ -478,6 +490,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
                 xs, fs, ints = (a.take(keep, axis=1) for a in (xs, fs, ints))
                 if normals is not None:
                     normals.keep(keep)
+                    normals.renumber()
                 u, lo_cur, hi_cur, drift_cur, vol_cur = xs
                 pv, disc, dfac_cur = fs
                 state, jump_till, sw_till, death, idx = ints
@@ -553,17 +566,17 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
 
 
 # ---------------------------------------------------------------------------
-# exit identities: one first-passage loop
+# exit identities: a first-passage loop for sigma > 0, claim to claim for 0
 
 def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
-    """One chunk of n paths from x until they pass below 0 or above b, or,
-    with reflect_at (< b), below 0 only, pushed back to reflect_at from
-    above.  Returns the per-path discount factors at rate q of the exits
-    below 0 and above b, times the roulette weight (0: no exit, or ended by
-    roulette first).  A crossing inside a step counts at
-    the step midpoint, or, when sigma = 0 (so drift_mu < 0), at the exact
-    time the drift meets 0.  Exited paths leave the working arrays, so the
-    cost follows the live paths."""
+    """One chunk of n paths of a diffusing spec (sigma > 0) from x until
+    they pass below 0 or above b, or, with reflect_at (< b), below 0 only,
+    pushed back to reflect_at from above.  Returns the per-path discount
+    factors at rate q of the exits below 0 and above b, times the roulette
+    weight (0: no exit, or ended by roulette first).  A crossing inside a
+    step, at the step's end or by the Brownian bridge, counts at the step
+    midpoint.  Exited paths leave the working arrays, so the cost follows
+    the live paths."""
     dt = config.dt
     sqdt = math.sqrt(dt)
     sig2dt = spec.sigma**2 * dt
@@ -579,7 +592,7 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
     xs = np.full(n, min(float(x), top), dtype=np.float32)
     drift = np.float32(spec.drift_mu * dt)
     vol = np.float32(spec.sigma * sqdt)
-    normals = _Normals(rng, n, config.antithetic) if spec.sigma > 0 else None
+    normals = _Normals(rng, n, config.antithetic)
     p_any, p_two = _jump_probs(spec.jump_rate, dt)
     till = rng.geometric(p_any, n) if p_any > 0 else None
     mixture = _mixture(spec.jump_mix) if p_any > 0 else None
@@ -590,32 +603,24 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
             break
         # the discount of an exit in a roulette step carries the survivor
         # weight e^{kappa dt (k - k0 + 1)}
-        log_w = kdt * max(k - k0 + 1, 0)
-        disc_mid = math.exp(-q * (k + 0.5) * dt + log_w)
+        disc_mid = math.exp(-q * (k + 0.5) * dt + kdt * max(k - k0 + 1, 0))
         new = xs + drift
-        if normals is not None:
-            new += vol * normals.draw(len(idx))
+        new += vol * normals.draw(len(idx))
         dead = new < 0
-        if normals is not None:
-            res_d[idx[dead]] = disc_mid
-        elif dead.any():
-            frac = np.clip(xs[dead] / (-spec.drift_mu * dt), 0.0, 1.0)
-            res_d[idx[dead]] = np.exp(-q * (k * dt + frac * dt) + log_w)
+        res_d[idx[dead]] = disc_mid
+        walls = [(res_d, xs, new)]
         if reflect_at is None:
             up = new > b
             res_u[idx[up]] = disc_mid
             dead |= up
-        if normals is not None:
-            walls = [(res_d, xs, new)]
-            if reflect_at is None:
-                walls.append((res_u, b - xs, b - new))
-            for res, d0, d1 in walls:
-                j = np.nonzero(~dead & (d0 < thr) & (d1 < thr))[0]
-                if len(j):
-                    p_hit = np.exp(-2.0 * d0[j] * d1[j] / sig2dt)
-                    hit = j[rng.random(len(j)) < p_hit]
-                    res[idx[hit]] = disc_mid
-                    dead[hit] = True
+            walls.append((res_u, b - xs, b - new))
+        for res, d0, d1 in walls:
+            j = np.nonzero(~dead & (d0 < thr) & (d1 < thr))[0]
+            if len(j):
+                p_hit = np.exp(-2.0 * d0[j] * d1[j] / sig2dt)
+                hit = j[rng.random(len(j)) < p_hit]
+                res[idx[hit]] = disc_mid
+                dead[hit] = True
         if till is not None:
             till -= 1
             j = np.nonzero(till == 0)[0]
@@ -641,8 +646,43 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
             np.minimum(xs, np.float32(top), out=xs)
         if till is not None:
             till = till[keep]
-        if normals is not None:
-            normals.keep(keep)
+        normals.keep(keep)
+    return res_d, res_u
+
+
+def _claim_to_claim(spec, q, b, x, config, rng, n, reflect_at=None):
+    """_first_passage for a sigma = 0 spec, exactly and with no time step.
+    Between claims such a path falls along a straight line at |drift_mu|,
+    so each round draws every live path's Exp(jump_rate) wait to its next
+    claim.  A path whose line reaches 0 first exits below 0 at that time;
+    otherwise the claim, a _hyperexp size, lifts it: out above b in a free
+    run, or clamped to reflect_at (b at sigma = 0).  An exit or claim after
+    t_max ends the path with 0, so a reflected path lives through about
+    jump_rate * t_max rounds at most."""
+    speed = -spec.drift_mu   # > 0 for a sigma = 0 spec that is valid
+    mixture = _mixture(spec.jump_mix)
+    res_d, res_u = np.zeros(n), np.zeros(n)
+    idx = np.arange(n)
+    pos = np.full(n, min(float(x), b if reflect_at is None else reflect_at))
+    t = np.zeros(n)
+    while len(idx):
+        w = rng.standard_exponential(len(idx)) / spec.jump_rate
+        ruin = pos / speed
+        down = ruin <= w
+        tau = t[down] + ruin[down]
+        ends = tau <= config.t_max
+        res_d[idx[down][ends]] = np.exp(-q * tau[ends])
+        t += w
+        claim = ~down & (t <= config.t_max)
+        idx, t = idx[claim], t[claim]
+        pos = pos[claim] - speed * w[claim] + _hyperexp(rng, len(idx),
+                                                        mixture)
+        if reflect_at is None:
+            up = pos > b
+            res_u[idx[up]] = np.exp(-q * t[up])
+            idx, pos, t = idx[~up], pos[~up], t[~up]
+        else:
+            np.minimum(pos, reflect_at, out=pos)
     return res_d, res_u
 
 
@@ -654,8 +694,9 @@ def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
     before reaching b, reaching b before 0, and first passage below 0 under
     reflection at b from above.  Each chunk runs _first_passage on free
     paths killed at b and on paths pushed back to b - _AGP*sigma*sqrt(dt),
-    which cancels the discrete-reflection bias; antithetic runs pool pair
-    means."""
+    which cancels the discrete-reflection bias, or, when sigma = 0,
+    _claim_to_claim on free paths and on paths clamped at b, with no dt;
+    antithetic runs pool pair means (of independent paths when sigma = 0)."""
     require_valid(spec)
     if not 0 < b < math.inf:
         raise ModelError(f"b must be positive and finite, got {b!r}")
@@ -664,9 +705,11 @@ def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
     config.check(q)
     b_eff = max(b - _AGP * spec.sigma * math.sqrt(config.dt), 0.5 * b)
 
+    passage = _first_passage if spec.sigma > 0 else _claim_to_claim
+
     def kernel(rng, n):
         r_free, r_refl = rng.spawn(2)
-        res_d, res_u = _first_passage(spec, q, b, x, config, r_free, n)
-        res_r, _ = _first_passage(spec, q, b, x, config, r_refl, n, b_eff)
+        res_d, res_u = passage(spec, q, b, x, config, r_free, n)
+        res_r, _ = passage(spec, q, b, x, config, r_refl, n, b_eff)
         return res_d, res_u, res_r
     return tuple(_run_chunks(config, kernel))

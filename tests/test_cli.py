@@ -324,6 +324,18 @@ def test_non_finite_model_value_exit_2(tmp_path, capsys, command, demo, old,
     assert err == message + "\n"
 
 
+def test_short_discounts_exit_2(tmp_path, capsys):
+    # one discount for two states: a one-line reason, not an IndexError
+    text = (DEMOS / "regime.cfg").read_text()
+    assert "discounts = [0.8, 1.2]" in text
+    p = tmp_path / "short.cfg"
+    p.write_text(text.replace("discounts = [0.8, 1.2]", "discounts = [0.8]"))
+    rc = main(["solve-regime", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "discounts: expected one per state, shape (2,), got (1,)\n"
+
+
 def test_solve_regime_collapse(regime_config, tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["solve-regime", "--config", str(regime_config), "--out",

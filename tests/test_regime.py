@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def test_validate_model_rejects_bad_switch_jump(two_state_model, mix,
         two_state_model, switch_jumps={(0, 1): SwitchJump("hyperexp", mix)})
     assert message in validate_model(model)
     with pytest.raises(ModelError, match="jump 0->1"):
+        solve(model, grid_points=200)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("levy", lambda m: m.levy[:1],
+     "levy: expected one LevySpec per state (2), got 1"),
+    ("discounts", lambda m: m.discounts[:1],
+     "discounts: expected one per state, shape (2,), got (1,)"),
+    ("switch_jumps", lambda m: {(0, 2): SwitchJump("none")},
+     "jump 0->2: state index outside 0..1"),
+], ids=["levy", "discounts", "switch_jumps"])
+def test_validate_model_rejects_mis_shaped(two_state_model, field, value,
+                                           message):
+    # checked before the per-state loop, which would index past the end
+    model = dataclasses.replace(two_state_model,
+                                **{field: value(two_state_model)})
+    assert validate_model(model) == message
+    with pytest.raises(ModelError, match=re.escape(message)):
         solve(model, grid_points=200)
 
 

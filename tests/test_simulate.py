@@ -168,12 +168,37 @@ def test_normals_keep_pairs_through_npv_compactions():
     assert src.n_slots == 1
 
 
+def test_npv_compaction_draws_only_live_pairs():
+    # keep alone leaves the slot of the dead pair (1, 5) drawn, as the exit
+    # loop needs; renumber after it, as the NPV compaction does, drops it
+    n, half = 8, 4
+    src = _Normals(np.random.default_rng(9), n, True)
+    live = np.arange(n)
+    keep = np.flatnonzero(~np.isin(live, (1, 5)))
+    live = live[keep]
+    src.keep(keep)
+    assert src.n_slots == 4
+    src.renumber()
+    assert src.n_slots == 3
+    _check_pairs(src, live, half)
+    # a compaction that ends every path leaves no slot
+    src.keep(np.array([], dtype=np.int64))
+    src.renumber()
+    assert src.n_slots == 0
+    assert len(src.draw(0)) == 0
+
+
 def test_no_normals_where_nothing_diffuses(cramer_lundberg_spec,
                                            linear_payoff, monkeypatch):
-    # sigma = 0: neither kernel makes a normal source
+    # sigma = 0: neither kernel makes a normal source, and the exit
+    # identities run claim to claim, never through the stepping loop
     def no_source(*args):
         raise AssertionError("normal source made for a sigma = 0 run")
+
+    def stepping(*args):
+        raise AssertionError("sigma = 0 exit run stepped in time")
     monkeypatch.setattr(simulate, "_Normals", no_source)
+    monkeypatch.setattr(simulate, "_first_passage", stepping)
     cfg = small_cfg(seed=2, paths=2000)
     npv = simulate_aux_npv(cramer_lundberg_spec, linear_payoff, 0.0, 1.0,
                            1.5, 1.0, 0.5, cfg)
@@ -214,14 +239,21 @@ def test_roulette_npv_unbiased_on_drift_down():
 
 def test_roulette_exit_unbiased_on_drift_down():
     # From x, the drift meets 0 at x/|mu| = 4 > T0 = ln(20)/q, so every exit
-    # value is roulette-weighted; its mean is exactly e^{-q x/|mu|}.
-    q, x = 1.0, 2.0
+    # value is roulette-weighted.  The stepping loop (here with sigma = 0,
+    # so its normals add nothing) counts the exit at the midpoint of the
+    # step where the single-precision path first falls below 0, so its mean
+    # is exactly e^{-q (k + 1/2) dt} for that step k.
+    q, x, dt = 1.0, 2.0, _COARSE.dt
     down, up = _first_passage(_DRIFT_DOWN, q, 3.0, x, _COARSE,
                               np.random.default_rng(6), _COARSE.n_paths)
     mean, se = _direct_moments(down)
+    path, step, k = np.float32(x), np.float32(_DRIFT_DOWN.drift_mu * dt), 0
+    while path + step >= 0:
+        path, k = path + step, k + 1
+    assert abs((k + 0.5) * dt - x / abs(_DRIFT_DOWN.drift_mu)) <= dt
     assert not up.any()
     assert se > 0
-    assert abs(mean - math.exp(-q * x / abs(_DRIFT_DOWN.drift_mu))) <= 3.0 * se
+    assert abs(mean - math.exp(-q * (k + 0.5) * dt)) <= 3.0 * se
 
 
 def test_antithetic_partners_die_together():
@@ -374,13 +406,64 @@ def test_exit_identities_boundary_cases(brownian_spec):
 
 @pytest.mark.parametrize("spec_name", ["cramer_lundberg_spec", "mixed_spec"])
 def test_exit_identities_jump_models(spec_name, request):
-    # the jump step, and for sigma = 0 the exact drift crossing of 0
+    # the jump step (mixed), and claim-to-claim simulation when sigma = 0
     spec = request.getfixturevalue(spec_name)
     ev = build_scale_evaluator(spec, 1.0)
     targets = exit_identities_analytic(ev, 2.0, 1.0)
     ests = estimate_exit_identities(spec, 1.0, 2.0, 1.0, small_cfg(seed=13))
     for est, target in zip(ests, targets):
         assert abs(est.mean - target) <= 3.0 * est.std_error
+
+
+def test_claim_to_claim_ruin_at_zero_is_immediate(cramer_lundberg_spec):
+    # sigma = 0 from x = 0: the drift is at 0 at time 0, before any claim
+    down, up, refl = estimate_exit_identities(cramer_lundberg_spec, 1.0, 2.0,
+                                              0.0, small_cfg(seed=3))
+    assert down.mean == 1.0 and refl.mean == 1.0
+    assert up.mean == 0.0
+
+
+def test_claim_to_claim_drift_to_ruin():
+    # At jump rate 1e-3 almost every path falls straight to 0 at x/|mu|:
+    # exit_down is about e^{-q x/|mu|}, and within 3 SE of its closed form.
+    spec = LevySpec(drift_mu=-0.5, sigma=0.0, jump_rate=1e-3,
+                    jump_mix=((1.0, 1.0),))
+    q, b, x = 1.0, 3.0, 2.0
+    down, _, _ = estimate_exit_identities(spec, q, b, x, small_cfg(seed=4))
+    target = exit_identities_analytic(build_scale_evaluator(spec, q), b, x)[0]
+    assert down.mean == pytest.approx(math.exp(-q * x / abs(spec.drift_mu)),
+                                      rel=1e-2)
+    assert abs(down.mean - target) <= 3.0 * down.std_error
+    # x/|mu| = 20 > t_max = 19: no path reaches 0 in time, and the t_max
+    # cut scores every one of them 0
+    down, _, refl = estimate_exit_identities(spec, q, 12.0, 10.0,
+                                             small_cfg(seed=4))
+    assert down.mean == 0.0 and refl.mean == 0.0
+
+
+def test_claim_to_claim_has_no_time_step(cramer_lundberg_spec):
+    # the sigma = 0 estimates do not depend on dt at all
+    fine = estimate_exit_identities(cramer_lundberg_spec, 1.0, 2.0, 1.0,
+                                    small_cfg(seed=5, dt=1e-3))
+    coarse = estimate_exit_identities(cramer_lundberg_spec, 1.0, 2.0, 1.0,
+                                      small_cfg(seed=5, dt=0.05))
+    assert fine == coarse
+
+
+def test_claim_to_claim_reflection_holds_paths_at_b(cramer_lundberg_spec,
+                                                    monkeypatch):
+    # Claims of size 1e9 would carry an unclamped path out of reach of 0.
+    # Clamped, every claim restarts the path at b, which falls to 0 in
+    # T = b/|mu| unless the next claim comes first, so from x = b
+    #   E e^{-q tau} = e^{-(q+eta)T} / (1 - eta/(q+eta) (1 - e^{-(q+eta)T})).
+    monkeypatch.setattr(simulate, "_hyperexp",
+                        lambda rng, m, mixture: np.full(m, 1e9))
+    q, b, spec = 1.0, 2.0, cramer_lundberg_spec
+    _, _, refl = estimate_exit_identities(spec, q, b, b, small_cfg(seed=6))
+    a = math.exp(-(q + spec.jump_rate) * b / abs(spec.drift_mu))
+    exact = a / (1.0 - spec.jump_rate / (q + spec.jump_rate) * (1.0 - a))
+    assert refl.std_error > 0
+    assert abs(refl.mean - exact) <= 3.0 * refl.std_error
 
 
 def test_exit_identities_reject_bad_x(brownian_spec):
