@@ -78,9 +78,11 @@ def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
 
     One array call of Z tabulates ell at the knots below x_cap and at x_cap,
     with the prefix sums S_k = sum_{m<k} s_m (Z(x_{m+1}) - Z(x_m)) from one
-    cumsum.  On the segment [x_m, x_{m+1}] that ends at the first positive
-    entry, ell is Z - phi - lam (S_m + s_m (Z - Z(x_m))) / q, increasing and
-    convex.  If it is wider than 1/Phi(q), a second array call of Z cuts it
+    cumsum.  The evaluator keeps its last knot table with those Z values,
+    and a call on an equal table reuses them: every step of a regime solve
+    asks for the same table, its grid, of the same evaluator.  On the
+    segment [x_m, x_{m+1}] that ends at the first positive entry, ell is
+    Z - phi - lam (S_m + s_m (Z - Z(x_m))) / q, increasing and convex.  If it is wider than 1/Phi(q), a second array call of Z cuts it
     into pieces at most that wide.  Newton runs from the right end of the
     first piece where ell > 0: on a convex increasing function it falls
     monotonically to the root, so it needs no bracket.  It runs in Python
@@ -90,7 +92,14 @@ def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
     q = ev.q
     t = np.append(xs[xs < ev.x_cap], ev.x_cap)
     s = slopes[:len(t) - 1]
-    zt = Z(ev, t)
+    # held in the instance dict, as cached_property does on a frozen class
+    last = vars(ev).get("_z_table")
+    if last is not None and np.array_equal(last[0], t):
+        zt = last[1]
+    else:
+        zt = Z(ev, t)
+        zt.flags.writeable = False
+        vars(ev)["_z_table"] = (t, zt)
     acc = np.concatenate(([0.0], np.cumsum(s * np.diff(zt))))
     above = np.flatnonzero(zt - phi - lam * acc / q > 0)
     if len(above) == 0:

@@ -7,6 +7,11 @@ the field through the post-switch payoff (hat) operator, re-solves the
 single-regime barrier problem per state and re-evaluates the closed-form
 value, which contracts in the sup metric with factor
 max_i lambda_i / (lambda_i + delta_i).
+
+An iteration redoes no per-grid work: each state's scale evaluator is
+built once per model and keeps the Z_q table of the hat payoff's knots, the
+grid, so the barrier root tabulates it once per state and grid.  A
+hyperexponential hat average is one array pass over all its rates.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import ModelError, NumericsError
 from .levy import LevySpec, _mixture_error, validate
 from .payoff import ConcavePayoff, concavify
 from .scale import ScaleEvaluator, build_scale_evaluator
-from .value_grid import _first_order, value_on_grid
+from .value_grid import value_on_grid
 
 _CONE_TOL = 1e-7
 
@@ -113,6 +118,18 @@ def require_valid_model(model: RegimeModel) -> None:
         raise ModelError(diag)
 
 
+def require_valid_barriers(model: RegimeModel, barriers) -> np.ndarray:
+    """The barrier vector as floats: one per state, each positive and
+    finite, or ModelError."""
+    barriers = np.asarray(barriers, dtype=float)
+    if barriers.shape != (model.n,):
+        raise ModelError(f"need one barrier per state: expected shape "
+                         f"({model.n},), got {barriers.shape}")
+    if not np.all((barriers > 0) & (barriers < math.inf)):
+        raise ModelError("barriers must be positive and finite")
+    return barriers
+
+
 @dataclass(frozen=True, eq=False)
 class ValueField:
     """Per-state value function on a shared uniform grid, with slope-phi
@@ -144,9 +161,12 @@ def rho_metric(f: ValueField, g: ValueField) -> float:
 
 
 def in_cone(f: ValueField, tol: float = _CONE_TOL) -> str | None:
-    """Check per-state concavity and slope window [1, phi] on the grid."""
+    """Check per-state finiteness, concavity and slope window [1, phi] on
+    the grid."""
     h = np.diff(f.grid)
     for i in range(f.values.shape[0]):
+        if not np.all(np.isfinite(f.values[i])):
+            return f"state {i}: non-finite value"
         slopes = np.diff(f.values[i]) / h
         if np.any(slopes < 1.0 - tol) or np.any(slopes > f.phi + tol):
             return f"state {i}: slope outside [1, phi]"
@@ -188,25 +208,33 @@ def hat_operator(model: RegimeModel, f: ValueField, i: int) -> ConcavePayoff:
 
 def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
     """E[ f(x+J, j) 1{x+J>=0} + (phi(x+J)+f(0,j)) 1{x+J<0} ] on the grid,
-    J = -|J| with |J| hyperexponential."""
-    grid = f.grid
-    vals = f.values[j]
-    f0 = float(vals[0])
-    phi = f.phi
-    h = np.diff(grid)
-    s = np.diff(vals) / h
-    out = np.zeros(len(grid))
-    for w, nu in sj.mix:
-        # per segment: int_0^h (f_{m+1} - s z) nu e^{-nu z} dz
-        e = np.exp(-nu * h)
-        zint = (1.0 - e) / nu - h * e
-        loc = vals[1:] * (1.0 - e) - s * zint
-        # body: I(x) = int_0^x f(x-z, j) nu e^{-nu z} dz by forward recursion
-        body = np.array([0.0] + _first_order(e, loc))
-        # tail: int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z} dz
-        tail = np.exp(-nu * grid) * (f0 - phi / nu)
-        out += w * (body + tail)
-    return out
+    J = -|J| with |J| hyperexponential.
+
+    Per rate nu, the body I(x_m) = int_0^{x_m} f(x_m - z, j) nu e^{-nu z} dz
+    obeys I(x_m) = e_m I(x_{m-1}) + loc_m from I(0) = 0, e_m = exp(-nu h_m),
+    loc_m the exact integral over the segment below x_m.  All rates run at
+    once as (segments, rates) arrays, and recursive doubling (Kogge & Stone
+    1973) solves the recurrence in log2(segments) array passes: after the
+    pass with stride d, y_m sums the last 2d segments' terms and a_m is the
+    product of their e.  The tail int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z}
+    dz is closed form.  The order of summation is not the scalar one, so
+    the result agrees with the point-by-point recursion to rounding.
+    """
+    grid, vals, phi = f.grid, f.values[j], f.phi
+    w, nu = np.array(sj.mix, dtype=float).T
+    h = np.diff(grid)[:, None]
+    s = np.diff(vals)[:, None] / h
+    a = np.exp(-nu * h)
+    # per segment: int_0^h (f_{m+1} - s z) nu e^{-nu z} dz
+    y = vals[1:, None] * (1.0 - a) - s * ((1.0 - a) / nu - h * a)
+    d = 1
+    while d < len(y):
+        y[d:] += a[d:] * y[:-d]
+        a[d:] *= a[:-d]
+        d *= 2
+    body = np.vstack((np.zeros_like(nu), y))
+    tail = np.exp(-np.outer(grid, nu)) * (vals[0] - phi / nu)
+    return (body + tail) @ w
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +249,7 @@ def _aux_problem(model: RegimeModel, i: int, pw: ConcavePayoff) -> AuxProblem:
 def apply_T_b(model: RegimeModel, f: ValueField, barriers) -> ValueField:
     """One-switch value mapping at a fixed barrier vector."""
     require_valid_model(model)
-    barriers = np.asarray(barriers, dtype=float)
+    barriers = require_valid_barriers(model, barriers)
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
         pw = hat_operator(model, f, i)
@@ -288,16 +316,19 @@ def default_x_max(model: RegimeModel) -> float:
     return 4.0 * worst
 
 
-def _solver_error(tol, max_iter, grid_points) -> str | None:
+def _solver_error(tol, max_iter, grid_points, x_max=None) -> str | None:
     """The first solve() setting out of range, as 'name: reason': tol
-    finite and > 0, max_iter an integer >= 1, grid_points an integer >= 2.
-    None when all three are valid."""
+    finite and > 0, max_iter an integer >= 1, grid_points an integer >= 2,
+    x_max None or finite and > 0.  None when all four are valid."""
     if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
         return f"tol: must be positive and finite, got {tol!r}"
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         return f"max_iter: must be an integer >= 1, got {max_iter!r}"
     if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
         return f"grid_points: must be an integer >= 2, got {grid_points!r}"
+    if x_max is not None and not (isinstance(x_max, numbers.Real)
+                                  and 0 < x_max < math.inf):
+        return f"x_max: must be positive and finite, got {x_max!r}"
     return None
 
 
@@ -308,13 +339,19 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
 
     The grid is widened (and the solve restarted) whenever a barrier
     approaches the grid boundary, so truncation never silently biases the
-    result.  A seed outside the cone raises ModelError; a field the solver
-    made that leaves it raises NumericsError.
+    result.  A seed with other than one row per state, or outside the
+    cone, raises ModelError; a field the solver made that leaves the cone
+    raises NumericsError.
     """
     require_valid_model(model)
-    diag = _solver_error(tol, max_iter, grid_points)
+    diag = _solver_error(tol, max_iter, grid_points, x_max)
     if diag is not None:
         raise ValueError(diag)
+    if seed is not None and \
+            np.shape(seed.values) != (model.n, len(seed.grid)):
+        raise ModelError(f"seed: expected one row per state, shape "
+                         f"({model.n}, {len(seed.grid)}), got "
+                         f"{np.shape(seed.values)}")
     if x_max is None:
         x_max = default_x_max(model)
 

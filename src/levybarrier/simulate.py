@@ -58,7 +58,7 @@ from .auxiliary import AuxProblem
 from .errors import ModelError
 from .levy import LevySpec, require_valid
 from .payoff import ConcavePayoff, evaluate
-from .regime import RegimeModel, require_valid_model
+from .regime import RegimeModel, require_valid_barriers, require_valid_model
 
 _CHUNK = 100_000
 
@@ -133,7 +133,13 @@ class _Normals:
     renumbers the slots to the live pairs when they outnumber the live
     paths, so pairs outlive exits at no more draws than plain sampling;
     the exit loop's antithetic streams rest on that rule.  The NPV kernel,
-    whose partners die together, renumbers at every compaction."""
+    whose partners die together, renumbers at every compaction.
+
+    While the slots are in order (the first m live paths hold slots
+    0..m-1 with sign +1, the rest slots 0, 1, ... with sign -1), draw
+    returns the m normals followed by the negated head of them, which is
+    the gather sign * z[slot] without its index pass.  They are in order
+    at the start, and after a renumbering that leaves them so."""
 
     def __init__(self, rng, n: int, antithetic: bool):
         self.bits = rng.bit_generator
@@ -148,6 +154,7 @@ class _Normals:
             self.slot = k % half
             self.sign = np.where(k < half, 1, -1).astype(np.float32)
             self.n_slots = half
+            self.in_order = True
 
     def _fill(self, out: np.ndarray) -> None:
         """The next block of normals, into out (length _BLOCK)."""
@@ -186,12 +193,17 @@ class _Normals:
     def draw(self, m: int) -> np.ndarray:
         if self.slot is None:
             return self.take(m)
-        return self.sign * self.take(self.n_slots)[self.slot]
+        z = self.take(self.n_slots)
+        if self.in_order:
+            return np.concatenate((z, -z[:m - self.n_slots]))
+        return self.sign * z[self.slot]
 
     def keep(self, keep: np.ndarray) -> None:
         if self.slot is None:
             return
+        n = len(self.slot)
         self.slot, self.sign = self.slot[keep], self.sign[keep]
+        self.in_order &= len(self.slot) == n
         if self.n_slots > len(self.slot):
             self.renumber()
 
@@ -203,7 +215,12 @@ class _Normals:
         live = np.zeros(self.n_slots, dtype=bool)
         live[self.slot] = True
         self.slot = (np.cumsum(live) - 1)[self.slot]
-        self.n_slots = int(np.count_nonzero(live))
+        m = self.n_slots = int(np.count_nonzero(live))
+        rest = len(self.slot) - m
+        self.in_order = bool(
+            np.array_equal(self.slot[:m], np.arange(m))
+            and np.array_equal(self.slot[m:], np.arange(rest))
+            and np.all(self.sign[:m] > 0) and np.all(self.sign[m:] < 0))
 
 
 def _pair_means(samples: np.ndarray) -> np.ndarray:
@@ -545,14 +562,9 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
     """NPV of the dynamic double-barrier strategy (0, b_{Y_t}) under the
     Markov-additive surplus, with state-dependent discounting."""
     require_valid_model(model)
-    barriers = np.asarray(barriers, dtype=float)
-    if barriers.shape != (model.n,):
-        raise ModelError(f"need one barrier per state: expected shape "
-                         f"({model.n},), got {barriers.shape}")
+    barriers = require_valid_barriers(model, barriers)
     if not 0 <= i0 < model.n:
         raise ModelError(f"initial state {i0} outside 0..{model.n - 1}")
-    if not np.all((barriers > 0) & (barriers < math.inf)):
-        raise ModelError("barriers must be positive and finite")
     if not math.isfinite(x0):
         raise ModelError(f"x0 must be finite, got {x0!r}")
     # the NPV discounts at the state's delta alone, so the truncation tail

@@ -232,6 +232,34 @@ def reference_laplace_integral(ev, s, horizon):
 
 
 # ---------------------------------------------------------------------------
+# Hyperexponential switch-jump average by the scalar forward recursion, one
+# grid point at a time, independent of the doubling scan in
+# levybarrier.regime.
+
+def reference_hyperexp_average(f, j, sj):
+    """E[ f(x+J, j) 1{x+J>=0} + (phi(x+J)+f(0,j)) 1{x+J<0} ] on the grid,
+    J = -|J| with |J| hyperexponential, one rate at a time."""
+    grid, vals, phi = f.grid, f.values[j], f.phi
+    h = np.diff(grid)
+    s = np.diff(vals) / h
+    out = np.zeros(len(grid))
+    for w, nu in sj.mix:
+        # per segment: int_0^h (f_{m+1} - s z) nu e^{-nu z} dz
+        e = np.exp(-nu * h)
+        zint = (1.0 - e) / nu - h * e
+        loc = vals[1:] * (1.0 - e) - s * zint
+        # body: I(x) = int_0^x f(x-z, j) nu e^{-nu z} dz by forward recursion
+        body, y = [0.0], 0.0
+        for em, cm in zip(e.tolist(), loc.tolist()):
+            y = em * y + cm
+            body.append(y)
+        # tail: int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z} dz
+        tail = np.exp(-nu * grid) * (float(vals[0]) - phi / nu)
+        out += w * (np.array(body) + tail)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Seeded single-regime problems
 
 FAMILIES = ("brownian", "sigma0", "mixed")

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (ell, ell_deriv, payoff_W_integral,
                       reference_value, reference_value_derivative,
                       reference_z_inverse, seeded_aux_problems)
 from levybarrier.auxiliary import z_inverse
+from levybarrier.payoff import concavify
 from levybarrier.regime import _aux_problem, default_x_max
 from levybarrier.scale import W
 from levybarrier.value_grid import value_on_grid
@@ -232,6 +234,21 @@ def test_barrier_root_matches_reference(twelve_cases, brownian_spec,
         assert abs(b - b_ref) <= 1e-12 * (1.0 + b_ref)
     assert barrier_root(past).barrier > kinked_payoff.xs[-1]
     assert barrier_root(on_knot).barrier == pytest.approx(1.5, abs=1e-12)
+
+
+def test_barrier_root_reuses_z_table_only_on_equal_knots(kinked_payoff):
+    # one evaluator keeps the last knot table's Z values: payoffs A, B
+    # (other knots), A again and C (A's knots, other values) in turn must
+    # each give the root a fresh evaluator gives
+    a = _demo_hat_problems()[0]
+    pw = a.payoff
+    b = dataclasses.replace(a, payoff=kinked_payoff)
+    c = dataclasses.replace(a, payoff=concavify(
+        np.column_stack((pw.xs, 0.9 * pw.vals)), 0.9 * pw.slope_tail))
+    ev = a.evaluator()
+    for prob in (a, b, a, c):
+        assert barrier_root(prob, ev).barrier == \
+            barrier_root(prob, prob.evaluator()).barrier
 
 
 def test_z_inverse_matches_reference(three_specs):

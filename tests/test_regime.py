@@ -7,7 +7,8 @@ import pytest
 from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
                          RegimeModel, SwitchJump, barrier_root,
                          build_scale_evaluator, make_payoff, solve, value)
-from levybarrier import regime
+from conftest import reference_hyperexp_average
+from levybarrier import auxiliary, regime
 from levybarrier.regime import (ValueField, _hyperexp_average, apply_T_b,
                                 apply_T_sup, default_x_max, hat_operator,
                                 identity_field, in_cone, rho_metric,
@@ -152,6 +153,23 @@ def test_hyperexp_average_matches_quadrature():
         assert got[m] == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("grid, mix", [
+    (np.linspace(0.0, 8.0, 4001), ((0.2, 0.8), (0.5, 3.0), (0.3, 11.0))),
+    (5.0 * np.linspace(0.0, 1.0, 41) ** 1.6, ((0.35, 1.5), (0.65, 6.0))),
+], ids=["uniform_4001", "graded_41"])
+def test_hyperexp_average_matches_scalar_recurrence(grid, mix):
+    # the doubling scan sums in another order than the point-by-point
+    # recursion, so they agree to rounding, not bit for bit; f(0, 1) = 2
+    # keeps the average away from 0, so a relative bound holds
+    phi = 1.7
+    vals = np.vstack((grid, grid + (phi - 1.0) * (1.0 - np.exp(-grid))
+                      + 2.0))
+    f = ValueField(grid=grid, values=vals, phi=phi)
+    sj = SwitchJump("hyperexp", mix)
+    assert _hyperexp_average(f, 1, sj) == pytest.approx(
+        reference_hyperexp_average(f, 1, sj), rel=1e-13)
+
+
 def test_hat_operator_rejects_out_of_cone(two_state_model):
     grid = np.linspace(0.0, 5.0, 50)
     vals = np.tile(grid**2, (2, 1))  # convex, slope > phi
@@ -246,6 +264,41 @@ def test_seed_outside_cone_is_a_model_error(two_state_model):
         solve(two_state_model, seed=convex, grid_points=400, x_max=2.0)
 
 
+@pytest.mark.parametrize("values, message", [
+    (lambda g: g[None, :], r"seed: expected one row per state, "
+                           r"shape \(2, 401\), got \(1, 401\)"),
+    (lambda g: np.tile(np.where(g < 1.0, g, np.nan), (2, 1)),
+     "f not in cone: state 0: non-finite value"),
+], ids=["one_row", "nan"])
+def test_bad_seed_is_a_model_error(two_state_model, values, message):
+    # the seed is on the solve's grid, so the solver takes it
+    grid = np.linspace(0.0, 2.0, 401)
+    seed = ValueField(grid=grid, values=values(grid),
+                      phi=two_state_model.phi)
+    with pytest.raises(ModelError, match=message):
+        solve(two_state_model, seed=seed, grid_points=400, x_max=2.0)
+
+
+@pytest.mark.parametrize("barriers, message", [
+    ([1.0], r"need one barrier per state: expected shape \(2,\), got "
+            r"\(1,\)"),
+    ([1.0, float("nan")], "barriers must be positive and finite"),
+    ([1.0, -0.5], "barriers must be positive and finite"),
+    ([float("inf"), 1.0], "barriers must be positive and finite"),
+], ids=["one_barrier", "nan", "negative", "inf"])
+def test_apply_T_b_rejects_bad_barriers(two_state_model, barriers, message):
+    f = identity_field(two_state_model, np.linspace(0.0, 4.0, 401))
+    with pytest.raises(ModelError, match=message):
+        apply_T_b(two_state_model, f, barriers)
+
+
+def test_in_cone_reports_non_finite(two_state_model):
+    grid = np.linspace(0.0, 4.0, 401)
+    f = identity_field(two_state_model, grid)
+    f.values[1, 200] = np.nan
+    assert in_cone(f) == "state 1: non-finite value"
+
+
 def test_regrow_matches_solve_on_the_final_grid(two_state_model):
     # a barrier above 0.8 x_max doubles the grid end and restarts: from
     # 0.5 twice, to 2.0, after which the solve is the one started there
@@ -334,6 +387,8 @@ def test_fuzz_models_fail_loudly_or_fit(k):
     ({"tol": -1.0}, "tol"), ({"tol": float("nan")}, "tol"),
     ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
     ({"grid_points": 1}, "grid_points"),
+    ({"x_max": -1.0}, "x_max"), ({"x_max": float("nan")}, "x_max"),
+    ({"x_max": float("inf")}, "x_max"),
 ])
 def test_solve_rejects_bad_options(two_state_model, options, message):
     with pytest.raises(ValueError, match=message):
@@ -343,6 +398,27 @@ def test_solve_rejects_bad_options(two_state_model, options, message):
 def test_nonconvergence_reports_decay(two_state_model):
     with pytest.raises(NumericsError, match="decay"):
         solve(two_state_model, tol=1e-14, max_iter=3, grid_points=400)
+
+
+def test_one_z_table_per_state_and_grid(two_state_model, monkeypatch):
+    # every barrier root of a solve tabulates Z on the whole knot table,
+    # the grid; the evaluator keeps it, so it is computed once per state on
+    # each grid, here 0.5, 1.0 and 2.0 (two regrows, as in
+    # test_regrow_matches_solve_on_the_final_grid)
+    tables = []
+    z = auxiliary.Z
+
+    def counting(ev, x):
+        # a knot table starts at 0; the pieces of the crossing segment
+        # start above it
+        if np.size(x) > 400 and x[0] == 0.0:
+            tables.append(float(x[-2]))
+        return z(ev, x)
+
+    monkeypatch.setattr(auxiliary, "Z", counting)
+    sol = solve(two_state_model, tol=1e-8, grid_points=400, x_max=0.5)
+    assert sol.iterations > 2
+    assert tables == [0.5, 0.5, 1.0, 1.0, 2.0, 2.0]
 
 
 def test_evaluators_built_once_per_model(two_state_model, monkeypatch):

@@ -168,6 +168,33 @@ def test_normals_keep_pairs_through_npv_compactions():
     assert src.n_slots == 1
 
 
+@pytest.mark.parametrize("n, steps", [
+    # pairs (k, k + 5), path 4 unpaired: pair (1, 6) leaving and a
+    # renumbering keep the order; path 2 leaving alone ends it, and
+    # renumbering cannot restore it while its partner 7 lives
+    (9, (((), False, True), ((1, 6), True, True), ((2,), False, False),
+         ((), True, False))),
+    # pairs (k, k + 3): paths 1, 2 and 3 leave, 0, 4 and 5 hold slots 0,
+    # 1, 2 in order after renumbering, but 4 and 5 take the negated draws
+    (6, (((1, 2, 3), True, False),)),
+], ids=["n9", "n6_signs"])
+def test_in_order_draw_is_the_gather(n, steps):
+    # in order, draw skips the gather sign * z[slot]; it must give the
+    # gather's stream, and take it whenever the slots are not in order
+    src, ref = (_Normals(np.random.default_rng(6), n, True) for _ in "ab")
+    live = np.arange(n)
+    for dead, renumber, in_order in steps:
+        keep = np.flatnonzero(~np.isin(live, dead))
+        live = live[keep]
+        for s in (src, ref):
+            s.keep(keep)
+            if renumber:
+                s.renumber()
+        assert src.in_order is in_order
+        np.testing.assert_array_equal(
+            src.draw(len(live)), ref.sign * ref.take(ref.n_slots)[ref.slot])
+
+
 def test_npv_compaction_draws_only_live_pairs():
     # keep alone leaves the slot of the dead pair (1, 5) drawn, as the exit
     # loop needs; renumber after it, as the NPV compaction does, drops it
