@@ -21,7 +21,7 @@ from .config import (ConfigError, aux_inputs_from, parse_config,
                      regime_model_from, sim_config_from, solver_options_from)
 from .errors import ModelError, NumericsError
 from .regime import require_valid_model, solve
-from .scale import (W, Z, Zbar, exit_identities_analytic,
+from .scale import (_scale_sums, exit_identities_analytic,
                     verify_laplace_transform)
 from .simulate import (estimate_exit_identities, simulate_aux_npv,
                        simulate_regime_npv)
@@ -207,7 +207,7 @@ def _curve(tree, args, out):
     ev = sol.evaluator
     hi = args.x0 if args.x0 is not None else 2.0 * sol.barrier
     xs = np.linspace(0.0, hi, 201)
-    rows = list(zip(xs, W(ev, xs), Z(ev, xs), Zbar(ev, xs)))
+    rows = list(zip(xs, *_scale_sums(ev, xs)[:3]))     # W, Z, Zbar
     print("x,W,Z,Zbar", file=out)
     for row in rows:
         print(",".join(_g17(v) for v in row), file=out)

@@ -11,7 +11,8 @@ max_i lambda_i / (lambda_i + delta_i).
 An iteration redoes no per-grid work: each state's scale evaluator is
 built once per model and keeps the Z_q table of the hat payoff's knots, the
 grid, so the barrier root tabulates it once per state and grid.  A
-hyperexponential hat average is one array pass over all its rates.
+hyperexponential hat average solves its recurrence for all rates with
+value_grid._scan, the package's one recurrence solver.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import ModelError, NumericsError
 from .levy import LevySpec, _mixture_error, validate
 from .payoff import ConcavePayoff, concavify
 from .scale import ScaleEvaluator, build_scale_evaluator
-from .value_grid import value_on_grid
+from .value_grid import _scan, value_on_grid
 
 _CONE_TOL = 1e-7
 
@@ -212,13 +213,10 @@ def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
 
     Per rate nu, the body I(x_m) = int_0^{x_m} f(x_m - z, j) nu e^{-nu z} dz
     obeys I(x_m) = e_m I(x_{m-1}) + loc_m from I(0) = 0, e_m = exp(-nu h_m),
-    loc_m the exact integral over the segment below x_m.  All rates run at
-    once as (segments, rates) arrays, and recursive doubling (Kogge & Stone
-    1973) solves the recurrence in log2(segments) array passes: after the
-    pass with stride d, y_m sums the last 2d segments' terms and a_m is the
-    product of their e.  The tail int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z}
-    dz is closed form.  The order of summation is not the scalar one, so
-    the result agrees with the point-by-point recursion to rounding.
+    loc_m the exact integral over the segment below x_m; value_grid._scan
+    solves it for all rates at once, as (segments, rates) arrays, and agrees
+    with the point-by-point recursion to rounding.  The tail
+    int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z} dz is closed form.
     """
     grid, vals, phi = f.grid, f.values[j], f.phi
     w, nu = np.array(sj.mix, dtype=float).T
@@ -227,12 +225,7 @@ def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
     a = np.exp(-nu * h)
     # per segment: int_0^h (f_{m+1} - s z) nu e^{-nu z} dz
     y = vals[1:, None] * (1.0 - a) - s * ((1.0 - a) / nu - h * a)
-    d = 1
-    while d < len(y):
-        y[d:] += a[d:] * y[:-d]
-        a[d:] *= a[:-d]
-        d *= 2
-    body = np.vstack((np.zeros_like(nu), y))
+    body = np.vstack((np.zeros_like(nu), _scan(a, y)))
     tail = np.exp(-np.outer(grid, nu)) * (vals[0] - phi / nu)
     return (body + tail) @ w
 
@@ -337,11 +330,12 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
           grid_points: int = 2000, x_max: float | None = None) -> RegimeSolution:
     """Iterate the optimal one-switch mapping to its fixed point.
 
-    The grid is widened (and the solve restarted) whenever a barrier
-    approaches the grid boundary, so truncation never silently biases the
-    result.  A seed with other than one row per state, or outside the
-    cone, raises ModelError; a field the solver made that leaves the cone
-    raises NumericsError.
+    The grid is widened, and the solve restarted from the identity field,
+    whenever a barrier approaches the grid boundary, so truncation never
+    silently biases the result.  A seed off the first grid
+    (linspace(0, x_max, grid_points + 1)), with other than one row per
+    state, or outside the cone, raises ModelError; a field the solver made
+    that leaves the cone raises NumericsError.
     """
     require_valid_model(model)
     diag = _solver_error(tol, max_iter, grid_points, x_max)
@@ -354,12 +348,14 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
                          f"{np.shape(seed.values)}")
     if x_max is None:
         x_max = default_x_max(model)
+    grid = np.linspace(0.0, x_max, grid_points + 1)
+    if seed is not None and not np.array_equal(seed.grid, grid):
+        raise ModelError(f"seed: expected the solve's grid, {len(grid)} "
+                         f"points to {x_max:.6g}, got {len(seed.grid)} "
+                         f"points to {np.max(seed.grid, initial=0):.6g}")
+    f = seed if seed is not None else identity_field(model, grid)
 
     while True:
-        grid = np.linspace(0.0, x_max, grid_points + 1)
-        f = seed if (seed is not None and len(seed.grid) == len(grid)
-                     and np.array_equal(seed.grid, grid)) else \
-            identity_field(model, grid)
         rho_trace = []
         regrow = False
         for it in range(1, max_iter + 1):
@@ -382,6 +378,8 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
                                       rho_trace=tuple(rho_trace))
         if regrow:
             x_max *= 2.0
+            grid = np.linspace(0.0, x_max, grid_points + 1)
+            f = identity_field(model, grid)
             continue
         ratios = [b / a for a, b in zip(rho_trace[:-1], rho_trace[1:]) if a > 0]
         raise NumericsError(

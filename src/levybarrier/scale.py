@@ -10,7 +10,8 @@ largest is Phi(q), the right inverse of psi, and then
 
 The coefficients of the companions Z_q = 1 + q int_0^x W_q and
 Zbar_q = int_0^x Z_q (q c_j / s_j) and of W_q' (c_j s_j) are computed there
-too, and every kernel reads them from the evaluator.
+too.  _scale_sums evaluates all four from one exponential table, behind the
+one overflow guard; W, Z, Zbar, W_deriv and the value kernel all call it.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class ScaleEvaluator:
     def x_cap(self) -> float:
         """Largest x before exp(s_max * x) overflows."""
         return _EXP_CAP / max(self.phi_q, 1e-12)
-
-    def _check_domain(self, x) -> None:
-        if np.max(x, initial=-np.inf) > self.x_cap:
-            raise NumericsError("overflow horizon exceeded")
 
 
 def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
@@ -99,46 +96,54 @@ def phi_inverse(spec: LevySpec, q: float) -> float:
     return build_scale_evaluator(spec, q).phi_q
 
 
+def _scale_sums(ev: ScaleEvaluator, x: np.ndarray, n_deriv: int = 0):
+    """W_q, Z_q and Zbar_q at every point of the 1-d array x >= 0, and W_q'
+    at x[:n_deriv], all from one table E = exp(outer(x, roots)):
+
+        W_q = E c,  Z_q = 1 + (E - 1) d,  Zbar_q = x + ((E - 1)/s - x) d,
+        W_q' = E (c s).
+
+    Raises NumericsError past the overflow horizon x_cap.
+    """
+    if np.max(x, initial=-np.inf) > ev.x_cap:
+        raise NumericsError("overflow horizon exceeded")
+    e = np.exp(np.multiply.outer(x, ev.roots))
+    em1 = e - 1.0
+    return (e @ ev.residues, 1.0 + em1 @ ev.z_coeffs,
+            x + (em1 / ev.roots - x[:, None]) @ ev.z_coeffs,
+            e[:n_deriv] @ ev.w_prime_coeffs)
+
+
+def _at(ev: ScaleEvaluator, x, k: int, below) -> float | np.ndarray:
+    """Entry k of _scale_sums at any array x, below where x < 0; a float
+    for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    flat = np.maximum(x, 0.0).ravel()
+    vals = _scale_sums(ev, flat, len(flat) if k == 3 else 0)[k]
+    out = np.where(x >= 0, vals.reshape(x.shape), below)
+    return float(out) if out.ndim == 0 else out
+
+
 def W(ev: ScaleEvaluator, x) -> float | np.ndarray:
     """W_q(x): exponential sum for x >= 0, exactly 0 for x < 0."""
-    x = np.asarray(x, dtype=float)
-    ev._check_domain(x)
-    vals = np.where(x[..., None] >= 0,
-                    ev.residues * np.exp(ev.roots * x[..., None]),
-                    0.0).sum(axis=-1)
-    out = np.where(x >= 0, vals, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _at(ev, x, 0, 0.0)
 
 
 def W_deriv(ev: ScaleEvaluator, x) -> float | np.ndarray:
     """W_q'(x) for x > 0 (strictly positive there)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if np.any(np.asarray(x) <= 0):
         raise ValueError("x must be positive")
-    ev._check_domain(x)
-    out = (ev.w_prime_coeffs * np.exp(ev.roots * x[..., None])).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _at(ev, x, 3, 0.0)
 
 
 def Z(ev: ScaleEvaluator, x) -> float | np.ndarray:
     """Z_q(x) = 1 + q int_0^x W_q; identically 1 for x <= 0."""
-    x = np.asarray(x, dtype=float)
-    ev._check_domain(x)
-    xp = np.maximum(x[..., None], 0.0)
-    vals = 1.0 + (ev.z_coeffs * (np.exp(ev.roots * xp) - 1.0)).sum(axis=-1)
-    out = np.where(x >= 0, vals, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _at(ev, x, 1, 1.0)
 
 
 def Zbar(ev: ScaleEvaluator, x) -> float | np.ndarray:
     """Zbar_q(x) = int_0^x Z_q; equals x for x <= 0."""
-    x = np.asarray(x, dtype=float)
-    ev._check_domain(x)
-    xp = np.maximum(x[..., None], 0.0)
-    vals = xp[..., 0] + (ev.z_coeffs * ((np.exp(ev.roots * xp) - 1.0)
-                                        / ev.roots - xp)).sum(axis=-1)
-    out = np.where(x >= 0, vals, x)
-    return float(out) if out.ndim == 0 else out
+    return _at(ev, x, 2, np.asarray(x, dtype=float))
 
 
 def exit_identities_analytic(ev: ScaleEvaluator, b: float, x: float
@@ -146,11 +151,8 @@ def exit_identities_analytic(ev: ScaleEvaluator, b: float, x: float
     """Scale-function values of the three discounted exit functionals from
     x in [0, b]: continuous passage below 0 before reaching b, reaching b
     before 0, and first passage below 0 under reflection at b."""
-    wb = float(W(ev, b))
-    wu = float(W(ev, b - x))
-    zb = float(Z(ev, b))
-    zu = float(Z(ev, b - x))
-    return wu / wb, zu - zb * wu / wb, zu / zb
+    (wb, wu), (zb, zu), _, _ = _scale_sums(ev, np.array([b, b - x]))
+    return float(wu / wb), float(zu - zb * wu / wb), float(zu / zb)
 
 
 def _composite_rule(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:

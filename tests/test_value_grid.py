@@ -6,22 +6,25 @@ from conftest import (reference_value, reference_value_derivative,
 from levybarrier import AuxProblem, barrier_root, make_payoff
 from levybarrier.auxiliary import value_derivative
 from levybarrier.payoff import right_derivative
-from levybarrier.value_grid import _closed_form, _k_on_points, value_on_grid
+from levybarrier.value_grid import (_closed_form, _k_on_points, _scan,
+                                    value_on_grid)
 
 
-def _k_on_points_scalar(payoff, roots, pts, b):
+def _k_on_points_scalar(payoff, roots, pts, b, dtype=float):
     """Point-by-point reference for _k_on_points: the backward recurrence
-    with one scalar right derivative per point."""
+    with one scalar right derivative per point, in the arithmetic of
+    dtype."""
     n = len(pts)
-    out = np.zeros((n, len(roots)))
-    k = np.zeros(len(roots))
-    upper = b
+    roots = roots.astype(dtype)
+    out = np.zeros((n, len(roots)), dtype=dtype)
+    k = np.zeros(len(roots), dtype=dtype)
+    upper = dtype(b)
     for m in range(n - 1, -1, -1):
-        p = pts[m]
+        p = dtype(pts[m])
         if upper > p:
-            slope = float(right_derivative(payoff, p))
+            slope = dtype(float(right_derivative(payoff, pts[m])))
             e = np.exp(roots * (upper - p))
-            k = e * k + slope * (e - 1.0) / roots
+            k = e * k + slope * (e - 1) / roots
         out[m] = k
         upper = p
     return out
@@ -44,6 +47,8 @@ def many_knot_case(mixed_spec):
 
 
 def test_k_on_points_matches_scalar_recurrence(many_knot_case):
+    # the scan sums in another order than the point-by-point recurrence, so
+    # both are held to the scalar recurrence run in long double
     prob, sol = many_knot_case
     b, ev, pw = sol.barrier, sol.evaluator, prob.payoff
     grid = np.linspace(0.0, b, 157)
@@ -51,9 +56,24 @@ def test_k_on_points_matches_scalar_recurrence(many_knot_case):
     knots = pw.xs[(pw.xs > 0) & (pw.xs < b)]
     assert len(knots) > 50
     pts = np.unique(np.concatenate((grid, knots, [0.0, b])))
-    got = _k_on_points(pw, ev.roots, pts, b)
-    ref = _k_on_points_scalar(pw, ev.roots, pts, b)
-    assert np.array_equal(got, ref)
+    exact = _k_on_points_scalar(pw, ev.roots, pts, b, np.longdouble)
+    for got in (_k_on_points(pw, ev.roots, pts, b),
+                _k_on_points_scalar(pw, ev.roots, pts, b)):
+        np.testing.assert_allclose(got, exact, rtol=2e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 257])
+@pytest.mark.parametrize("growth", [1.02, 0.97])
+def test_scan_matches_scalar_recurrence(n, growth):
+    rng = np.random.default_rng(n)
+    a = growth * rng.uniform(0.99, 1.01, (n, 2))
+    y = rng.uniform(0.5, 1.5, (n, 2))
+    ref, acc = np.empty_like(y), np.zeros(2)
+    for m in range(n):
+        acc = a[m] * acc + y[m]
+        ref[m] = acc
+    got = _scan(a.copy(), y.copy())
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
 
 
 def test_value_on_grid_matches_pointwise_many_knots(many_knot_case):
