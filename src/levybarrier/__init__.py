@@ -6,8 +6,7 @@ iteration for the regime fixed point, and Monte Carlo ground truth."""
 from .auxiliary import (AuxProblem, AuxSolution, barrier_root, dominance_gap,
                         hjb_residual, value, value_derivative)
 from .errors import ModelError, NumericsError
-from .levy import (LevySpec, laplace_exponent, laplace_exponent_deriv,
-                   require_valid, validate)
+from .levy import LevySpec, laplace_exponent, laplace_exponent_deriv
 from .payoff import ConcavePayoff, concavify, evaluate, make_payoff, \
     right_derivative
 from .regime import (RegimeModel, RegimeSolution, SwitchJump, ValueField,
@@ -23,7 +22,7 @@ __all__ = [
     "AuxProblem", "AuxSolution", "barrier_root", "dominance_gap",
     "hjb_residual", "value", "value_derivative", "ModelError",
     "NumericsError", "LevySpec", "laplace_exponent",
-    "laplace_exponent_deriv", "phi_inverse", "require_valid", "validate",
+    "laplace_exponent_deriv", "phi_inverse",
     "ConcavePayoff", "concavify", "evaluate", "make_payoff",
     "right_derivative", "RegimeModel", "RegimeSolution", "SwitchJump",
     "ValueField", "apply_T_b", "apply_T_sup", "hat_operator",

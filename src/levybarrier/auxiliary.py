@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from .levy import LevySpec, require_valid
+from .levy import LevySpec
 from .payoff import ConcavePayoff, evaluate, right_derivative
 from .scale import Z, ScaleEvaluator, _composite_rule, build_scale_evaluator
 from .value_grid import _closed_form, value_on_grid
@@ -43,7 +43,6 @@ class AuxProblem:
     payoff: ConcavePayoff
 
     def __post_init__(self):
-        require_valid(self.spec)
         if not 0 < self.delta < math.inf:
             raise ModelError("delta must be positive and finite")
         if not 0 <= self.lam < math.inf:

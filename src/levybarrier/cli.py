@@ -20,7 +20,7 @@ from .auxiliary import (AuxProblem, barrier_root, dominance_gap, hjb_residual,
 from .config import (ConfigError, aux_inputs_from, parse_config,
                      regime_model_from, sim_config_from, solver_options_from)
 from .errors import ModelError, NumericsError
-from .regime import require_valid_model, solve
+from .regime import solve
 from .scale import (_scale_sums, exit_identities_analytic,
                     verify_laplace_transform)
 from .simulate import (estimate_exit_identities, simulate_aux_npv,
@@ -162,7 +162,6 @@ def _simulate(tree, args, out):
     rows = []
     if "chain" in tree:
         model = regime_model_from(tree)
-        require_valid_model(model)
         config = _sim_config(tree, args, float(np.min(model.discounts)))
         if args.barrier is None:
             sol = solve(model, **solver_options_from(tree))

@@ -168,7 +168,12 @@ def regime_model_from(tree: dict) -> RegimeModel:
     for s in states:
         if s not in levy_sections:
             raise ConfigError(f"levy.{s}: required")
-        specs.append(levy_spec_from(levy_sections[s], f"levy.{s}"))
+        try:
+            specs.append(levy_spec_from(levy_sections[s], f"levy.{s}"))
+        except ConfigError:
+            raise
+        except ModelError as e:   # the spec's own check: name its state
+            raise ModelError(f"state {s}: {e}") from None
     problem = tree.get("problem")
     if problem is None:
         raise ConfigError("problem: required")

@@ -1,5 +1,5 @@
-"""Spectrally positive Levy process specifications: the Laplace exponent
-psi and the validity checks.
+"""Spectrally positive Levy process specifications and their Laplace
+exponent psi.
 
 A process is described in natural parameterization: linear drift, Brownian
 volatility and a compound-Poisson stream of positive hyperexponential jumps.
@@ -9,8 +9,9 @@ The Laplace exponent is then the rational function
                  + jump_rate*(sum_k w_k*mu_k/(mu_k+theta) - 1),
 
 and clearing its poles gives the polynomial whose roots scale.py finds.
-validate checks a spec, and the mixture law it shares with the regime
-switch jumps, before any of this is used.
+A LevySpec checks itself when it is built and raises ModelError naming the
+first rule it breaks, so every spec that exists is valid; the mixture law
+it checks is shared with the regime switch jumps.
 """
 
 from __future__ import annotations
@@ -27,13 +28,16 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LevySpec:
-    """One spectrally positive Levy process.
+    """One spectrally positive Levy process.  Building one raises
+    ModelError naming the first rule it breaks: the fields below, and paths
+    that are neither deterministic nor increasing.
 
-    drift_mu:  linear drift of X, so E[X_1] = drift_mu + jump_rate * mean_jump.
-    sigma:     Brownian volatility (>= 0).
-    jump_rate: compound-Poisson intensity (>= 0).
+    drift_mu:  linear drift of X (finite).
+    sigma:     Brownian volatility (>= 0, finite).
+    jump_rate: compound-Poisson intensity (>= 0, finite).
     jump_mix:  tuple of (weight, rate) pairs of the hyperexponential
-               positive-jump density sum_k w_k * mu_k * exp(-mu_k z), z > 0.
+               positive-jump density sum_k w_k * mu_k * exp(-mu_k z), z > 0:
+               when jump_rate > 0, a probability law with distinct rates.
     """
 
     drift_mu: float
@@ -44,15 +48,25 @@ class LevySpec:
     def __post_init__(self):
         object.__setattr__(self, "jump_mix",
                            tuple((float(w), float(r)) for w, r in self.jump_mix))
-
-    @property
-    def mean_jump(self) -> float:
-        return sum(w / r for w, r in self.jump_mix)
-
-    @property
-    def mean(self) -> float:
-        """E[X_1]."""
-        return self.drift_mu + self.jump_rate * self.mean_jump
+        if not math.isfinite(self.drift_mu):
+            raise ModelError("drift_mu must be finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ModelError("sigma must be nonnegative and finite")
+        if not 0 <= self.jump_rate < math.inf:
+            raise ModelError("jump_rate must be nonnegative and finite")
+        if self.jump_rate > 0:
+            if not self.jump_mix:
+                raise ModelError("jump_rate > 0 but jump_mix is empty")
+            diag = _mixture_error(self.jump_mix)
+            if diag is not None:
+                raise ModelError(diag)
+            rates = [r for _, r in self.jump_mix]
+            if len(set(rates)) != len(rates):
+                raise ModelError("mixture rates must be pairwise distinct")
+        if self.sigma == 0 and self.jump_rate == 0:
+            raise ModelError("degenerate: deterministic drift only")
+        if self.sigma == 0 and self.jump_rate > 0 and self.drift_mu >= 0:
+            raise ModelError("monotone paths: subordinator")
 
 
 def _mixture_error(mix) -> str | None:
@@ -66,37 +80,6 @@ def _mixture_error(mix) -> str | None:
     if not all(0 < r < math.inf for _, r in mix):
         return "mixture rates must be strictly positive and finite"
     return None
-
-
-def validate(spec: LevySpec) -> str | None:
-    """Check every LevySpec invariant; return a diagnostic naming the first
-    violated one, or None when the spec is valid."""
-    if not math.isfinite(spec.drift_mu):
-        return "drift_mu must be finite"
-    if not 0 <= spec.sigma < math.inf:
-        return "sigma must be nonnegative and finite"
-    if not 0 <= spec.jump_rate < math.inf:
-        return "jump_rate must be nonnegative and finite"
-    if spec.jump_rate > 0:
-        if not spec.jump_mix:
-            return "jump_rate > 0 but jump_mix is empty"
-        diag = _mixture_error(spec.jump_mix)
-        if diag is not None:
-            return diag
-        rates = [r for _, r in spec.jump_mix]
-        if len(set(rates)) != len(rates):
-            return "mixture rates must be pairwise distinct"
-    if spec.sigma == 0 and spec.jump_rate == 0:
-        return "degenerate: deterministic drift only"
-    if spec.sigma == 0 and spec.jump_rate > 0 and spec.drift_mu >= 0:
-        return "monotone paths: subordinator"
-    return None
-
-
-def require_valid(spec: LevySpec) -> None:
-    diag = validate(spec)
-    if diag is not None:
-        raise ModelError(diag)
 
 
 def _psi(spec: LevySpec, s: float) -> tuple[float, float]:

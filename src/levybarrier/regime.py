@@ -8,9 +8,10 @@ single-regime barrier problem per state and re-evaluates the closed-form
 value, which contracts in the sup metric with factor
 max_i lambda_i / (lambda_i + delta_i).
 
-An iteration redoes no per-grid work: each state's scale evaluator is
-built once per model and keeps the Z_q table of the hat payoff's knots, the
-grid, so the barrier root tabulates it once per state and grid.  A
+A RegimeModel checks itself when it is built, so an iteration runs no
+model checks, and it redoes no per-grid work: each state's scale evaluator
+is built once per model and keeps the Z_q table of the hat payoff's knots,
+the grid, so the barrier root tabulates it once per state and grid.  A
 hyperexponential hat average solves its recurrence for all rates with
 value_grid._scan, the package's one recurrence solver.
 """
@@ -19,14 +20,16 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .auxiliary import AuxProblem, barrier_root, value_derivative, z_inverse
 from .errors import ModelError, NumericsError
-from .levy import LevySpec, _mixture_error, validate
+from .levy import LevySpec, _mixture_error
 from .payoff import ConcavePayoff, concavify
 from .scale import ScaleEvaluator, build_scale_evaluator
 from .value_grid import _scan, value_on_grid
@@ -45,12 +48,65 @@ class SwitchJump:
 
 @dataclass(frozen=True, eq=False)
 class RegimeModel:
+    """A Markov additive model: the switching chain, one LevySpec per
+    state, the jumps at each switch and the per-state discounts.  Building
+    one raises ModelError naming the first rule it breaks.  It keeps
+    read-only copies of its fields (switch_rates and discounts as float
+    arrays), so a model that exists stays valid."""
+
     states: tuple[str, ...]
     switch_rates: np.ndarray        # off-diagonal lambda_ij >= 0
     discounts: np.ndarray           # delta_i > 0
     levy: tuple[LevySpec, ...]
-    switch_jumps: dict              # (i, j) index pairs -> SwitchJump
+    switch_jumps: Mapping           # (i, j) index pairs -> SwitchJump
     phi: float
+
+    def __post_init__(self):
+        for name in ("switch_rates", "discounts"):
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise ModelError(f"{name}: expected an array of numbers") \
+                    from None
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "levy", tuple(self.levy))
+        object.__setattr__(self, "switch_jumps",
+                           MappingProxyType(dict(self.switch_jumps)))
+        n = self.n
+        if not 1 < self.phi < math.inf:
+            raise ModelError("phi must exceed 1 and be finite")
+        if self.switch_rates.shape != (n, n):
+            raise ModelError("switch_rates shape mismatch")
+        if self.discounts.shape != (n,):
+            raise ModelError(f"discounts: expected one per state, shape "
+                             f"({n},), got {self.discounts.shape}")
+        if len(self.levy) != n:
+            raise ModelError(f"levy: expected one LevySpec per state ({n}), "
+                             f"got {len(self.levy)}")
+        for i, j in self.switch_jumps:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ModelError(f"jump {i}->{j}: state index outside "
+                                 f"0..{n - 1}")
+        off = self.switch_rates[~np.eye(n, dtype=bool)]
+        if not (np.all(np.isfinite(self.switch_rates)) and np.all(off >= 0)):
+            raise ModelError("switch rates must be nonnegative and finite")
+        for i, s in enumerate(self.states):
+            if self.lam(i) <= 0:
+                raise ModelError(f"state {s}: every state must switch "
+                                 f"(lambda_i > 0)")
+            if not 0 < self.discounts[i] < math.inf:
+                raise ModelError(f"state {s}: discount must be positive and "
+                                 f"finite")
+            if not isinstance(self.levy[i], LevySpec):
+                raise ModelError(f"state {s}: levy must be a LevySpec")
+        for (i, j), sj in self.switch_jumps.items():
+            if sj.kind not in ("none", "hyperexp"):
+                raise ModelError(f"jump {i}->{j}: unknown kind")
+            diag = _mixture_error(sj.mix) if sj.kind == "hyperexp" else None
+            if diag is not None:
+                raise ModelError(f"jump {i}->{j}: {diag}")
 
     @property
     def n(self) -> int:
@@ -79,47 +135,7 @@ class RegimeModel:
                    for i in range(self.n))
 
 
-def validate_model(model: RegimeModel) -> str | None:
-    if not 1 < model.phi < math.inf:
-        return "phi must exceed 1 and be finite"
-    if model.switch_rates.shape != (model.n, model.n):
-        return "switch_rates shape mismatch"
-    if np.shape(model.discounts) != (model.n,):
-        return (f"discounts: expected one per state, shape ({model.n},), "
-                f"got {np.shape(model.discounts)}")
-    if len(model.levy) != model.n:
-        return (f"levy: expected one LevySpec per state ({model.n}), "
-                f"got {len(model.levy)}")
-    for i, j in model.switch_jumps:
-        if not (0 <= i < model.n and 0 <= j < model.n):
-            return f"jump {i}->{j}: state index outside 0..{model.n - 1}"
-    off = model.switch_rates - np.diag(np.diag(model.switch_rates))
-    if not np.all((off >= 0) & (off < math.inf)):
-        return "switch rates must be nonnegative and finite"
-    for i in range(model.n):
-        if model.lam(i) <= 0:
-            return f"state {model.states[i]}: every state must switch (lambda_i > 0)"
-        if not 0 < model.discounts[i] < math.inf:
-            return f"state {model.states[i]}: discount must be positive and finite"
-        diag = validate(model.levy[i])
-        if diag is not None:
-            return f"state {model.states[i]}: {diag}"
-    for (i, j), sj in model.switch_jumps.items():
-        if sj.kind not in ("none", "hyperexp"):
-            return f"jump {i}->{j}: unknown kind"
-        diag = _mixture_error(sj.mix) if sj.kind == "hyperexp" else None
-        if diag is not None:
-            return f"jump {i}->{j}: {diag}"
-    return None
-
-
-def require_valid_model(model: RegimeModel) -> None:
-    diag = validate_model(model)
-    if diag is not None:
-        raise ModelError(diag)
-
-
-def require_valid_barriers(model: RegimeModel, barriers) -> np.ndarray:
+def checked_barriers(model: RegimeModel, barriers) -> np.ndarray:
     """The barrier vector as floats: one per state, each positive and
     finite, or ModelError."""
     barriers = np.asarray(barriers, dtype=float)
@@ -241,8 +257,7 @@ def _aux_problem(model: RegimeModel, i: int, pw: ConcavePayoff) -> AuxProblem:
 
 def apply_T_b(model: RegimeModel, f: ValueField, barriers) -> ValueField:
     """One-switch value mapping at a fixed barrier vector."""
-    require_valid_model(model)
-    barriers = require_valid_barriers(model, barriers)
+    barriers = checked_barriers(model, barriers)
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
         pw = hat_operator(model, f, i)
@@ -257,7 +272,6 @@ def apply_T_sup(model: RegimeModel,
     """Optimal one-switch mapping: solve the single-regime barrier problem
     per state against the hat payoff and evaluate its value.  f must lie
     in the cone (concave, slopes in [1, phi]), checked once for all states."""
-    require_valid_model(model)
     diag = in_cone(f)
     if diag is not None:
         raise ModelError(f"f not in cone: {diag}")
@@ -337,7 +351,6 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
     state, or outside the cone, raises ModelError; a field the solver made
     that leaves the cone raises NumericsError.
     """
-    require_valid_model(model)
     diag = _solver_error(tol, max_iter, grid_points, x_max)
     if diag is not None:
         raise ValueError(diag)
@@ -363,7 +376,7 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
                 f_new, barriers = apply_T_sup(model, f)
             except ModelError as e:
                 # only the caller's seed is a model input
-                if f is seed or not str(e).startswith("f not in cone"):
+                if f is seed:
                     raise
                 raise NumericsError(str(e)) from None
             if np.max(barriers) > 0.8 * x_max:

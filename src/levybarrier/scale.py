@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .levy import (LevySpec, _psi, _psi_poly_coeffs, laplace_exponent,
-                   require_valid)
+from .levy import LevySpec, _psi, _psi_poly_coeffs, laplace_exponent
 
 _EXP_CAP = 700.0  # largest exponent before exp() overflows
 # verify_laplace_transform: 20-point Gauss-Legendre rule on each of 41
@@ -59,7 +58,6 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
     polished by Newton on psi(s)-q.  Construction aborts on complex or
     near-multiple roots (measure-zero parameter sets, not handled).
     """
-    require_valid(spec)
     if q <= 0:
         raise ValueError("q must be positive")
     coeffs = _psi_poly_coeffs(spec, q)

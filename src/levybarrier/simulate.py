@@ -56,9 +56,9 @@ import numpy as np
 
 from .auxiliary import AuxProblem
 from .errors import ModelError
-from .levy import LevySpec, require_valid
+from .levy import LevySpec
 from .payoff import ConcavePayoff, evaluate
-from .regime import RegimeModel, require_valid_barriers, require_valid_model
+from .regime import RegimeModel, checked_barriers
 
 _CHUNK = 100_000
 
@@ -324,35 +324,39 @@ def _jump_sizes(rng, extra: np.ndarray, mixture) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # double-barrier NPV: one stepping loop for the regime and single-regime cases
 
-def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
-                        i0: int, config: SimConfig,
+def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
+                        switch_jumps, phi: float, barriers: np.ndarray,
+                        x0: float, i0: int, config: SimConfig,
                         payoff: ConcavePayoff | None = None,
                         payoff_weight: float = 0.0):
     """Set up once, then return the kernel(rng, n) for _run_chunks: the
     1-tuple of per-path NPVs of the dynamic double-barrier strategy
     (0, b_{Y_t}) on n paths, discounted dividends minus phi times
-    injections, each state discounting at its entry of model.discounts.
-    With a payoff, every step also adds payoff_weight * omega(U),
-    discounted, after its jumps.  Roulette runs at the smallest entry of
-    model.discounts."""
+    injections, each state discounting at its entry of discounts.  The
+    chain is given by the RegimeModel fields of the same names; a state
+    whose switch_rates row is 0 off the diagonal never switches.  With a
+    payoff, every step also adds payoff_weight * omega(U), discounted,
+    after its jumps.  Roulette runs at the smallest entry of discounts."""
     n_steps = int(math.ceil(config.t_max / config.dt))
     dt = config.dt
     sqdt = math.sqrt(dt)
 
-    mu = np.array([s.drift_mu for s in model.levy])
-    sig = np.array([s.sigma for s in model.levy])
-    eta = np.array([s.jump_rate for s in model.levy])
-    deltas = np.asarray(model.discounts, dtype=float)
-    lam = np.array([model.lam(i) for i in range(model.n)])
+    n_states = len(levy)
+    mu = np.array([s.drift_mu for s in levy])
+    sig = np.array([s.sigma for s in levy])
+    eta = np.array([s.jump_rate for s in levy])
+    deltas = np.asarray(discounts, dtype=float)
+    lam = np.array([float(np.sum(row) - row[i])
+                    for i, row in enumerate(switch_rates)])
     # per-state boundaries shifted inward by the continuity correction;
     # smooth fit (V' = phi at 0, V' = 1 at b) makes the shifted payout
     # accounting value-neutral to first order
     lo_eff = np.minimum(_AGP * sig * sqdt, 0.25 * barriers)
     hi_eff = np.maximum(barriers - _AGP * sig * sqdt, 0.75 * barriers)
     # destination cdf per origin state (none for a state that never switches)
-    dest_cdf = np.zeros((model.n, model.n))
-    for i in range(model.n):
-        probs = model.switch_rates[i].astype(float).copy()
+    dest_cdf = np.zeros((n_states, n_states))
+    for i in range(n_states):
+        probs = switch_rates[i].astype(float).copy()
         probs[i] = 0.0
         if lam[i] > 0:
             dest_cdf[i] = np.cumsum(probs / probs.sum())
@@ -367,7 +371,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
     table = np.vstack((lo_eff, hi_eff, lo_eff.astype(f32), hi_eff.astype(f32),
                        (mu * dt).astype(f32), (sig * sqdt).astype(f32),
                        np.exp(-deltas * dt)))
-    phi32 = f32(model.phi)
+    phi32 = f32(phi)
     zero32 = f32(0.0)
     # Jumps and switches are rare per step, so both are driven by geometric
     # clocks at the maximal rate, thinned by the path's current state.
@@ -378,9 +382,8 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
     p_sw = _jump_probs(lam_max, dt)[0]
     jump_accept = eta / eta_max if eta_max > 0 else eta
     sw_accept = lam / lam_max if lam_max > 0 else lam
-    jump_mix = [_mixture(s.jump_mix) if s.jump_mix else None
-                for s in model.levy]
-    drop_mix = {ij: _mixture(sj.mix) for ij, sj in model.switch_jumps.items()
+    jump_mix = [_mixture(s.jump_mix) if s.jump_mix else None for s in levy]
+    drop_mix = {ij: _mixture(sj.mix) for ij, sj in switch_jumps.items()
                 if sj.kind == "hyperexp"}
 
     k0, kdt = _roulette(float(deltas.min()), dt)
@@ -399,7 +402,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
         xs[0] = min(max(x0, lo0), hi0)
         xs[1:] = table[2:6, [i0]]
         fs = np.empty((3, n))
-        fs[0] = max(x0 - hi0, 0.0) - model.phi * max(lo0 - x0, 0.0)
+        fs[0] = max(x0 - hi0, 0.0) - phi * max(lo0 - x0, 0.0)
         fs[1] = 1.0
         fs[2] = table[6, i0]
         ints = np.zeros((5, n), dtype=np.int64)
@@ -424,8 +427,7 @@ def _double_barrier_npv(model: RegimeModel, barriers: np.ndarray, x0: float,
             uj = u[ja] - drop
             col = cols[:, dests]
             lo_new, hi_new = col[0], col[1]
-            pv[ja] -= (model.phi * disc[ja]
-                       * np.maximum(lo_new - uj, 0.0))
+            pv[ja] -= phi * disc[ja] * np.maximum(lo_new - uj, 0.0)
             uj = np.maximum(uj, lo_new)
             pv[ja] += disc[ja] * np.maximum(uj - hi_new, 0.0)
             u[ja] = np.minimum(uj, hi_new)
@@ -547,10 +549,8 @@ def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
     # The exponential time at rate lam ends the auxiliary problem, so it is
     # a one-state chain that never switches, discounted at delta + lam, that
     # is paid the stream lam * omega(U) in place of the switch.
-    model = RegimeModel(states=("aux",), switch_rates=np.zeros((1, 1)),
-                        discounts=np.array([q]), levy=(spec,),
-                        switch_jumps={}, phi=phi)
-    kernel = _double_barrier_npv(model, np.array([float(b)]), x0, 0, config,
+    kernel = _double_barrier_npv((spec,), np.zeros((1, 1)), np.array([q]), {},
+                                 phi, np.array([float(b)]), x0, 0, config,
                                  payoff if lam > 0 else None, lam * config.dt)
     scale = b + abs(x0) + (abs(evaluate(payoff, b)) if lam > 0 else 0.0) + 1.0
     tail = math.exp(-q * config.t_max) * phi * scale
@@ -561,8 +561,7 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
                         config: SimConfig) -> SimEstimate:
     """NPV of the dynamic double-barrier strategy (0, b_{Y_t}) under the
     Markov-additive surplus, with state-dependent discounting."""
-    require_valid_model(model)
-    barriers = require_valid_barriers(model, barriers)
+    barriers = checked_barriers(model, barriers)
     if not 0 <= i0 < model.n:
         raise ModelError(f"initial state {i0} outside 0..{model.n - 1}")
     if not math.isfinite(x0):
@@ -571,7 +570,9 @@ def simulate_regime_npv(model: RegimeModel, barriers, x0: float, i0: int,
     # decays at the smallest delta
     delta_min = float(np.min(model.discounts))
     config.check(delta_min)
-    kernel = _double_barrier_npv(model, barriers, x0, i0, config)
+    kernel = _double_barrier_npv(model.levy, model.switch_rates,
+                                 model.discounts, model.switch_jumps,
+                                 model.phi, barriers, x0, i0, config)
     tail = math.exp(-delta_min * config.t_max) * model.phi * (
         float(barriers.max()) + abs(x0) + 1.0)
     return _run_chunks(config, kernel, tail)[0]
@@ -709,7 +710,6 @@ def estimate_exit_identities(spec: LevySpec, q: float, b: float, x: float,
     which cancels the discrete-reflection bias, or, when sigma = 0,
     _claim_to_claim on free paths and on paths clamped at b, with no dt;
     antithetic runs pool pair means (of independent paths when sigma = 0)."""
-    require_valid(spec)
     if not 0 < b < math.inf:
         raise ModelError(f"b must be positive and finite, got {b!r}")
     if not 0.0 <= x <= b:

@@ -5,8 +5,7 @@ from scipy.optimize import brentq
 
 from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
                          RegimeModel, SwitchJump, make_payoff)
-from levybarrier.levy import (laplace_exponent, laplace_exponent_deriv,
-                              require_valid)
+from levybarrier.levy import laplace_exponent, laplace_exponent_deriv
 from levybarrier.payoff import evaluate, right_derivative
 from levybarrier.scale import W, W_deriv, Z, Zbar
 from levybarrier.value_grid import _closed_form
@@ -25,7 +24,6 @@ def reference_phi_inverse(spec, q):
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    require_valid(spec)
     hi = 1.0
     while laplace_exponent(spec, hi) <= q:
         hi *= 2.0

@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from levybarrier import (LevySpec, ModelError, laplace_exponent,
-                         laplace_exponent_deriv, phi_inverse, require_valid,
-                         validate)
+                         laplace_exponent_deriv, phi_inverse)
 
 from conftest import reference_phi_inverse
 
@@ -72,18 +73,15 @@ def test_negative_theta_rejected(brownian_spec):
 
 
 def test_validate_rejects_subordinator():
-    spec = LevySpec(drift_mu=1.0, sigma=0.0, jump_rate=1.0,
-                    jump_mix=((1.0, 1.0),))
-    diag = validate(spec)
-    assert diag is not None and "subordinator" in diag
-    with pytest.raises(ModelError):
-        require_valid(spec)
+    with pytest.raises(ModelError, match="subordinator"):
+        LevySpec(drift_mu=1.0, sigma=0.0, jump_rate=1.0,
+                 jump_mix=((1.0, 1.0),))
 
 
 def test_validate_rejects_bad_weights():
-    spec = LevySpec(drift_mu=-1.0, sigma=0.0, jump_rate=1.0,
-                    jump_mix=((0.5, 1.0), (0.2, 2.0)))
-    assert validate(spec) is not None
+    with pytest.raises(ModelError):
+        LevySpec(drift_mu=-1.0, sigma=0.0, jump_rate=1.0,
+                 jump_mix=((0.5, 1.0), (0.2, 2.0)))
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -101,25 +99,26 @@ def test_validate_rejects_bad_weights():
      "weights must be positive and finite"),
 ])
 def test_validate_rejects_non_finite(fields, message):
-    spec = LevySpec(**{**dict(drift_mu=-1.0, sigma=0.5, jump_rate=1.0,
-                              jump_mix=((1.0, 2.0),)), **fields})
-    assert message in validate(spec)
     with pytest.raises(ModelError, match=message):
-        require_valid(spec)
+        LevySpec(**{**dict(drift_mu=-1.0, sigma=0.5, jump_rate=1.0,
+                           jump_mix=((1.0, 2.0),)), **fields})
 
 
 def test_validate_rejects_degenerate():
-    spec = LevySpec(drift_mu=0.0, sigma=0.0, jump_rate=0.0, jump_mix=())
-    assert validate(spec) is not None
+    with pytest.raises(ModelError):
+        LevySpec(drift_mu=0.0, sigma=0.0, jump_rate=0.0, jump_mix=())
 
 
 def test_validate_accepts_fixture_models(three_specs):
+    # a rebuilt spec runs its checks again
     for spec in three_specs:
-        assert validate(spec) is None
+        assert dataclasses.replace(spec) == spec
 
 
 def test_mean_matches_psi_deriv_at_zero(three_specs):
     # E[X_1] = -psi'(0+) in this parameterization
     for spec in three_specs:
-        assert spec.mean == pytest.approx(
-            -laplace_exponent_deriv(spec, 0.0), rel=1e-12)
+        mean = spec.drift_mu + spec.jump_rate * sum(w / r
+                                                    for w, r in spec.jump_mix)
+        assert mean == pytest.approx(-laplace_exponent_deriv(spec, 0.0),
+                                     rel=1e-12)

@@ -11,8 +11,7 @@ from conftest import reference_hyperexp_average
 from levybarrier import auxiliary, regime
 from levybarrier.regime import (ValueField, _hyperexp_average, apply_T_b,
                                 apply_T_sup, default_x_max, hat_operator,
-                                identity_field, in_cone, rho_metric,
-                                validate_model)
+                                identity_field, in_cone, rho_metric)
 
 
 def single_regime_reference(spec, phi):
@@ -22,12 +21,12 @@ def single_regime_reference(spec, phi):
 
 
 def test_validate_model(two_state_model):
-    assert validate_model(two_state_model) is None
-    bad = RegimeModel(states=("a", "b"),
-                      switch_rates=np.array([[0.0, 0.0], [1.0, 0.0]]),
-                      discounts=np.array([1.0, 1.0]),
-                      levy=two_state_model.levy, switch_jumps={}, phi=2.0)
-    assert "switch" in validate_model(bad)
+    dataclasses.replace(two_state_model)   # a rebuilt model checks again
+    with pytest.raises(ModelError, match="switch"):
+        RegimeModel(states=("a", "b"),
+                    switch_rates=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                    discounts=np.array([1.0, 1.0]),
+                    levy=two_state_model.levy, switch_jumps={}, phi=2.0)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
@@ -40,10 +39,8 @@ def test_validate_model_rejects_non_finite(two_state_model, bad, field,
                                            message):
     value = {"phi": bad, "discounts": np.array([bad, 1.0]),
              "switch_rates": np.array([[0.0, bad], [1.0, 0.0]])}[field]
-    model = dataclasses.replace(two_state_model, **{field: value})
-    assert validate_model(model) == message
-    with pytest.raises(ModelError, match=message):
-        solve(model, grid_points=200)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(two_state_model, **{field: value})
 
 
 @pytest.mark.parametrize("mix, message", [
@@ -59,11 +56,11 @@ def test_validate_model_rejects_non_finite(two_state_model, bad, field,
 def test_validate_model_rejects_bad_switch_jump(two_state_model, mix,
                                                 message):
     # a mixture summing to 1 with a negative weight is no probability law
-    model = dataclasses.replace(
-        two_state_model, switch_jumps={(0, 1): SwitchJump("hyperexp", mix)})
-    assert message in validate_model(model)
-    with pytest.raises(ModelError, match="jump 0->1"):
-        solve(model, grid_points=200)
+    with pytest.raises(ModelError, match="jump 0->1") as err:
+        dataclasses.replace(
+            two_state_model,
+            switch_jumps={(0, 1): SwitchJump("hyperexp", mix)})
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -77,11 +74,24 @@ def test_validate_model_rejects_bad_switch_jump(two_state_model, mix,
 def test_validate_model_rejects_mis_shaped(two_state_model, field, value,
                                            message):
     # checked before the per-state loop, which would index past the end
-    model = dataclasses.replace(two_state_model,
-                                **{field: value(two_state_model)})
-    assert validate_model(model) == message
-    with pytest.raises(ModelError, match=re.escape(message)):
-        solve(model, grid_points=200)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(two_state_model,
+                            **{field: value(two_state_model)})
+
+
+def test_model_fields_are_read_only(two_state_model):
+    # the model checked these values when it was built, so they cannot
+    # change under it or under its cached evaluators
+    rates = np.array([[0.0, 0.5], [1.0, 0.0]])
+    model = dataclasses.replace(two_state_model, switch_rates=rates)
+    for arr in (model.switch_rates, model.discounts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    with pytest.raises(TypeError):
+        model.switch_jumps[(1, 0)] = SwitchJump("none")
+    rates[0, 1] = 5.0   # the caller's array stays the caller's
+    assert model.lam(0) == 0.5
+    assert model.evaluators[0].q == model.q(0) == 1.3
 
 
 def test_beta_formula(two_state_model):

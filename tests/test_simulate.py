@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from levybarrier import (AuxProblem, LevySpec, ModelError, RegimeModel,
-                         SimConfig, W, Z, barrier_root, build_scale_evaluator,
+from levybarrier import (AuxProblem, LevySpec, ModelError, SimConfig, W, Z,
+                         barrier_root, build_scale_evaluator,
                          estimate_exit_identities, simulate_aux_npv,
                          simulate_regime_npv, solve, value)
 from levybarrier import simulate
@@ -235,27 +236,28 @@ def test_no_normals_where_nothing_diffuses(cramer_lundberg_spec,
         assert est.std_error > 0
 
 
-# A drift-only surplus (sigma = 0, no jumps) is not a valid LevySpec for the
-# public simulators, so the roulette tests run the kernels on it directly:
-# every path is the same until roulette ends it, and the exact value is known.
-_DRIFT_DOWN = LevySpec(drift_mu=-0.5, sigma=0.0)
+# A drift-only surplus (sigma = 0, no jumps) is not a valid LevySpec, so the
+# roulette tests hand the kernels its four fields directly: every path is
+# the same until roulette ends it, and the exact value is known.
+_DRIFT_DOWN = SimpleNamespace(drift_mu=-0.5, sigma=0.0, jump_rate=0.0,
+                              jump_mix=())
 # dt = 0.05 makes the survivor weight per step e^{kappa dt} = e^{0.075} at
 # q = 1, so an off-by-one step in the kill or the weight moves the estimate
 # by several standard errors.
 _COARSE = SimConfig(n_paths=20_001, dt=0.05, t_max=8.0, rng_seed=4)
 
 
-def _drift_down_model(delta=1.0, phi=2.0):
-    return RegimeModel(states=("s",), switch_rates=np.zeros((1, 1)),
-                       discounts=np.array([delta]), levy=(_DRIFT_DOWN,),
-                       switch_jumps={}, phi=phi)
+def _drift_down_chain(delta=1.0, phi=2.0):
+    # levy, switch_rates, discounts, switch_jumps and phi of a one-state
+    # chain that never switches
+    return (_DRIFT_DOWN,), np.zeros((1, 1)), np.array([delta]), {}, phi
 
 
 def test_roulette_npv_unbiased_on_drift_down():
     # From x0 = 0 each step injects |mu| dt, so without roulette every
     # path's NPV is -phi |mu| dt sum_k e^{-delta k dt}.
     delta, phi, dt = 1.0, 2.0, _COARSE.dt
-    kernel = _double_barrier_npv(_drift_down_model(delta, phi),
+    kernel = _double_barrier_npv(*_drift_down_chain(delta, phi),
                                  np.array([1.0]), 0.0, 0, _COARSE)
     est, = _run_chunks(_COARSE, kernel)
     k = np.arange(1, math.ceil(_COARSE.t_max / dt) + 1)
@@ -289,8 +291,8 @@ def test_antithetic_partners_die_together():
     cfg = SimConfig(n_paths=2_001, dt=0.05, t_max=8.0, rng_seed=8,
                     antithetic=True)
     half, odd = divmod(cfg.n_paths, 2)
-    kernel = _double_barrier_npv(_drift_down_model(), np.array([1.0]), 0.0, 0,
-                                 cfg)
+    kernel = _double_barrier_npv(*_drift_down_chain(), np.array([1.0]), 0.0,
+                                 0, cfg)
     npv, = kernel(np.random.default_rng(8), cfg.n_paths)
     down, _ = _first_passage(_DRIFT_DOWN, 1.0, 3.0, 2.0, cfg,
                              np.random.default_rng(8), cfg.n_paths)
