@@ -29,8 +29,9 @@ _WEIGHT_TOL = 1e-12
 @dataclass(frozen=True)
 class LevySpec:
     """One spectrally positive Levy process.  Building one raises
-    ModelError naming the first rule it breaks: the fields below, and paths
-    that are neither deterministic nor increasing.
+    ModelError naming the first rule it breaks: the fields below, paths
+    that are neither deterministic nor increasing, and psi and psi' at 0
+    that can be evaluated in float64.
 
     drift_mu:  linear drift of X (finite).
     sigma:     Brownian volatility (>= 0, finite).
@@ -67,6 +68,13 @@ class LevySpec:
             raise ModelError("degenerate: deterministic drift only")
         if self.sigma == 0 and self.jump_rate > 0 and self.drift_mu >= 0:
             raise ModelError("monotone paths: subordinator")
+        try:
+            at_zero = _psi(self, 0.0)
+        except ZeroDivisionError:
+            raise ModelError("psi'(0) cannot be evaluated in float64: a "
+                             "mixture rate's square underflows to 0") from None
+        if not all(map(math.isfinite, at_zero)):
+            raise ModelError("psi or psi' at 0 overflows float64")
 
 
 def _mixture_error(mix) -> str | None:

@@ -99,6 +99,9 @@ class RegimeModel:
             if not 0 < self.discounts[i] < math.inf:
                 raise ModelError(f"state {s}: discount must be positive and "
                                  f"finite")
+            if not self.lam(i) / self.q(i) < 1:
+                raise ModelError(f"state {s}: discount vanishes next to "
+                                 f"lambda_i in float64, so beta rounds to 1")
             if not isinstance(self.levy[i], LevySpec):
                 raise ModelError(f"state {s}: levy must be a LevySpec")
         for (i, j), sj in self.switch_jumps.items():
@@ -346,14 +349,14 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
 
     The grid is widened, and the solve restarted from the identity field,
     whenever a barrier approaches the grid boundary, so truncation never
-    silently biases the result.  A seed off the first grid
-    (linspace(0, x_max, grid_points + 1)), with other than one row per
-    state, or outside the cone, raises ModelError; a field the solver made
-    that leaves the cone raises NumericsError.
+    silently biases the result.  A setting out of range, or a seed off the
+    first grid (linspace(0, x_max, grid_points + 1)), with other than one
+    row per state, or outside the cone, raises ModelError; a field the
+    solver made that leaves the cone raises NumericsError.
     """
     diag = _solver_error(tol, max_iter, grid_points, x_max)
     if diag is not None:
-        raise ValueError(diag)
+        raise ModelError(diag)
     if seed is not None and \
             np.shape(seed.values) != (model.n, len(seed.grid)):
         raise ModelError(f"seed: expected one row per state, shape "

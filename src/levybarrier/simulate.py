@@ -40,10 +40,13 @@ ziggurat.  Its uniforms have 24 bits, so |Z| never exceeds
 sqrt(48 ln 2) = 5.77; the normal mass beyond that is 8.0e-9 per draw, far
 below any standard error here.
 
-Each _first_passage run makes one _Normals, and so does each chunk's NPV
-kernel when some state diffuses (sigma > 0).  That source keeps the
-antithetic pair slots through every compaction of the loop's arrays, so a
-path's partner follows its slot, not its position.
+Antithetic pairs (Hammersley & Morton 1956), paths k and k + ceil(n/2) of
+a chunk, live in the array layout, not in the normal source: both stepping
+kernels hold the live pairs' first members, then their partners in the
+same order, then the unpaired paths (the odd path, and survivors whose
+partner has left), so draw(m, pairs) takes one normal per pair and per
+unpaired path.  _layout sets the layout up and _regroup keeps it through
+each compaction; NPV partners die together, exit-loop partners may not.
 """
 
 from __future__ import annotations
@@ -117,44 +120,24 @@ class SimEstimate:
 
 
 class _Normals:
-    """Single-precision standard normals from one generator: take(m) hands
-    out the raw stream in order, made by the Box-Muller transform in blocks
-    of _BLOCK so that each of its array passes stays in cache, and draw(m)
-    gives one to each live path of a chunk of n.
+    """Single-precision standard normals from one generator, made by the
+    Box-Muller transform in blocks of _BLOCK so that each of its array
+    passes stays in cache: take(m) hands out the next m of the stream in
+    order, and draw(m, pairs) gives one to each of m paths in the pair
+    layout with `pairs` live pairs.
 
     A block is _BLOCK/2 pairs (k1, k2) of 24-bit integers, the top bits of
     the generator's raw 32-bit words.  The radius sqrt(-2 log u) takes
     u = (k1 + 1) 2^-24 in (0, 1], the angle is 2 pi k2 2^-24, and the pair
     gives r cos and r sin of it.  So |Z| <= sqrt(48 ln 2) = 5.77: the
-    normal mass beyond that, 8.0e-9 per draw, is never drawn.
+    normal mass beyond that, 8.0e-9 per draw, is never drawn."""
 
-    Antithetic paths k and k + ceil(n/2) share a pair slot and take its
-    draw with opposite signs.  keep(mask) follows the live paths and
-    renumbers the slots to the live pairs when they outnumber the live
-    paths, so pairs outlive exits at no more draws than plain sampling;
-    the exit loop's antithetic streams rest on that rule.  The NPV kernel,
-    whose partners die together, renumbers at every compaction.
-
-    While the slots are in order (the first m live paths hold slots
-    0..m-1 with sign +1, the rest slots 0, 1, ... with sign -1), draw
-    returns the m normals followed by the negated head of them, which is
-    the gather sign * z[slot] without its index pass.  They are in order
-    at the start, and after a renumbering that leaves them so."""
-
-    def __init__(self, rng, n: int, antithetic: bool):
+    def __init__(self, rng):
         self.bits = rng.bit_generator
         self.buf = np.empty(_BLOCK, np.float32)
         self.pos = _BLOCK
         self.r = np.empty(_BLOCK // 2, np.float32)
         self.t = np.empty(_BLOCK // 2, np.float32)
-        self.slot = None
-        if antithetic:
-            half = (n + 1) // 2
-            k = np.arange(n)
-            self.slot = k % half
-            self.sign = np.where(k < half, 1, -1).astype(np.float32)
-            self.n_slots = half
-            self.in_order = True
 
     def _fill(self, out: np.ndarray) -> None:
         """The next block of normals, into out (length _BLOCK)."""
@@ -190,42 +173,47 @@ class _Normals:
             out[got:] = self.buf[:self.pos]
         return out
 
-    def draw(self, m: int) -> np.ndarray:
-        if self.slot is None:
-            return self.take(m)
-        z = self.take(self.n_slots)
-        if self.in_order:
-            return np.concatenate((z, -z[:m - self.n_slots]))
-        return self.sign * z[self.slot]
+    def draw(self, m: int, pairs: int) -> np.ndarray:
+        """m - pairs normals z, laid out as z[:pairs], -z[:pairs],
+        z[pairs:]: the first members, their partners, the unpaired."""
+        z = self.take(m - pairs)
+        if not pairs:
+            return z
+        return np.concatenate((z[:pairs], -z[:pairs], z[pairs:]))
 
-    def keep(self, keep: np.ndarray) -> None:
-        if self.slot is None:
-            return
-        n = len(self.slot)
-        self.slot, self.sign = self.slot[keep], self.sign[keep]
-        self.in_order &= len(self.slot) == n
-        if self.n_slots > len(self.slot):
-            self.renumber()
 
-    def renumber(self) -> None:
-        """Number the slots of the live pairs 0, 1, ..., so that draw takes
-        no normal for a pair whose paths have both left."""
-        if self.slot is None:
-            return
-        live = np.zeros(self.n_slots, dtype=bool)
-        live[self.slot] = True
-        self.slot = (np.cumsum(live) - 1)[self.slot]
-        m = self.n_slots = int(np.count_nonzero(live))
-        rest = len(self.slot) - m
-        self.in_order = bool(
-            np.array_equal(self.slot[:m], np.arange(m))
-            and np.array_equal(self.slot[m:], np.arange(rest))
-            and np.all(self.sign[:m] > 0) and np.all(self.sign[m:] < 0))
+def _layout(n: int, antithetic: bool) -> tuple[np.ndarray, int]:
+    """(path numbers in array order, live pairs) of a chunk of n paths at
+    its start: with antithetic pairs, the first members 0..n//2 - 1, their
+    partners k + ceil(n/2), then the unpaired path n//2 when n is odd."""
+    if not antithetic:
+        return np.arange(n), 0
+    half, odd = divmod(n, 2)
+    return np.concatenate((np.arange(half), np.arange(half + odd, n),
+                           np.arange(half, half + odd))), half
+
+
+def _regroup(keep: np.ndarray, pairs: int) -> tuple[np.ndarray, int]:
+    """(selector, live pairs) that compact arrays in the pair layout with
+    `pairs` live pairs to the paths where the boolean keep holds, and keep
+    the layout: whole pairs stay in order, and a path whose partner leaves
+    heads the unpaired block.  When no pair breaks, the selector is keep."""
+    if not pairs:
+        return keep, 0
+    first, second = keep[:pairs], keep[pairs:2 * pairs]
+    broken = np.flatnonzero(first != second)
+    if not len(broken):
+        return keep, int(np.count_nonzero(first))
+    whole = np.flatnonzero(first & second)
+    # each broken pair's survivor: its first member, or else its partner
+    lone = broken + pairs * second[broken]
+    rest = 2 * pairs + np.flatnonzero(keep[2 * pairs:])
+    return np.concatenate((whole, whole + pairs, lone, rest)), len(whole)
 
 
 def _pair_means(samples: np.ndarray) -> np.ndarray:
-    """Means of the antithetic pairs, paths k and k + ceil(n/2) (the pair
-    slots of _Normals): those are the independent samples, so the standard
+    """Means of the antithetic pairs, paths k and k + ceil(n/2) (the
+    partners of _layout): those are the independent samples, so the standard
     error sees the variance reduction.  With n odd, the unpaired path stays."""
     half, odd = divmod(len(samples), 2)
     return np.concatenate((0.5 * (samples[:half] + samples[half + odd:]),
@@ -293,7 +281,7 @@ def _death_steps(rng, n: int, k0: int, kdt: float,
     geometric number of steps with p = 1 - e^{-kappa dt}, so a path lives
     through roulette step k with probability e^{-kappa dt (k - k0 + 1)},
     the inverse of its survivor weight there.  Antithetic partners k and
-    k + ceil(n/2) (the pairs of _Normals) share one draw."""
+    k + ceil(n/2) (the partners of _layout) share one draw."""
     g = rng.geometric(-math.expm1(-kdt), (n + 1) // 2 if antithetic else n)
     if antithetic:
         g = np.concatenate((g, g))[:n]
@@ -397,7 +385,8 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
         # dtype, so that dropping the dead paths is one selection per block:
         # U with its per-step boundaries, drift and volatility; the NPV, the
         # discount and the one-step discount factor; the state, the two
-        # clocks, the death step and the path's number in the chunk.
+        # clocks, the death step and the path's number in the chunk, in
+        # the pair layout.
         xs = np.empty((5, n), f32)
         xs[0] = min(max(x0, lo0), hi0)
         xs[1:] = table[2:6, [i0]]
@@ -407,7 +396,7 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
         fs[2] = table[6, i0]
         ints = np.zeros((5, n), dtype=np.int64)
         ints[0] = i0
-        ints[4] = np.arange(n)
+        ints[4], pairs = _layout(n, config.antithetic)
         if eta_max > 0:
             ints[1] = rng.geometric(p_jump, n)
         if lam_max > 0:
@@ -417,7 +406,7 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
         state, jump_till, sw_till, death, idx = ints
         npv = np.empty(n)
         n_dead = 0
-        normals = _Normals(rng, n, config.antithetic) if sig.any() else None
+        normals = _Normals(rng) if sig.any() else None
 
         def apply_switches(ja):
             origins = state[ja]
@@ -458,7 +447,7 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
             if k >= k0:
                 if k == k0:
                     death[:] = _death_steps(rng, n, k0, kdt,
-                                            config.antithetic)
+                                            config.antithetic)[idx]
                     dfac_cur *= math.exp(kdt)
                     cols[6] *= math.exp(kdt)
                 dying = death == k
@@ -467,7 +456,7 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
             disc *= dfac_cur
             u += drift_cur
             if normals is not None:
-                u += vol_cur * normals.draw(len(u))
+                u += vol_cur * normals.draw(len(u), pairs)
             pay = np.maximum(u - hi_cur, zero32)
             inj = np.maximum(lo_cur - u, zero32)
             np.maximum(u, lo_cur, out=u)
@@ -505,11 +494,8 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
             # making it at every death would cost more than it saves.
             if 4 * n_dead > len(idx):
                 npv[idx] = pv
-                keep = np.flatnonzero(death > k)
-                xs, fs, ints = (a.take(keep, axis=1) for a in (xs, fs, ints))
-                if normals is not None:
-                    normals.keep(keep)
-                    normals.renumber()
+                keep, pairs = _regroup(death > k, pairs)
+                xs, fs, ints = (a[:, keep] for a in (xs, fs, ints))
                 u, lo_cur, hi_cur, drift_cur, vol_cur = xs
                 pv, disc, dfac_cur = fs
                 state, jump_till, sw_till, death, idx = ints
@@ -588,8 +574,8 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
     factors at rate q of the exits below 0 and above b, times the roulette
     weight (0: no exit, or ended by roulette first).  A crossing inside a
     step, at the step's end or by the Brownian bridge, counts at the step
-    midpoint.  Exited paths leave the working arrays, so the cost follows
-    the live paths."""
+    midpoint.  Exited paths leave the working arrays, which stay in the pair
+    layout (_regroup), so the cost follows the live paths."""
     dt = config.dt
     sqdt = math.sqrt(dt)
     sig2dt = spec.sigma**2 * dt
@@ -598,14 +584,14 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
     # near the unavoidable normal draws.
     thr = 5.0 * spec.sigma * sqdt
     res_d, res_u = np.zeros(n), np.zeros(n)
-    idx = np.arange(n)
+    idx, pairs = _layout(n, config.antithetic)
     # Single precision throughout the hot loop: increments are O(sqrt(dt)),
     # so the rounding noise is far below the statistical error.
     top = b if reflect_at is None else reflect_at
     xs = np.full(n, min(float(x), top), dtype=np.float32)
     drift = np.float32(spec.drift_mu * dt)
     vol = np.float32(spec.sigma * sqdt)
-    normals = _Normals(rng, n, config.antithetic)
+    normals = _Normals(rng)
     p_any, p_two = _jump_probs(spec.jump_rate, dt)
     till = rng.geometric(p_any, n) if p_any > 0 else None
     mixture = _mixture(spec.jump_mix) if p_any > 0 else None
@@ -618,7 +604,7 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
         # weight e^{kappa dt (k - k0 + 1)}
         disc_mid = math.exp(-q * (k + 0.5) * dt + kdt * max(k - k0 + 1, 0))
         new = xs + drift
-        new += vol * normals.draw(len(idx))
+        new += vol * normals.draw(len(idx), pairs)
         dead = new < 0
         res_d[idx[dead]] = disc_mid
         walls = [(res_d, xs, new)]
@@ -653,13 +639,14 @@ def _first_passage(spec, q, b, x, config, rng, n, reflect_at=None):
             death = _death_steps(rng, n, k0, kdt, config.antithetic)[idx]
         if death is not None:
             keep &= death != k + 1
-            death = death[keep]
+        keep, pairs = _regroup(keep, pairs)
         idx, xs = idx[keep], new[keep]
+        if death is not None:
+            death = death[keep]
         if reflect_at is not None:
             np.minimum(xs, np.float32(top), out=xs)
         if till is not None:
             till = till[keep]
-        normals.keep(keep)
     return res_d, res_u
 
 

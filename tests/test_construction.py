@@ -6,22 +6,25 @@ The box: n in 1-3 states; switch_rates of shape (0-4, 0-4), or a ragged
 list, and discounts and levy of length 0-4, each of the right shape three
 times in four; switch-jump keys (i, j) with i, j in -1..n; jump kinds
 "none", "hyperexp" and an unknown one; and every number 0, +-inf, NaN or
-of magnitude in [1e-3, 1e2].  Magnitudes below 1e-3 are left out: a jump
-rate under about 1e-154 underflows its square in psi', and a discount
-under about 1e-16 lambda_i rounds beta to 1.
+of magnitude in [1e-300, 1e2].  The tiny magnitudes reach two float64
+limits that the checks name: a mixture rate under about 1e-154 underflows
+its square in psi'(0), and a discount under about 1e-16 lambda_i rounds
+beta to 1.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from levybarrier import (LevySpec, ModelError, RegimeModel, SwitchJump,
                          laplace_exponent)
 
-POSITIVE = st.floats(1e-3, 1e2)
+POSITIVE = st.floats(1e-300, 1e2)
+NEGATIVE = st.floats(-1e2, -1e-300)
 NUMBERS = st.one_of(st.sampled_from([0.0, math.inf, -math.inf, math.nan]),
-                    POSITIVE, st.floats(-1e2, -1e-3))
+                    POSITIVE, NEGATIVE)
 SETTINGS = settings(derandomize=True, max_examples=400, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -43,7 +46,7 @@ def mixtures(draw):
 
 @st.composite
 def spec_fields(draw):
-    return (_either(draw, st.floats(-1e2, -1e-3), NUMBERS),
+    return (_either(draw, NEGATIVE, NUMBERS),
             _either(draw, POSITIVE, NUMBERS),
             _either(draw, POSITIVE, NUMBERS), tuple(draw(mixtures())))
 
@@ -117,3 +120,15 @@ def test_model_is_valid_or_model_error():
 
     check()
     assert len(built) >= 10
+
+
+def test_float64_limits_fail_at_construction():
+    # each built before and then failed in use: psi'(0) divided by a rate
+    # squared to 0, and solve() met a contraction factor of 1
+    with pytest.raises(ModelError, match="square underflows"):
+        LevySpec(0.0, 1.0, 1.0, ((1.0, 2.9e-194),))
+    with pytest.raises(ModelError, match="beta rounds to 1"):
+        RegimeModel(states=("s0", "s1"), switch_rates=[[0.0, 1.0],
+                                                       [1.0, 0.0]],
+                    discounts=[1e-17, 1.0], levy=(SPECS[0], SPECS[0]),
+                    switch_jumps={}, phi=2.0)

@@ -416,7 +416,7 @@ def test_fuzz_models_fail_loudly_or_fit(k):
     ({"x_max": float("inf")}, "x_max"),
 ])
 def test_solve_rejects_bad_options(two_state_model, options, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ModelError, match=message):
         solve(two_state_model, **options)
 
 

@@ -11,8 +11,8 @@ from levybarrier import (AuxProblem, LevySpec, ModelError, SimConfig, W, Z,
 from levybarrier import simulate
 from levybarrier.scale import exit_identities_analytic
 from levybarrier.simulate import (_BLOCK, _double_barrier_npv,
-                                  _first_passage, _Normals, _pair_means,
-                                  _run_chunks)
+                                  _first_passage, _layout, _Normals,
+                                  _pair_means, _regroup, _run_chunks)
 
 
 def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
@@ -59,10 +59,12 @@ def test_pool_matches_direct_moments(monkeypatch):
 
 
 def test_pair_means_match_antithetic_normals():
-    # _pair_means must pair the paths exactly as _Normals negates them
+    # _pair_means must pair the paths exactly as the layout's draw negates
+    # them
     for n in (1, 6, 7):
-        z = _Normals(np.random.default_rng(0), n, True).draw(n)
-        assert z.dtype == np.float32
+        order, pairs = _layout(n, True)
+        z = np.empty(n, np.float32)
+        z[order] = _Normals(np.random.default_rng(0)).draw(n, pairs)
         pm = _pair_means(z)
         assert len(pm) == (n + 1) // 2
         assert np.all(pm[:n // 2] == 0.0)
@@ -73,7 +75,7 @@ def test_normal_source_distribution():
     # within 5 SE, and the sqrt(48 ln 2) = 5.77 cap of 24-bit uniforms
     from scipy import stats
     n = 2**21
-    z = _Normals(np.random.default_rng(2024), 0, False).take(n).astype(float)
+    z = _Normals(np.random.default_rng(2024)).take(n).astype(float)
     assert stats.kstest(z, "norm").pvalue > 1e-3
     for moment, exact, var in ((z, 0.0, 1.0), (z**2, 1.0, 2.0),
                                (z**4, 3.0, 96.0)):
@@ -88,7 +90,7 @@ def test_normal_source_is_box_muller_of_raw_bits():
     h = _BLOCK // 2
     r = np.sqrt(-2.0 * np.log((k[:h] + 1) * 2.0**-24))
     angle = 2.0 * math.pi * k[h:] * 2.0**-24
-    z = _Normals(np.random.default_rng(5), 0, False).take(_BLOCK)
+    z = _Normals(np.random.default_rng(5)).take(_BLOCK)
     np.testing.assert_allclose(z, np.concatenate((r * np.cos(angle),
                                                   r * np.sin(angle))),
                                rtol=1e-5, atol=1e-5)
@@ -96,124 +98,167 @@ def test_normal_source_is_box_muller_of_raw_bits():
 
 def test_normal_source_order_across_refills():
     # requests within, up to and across blocks hand out one stream in order
-    parts = _Normals(np.random.default_rng(3), 0, False)
+    parts = _Normals(np.random.default_rng(3))
     got = np.concatenate([parts.take(m) for m in (3, 8190, 20000)])
-    whole = _Normals(np.random.default_rng(3), 0, False).take(28193)
+    whole = _Normals(np.random.default_rng(3)).take(28193)
     np.testing.assert_array_equal(got, whole)
 
 
 def test_antithetic_pairs_span_a_block_refill():
-    # partners k and k + ceil(n/2) stay exact negatives when their draws
-    # straddle a refill, and keep their pairing after exits
-    n, half = 21, 11
-    src = _Normals(np.random.default_rng(4), n, True)
+    # 21 paths in the pair layout, 10 pairs and the odd path: draw takes 11
+    # normals, 5 before a refill and 6 after it, and the partners' half is
+    # the exact negative of the first members'
+    src = _Normals(np.random.default_rng(4))
     src.take(_BLOCK - 5)
-    z = src.draw(n)
-    np.testing.assert_array_equal(z[:n - half], -z[half:])
-    ref = _Normals(np.random.default_rng(4), n, False).take(_BLOCK + 6)
-    np.testing.assert_array_equal(z[:half], ref[-half:])
-
-    live = np.arange(n)
-    keep = np.arange(n) % 4 != 1
-    live = live[keep]
-    src.keep(keep)
-    z = dict(zip(live, src.draw(len(live))))
-    pairs = [k for k in live if k < n - half and k + half in z]
-    assert pairs
-    for k in pairs:
-        assert z[k] == -z[k + half]
-
-
-def _check_pairs(src, live, half):
-    """Draw for the live paths of src: partners k and k + half are exact
-    negatives, a path without a live partner shares no draw, and no more
-    pair slots are drawn than there are live paths."""
-    assert src.n_slots <= len(live)
-    z = dict(zip(live, src.draw(len(live))))
-    for k in live:
-        partner = k + half if k < half else k - half
-        if partner in z:
-            assert z[k] == -z[partner]
-        else:
-            assert all(abs(z[k]) != abs(z[j]) for j in z if j != k)
+    z = src.draw(21, 10)
+    assert z.dtype == np.float32 and len(z) == 21
+    np.testing.assert_array_equal(z[10:20], -z[:10])
+    ref = _Normals(np.random.default_rng(4)).take(_BLOCK + 6)
+    np.testing.assert_array_equal(z[:10], ref[-11:-1])
+    assert z[20] == ref[-1]
+    # no pairs: the plain stream
+    np.testing.assert_array_equal(src.draw(3, 0),
+                                  _Normals(np.random.default_rng(4))
+                                  .take(_BLOCK + 9)[-3:])
 
 
 def test_live_normals_keep_pairs_after_exits():
-    # the exit loop's boolean masks; the second exit leaves pair (0, 4)
-    # whole and renumbers the slots
-    n, half = 8, 4
-    src = _Normals(np.random.default_rng(0), n, True)
-    live = np.arange(n)
-    _check_pairs(src, live, half)
-    for keep in ([1, 1, 0, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0]):
-        keep = np.array(keep, dtype=bool)
-        live = live[keep]
-        src.keep(keep)
-        _check_pairs(src, live, half)
+    # The exit loop's compaction.  n = 9: partners (k, k + 5) for k < 4,
+    # path 4 unpaired, so the layout holds 0 1 2 3 | 5 6 7 8 | 4.  Paths 1
+    # and 7 leave alone and the pair (3, 8) leaves whole: the pair (0, 5)
+    # stays aligned, and the survivors 6 and 2, in pair order, head the
+    # unpaired block.
+    order, pairs = _layout(9, True)
+    np.testing.assert_array_equal(order, [0, 1, 2, 3, 5, 6, 7, 8, 4])
+    assert pairs == 4
+    keep = ~np.isin(order, (1, 7, 3, 8))
+    sel, pairs = _regroup(keep, pairs)
+    order = order[sel]
+    np.testing.assert_array_equal(order, [0, 5, 6, 2, 4])
+    assert pairs == 1
+    z = dict(zip(order, _Normals(np.random.default_rng(0)).draw(5, pairs)))
+    assert z[0] == -z[5]
+    assert len({abs(z[k]) for k in (0, 2, 6, 4)}) == 4
+    # the last pair breaks: no pairs are left
+    sel, pairs = _regroup(order != 5, pairs)
+    np.testing.assert_array_equal(order[sel], [0, 6, 2, 4])
+    assert pairs == 0
+    # plain runs have no pairs, and the selector is the mask
+    keep = np.array([True, False, True])
+    sel, pairs = _regroup(keep, 0)
+    assert sel is keep and pairs == 0
 
 
 def test_normals_keep_pairs_through_npv_compactions():
-    # the NPV kernel's compactions: index arrays of the paths that stay,
-    # where partners die together; first the pair (1, 5), then the
-    # unpaired path 3 of n = 7, then the pair (0, 4)
-    n, half = 7, 4
-    src = _Normals(np.random.default_rng(9), n, True)
-    live = np.arange(n)
-    _check_pairs(src, live, half)
-    for dead in ((1, 5), (3,), (0, 4)):
-        keep = np.flatnonzero(~np.isin(live, dead))
-        live = live[keep]
-        src.keep(keep)
-        _check_pairs(src, live, half)
-    # the slots were renumbered to the one live pair (2, 6)
-    assert src.n_slots == 1
+    # The NPV kernel's compactions, where partners die together: first the
+    # pair (1, 5) of n = 7, then the unpaired path 3, then the pair (0, 4).
+    # The selector is the mask itself, and only the pair count changes.
+    order, pairs = _layout(7, True)
+    for dead, left in (((1, 5), 2), ((3,), 2), ((0, 4), 1)):
+        keep = ~np.isin(order, dead)
+        sel, pairs = _regroup(keep, pairs)
+        assert sel is keep and pairs == left
+        order = order[sel]
+        z = _Normals(np.random.default_rng(9)).draw(len(order), pairs)
+        np.testing.assert_array_equal(z[pairs:2 * pairs], -z[:pairs])
+    np.testing.assert_array_equal(order, [2, 6])
+    # a compaction that ends every path leaves no pair and draws nothing
+    sel, pairs = _regroup(np.zeros(2, dtype=bool), pairs)
+    assert pairs == 0 and len(order[sel]) == 0
+    assert len(_Normals(np.random.default_rng(9)).draw(0, 0)) == 0
 
 
-@pytest.mark.parametrize("n, steps", [
-    # pairs (k, k + 5), path 4 unpaired: pair (1, 6) leaving and a
-    # renumbering keep the order; path 2 leaving alone ends it, and
-    # renumbering cannot restore it while its partner 7 lives
-    (9, (((), False, True), ((1, 6), True, True), ((2,), False, False),
-         ((), True, False))),
-    # pairs (k, k + 3): paths 1, 2 and 3 leave, 0, 4 and 5 hold slots 0,
-    # 1, 2 in order after renumbering, but 4 and 5 take the negated draws
-    (6, (((1, 2, 3), True, False),)),
-], ids=["n9", "n6_signs"])
-def test_in_order_draw_is_the_gather(n, steps):
-    # in order, draw skips the gather sign * z[slot]; it must give the
-    # gather's stream, and take it whenever the slots are not in order
-    src, ref = (_Normals(np.random.default_rng(6), n, True) for _ in "ab")
-    live = np.arange(n)
-    for dead, renumber, in_order in steps:
-        keep = np.flatnonzero(~np.isin(live, dead))
-        live = live[keep]
-        for s in (src, ref):
-            s.keep(keep)
-            if renumber:
-                s.renumber()
-        assert src.in_order is in_order
-        np.testing.assert_array_equal(
-            src.draw(len(live)), ref.sign * ref.take(ref.n_slots)[ref.slot])
+def _replay_draws(monkeypatch, run):
+    """Run run() with the kernels' _layout, _regroup and _Normals watched,
+    and replay their path numbers: at each draw, the normals taken must be
+    exactly the live paths minus the live pairs (both partners, k and
+    k + ceil(n/2), in the arrays), and partners must get exact negatives.
+    Returns the counts of draws, of compactions and of draws with a
+    broken pair's survivor in the arrays."""
+    events = []
+    layout, regroup = simulate._layout, simulate._regroup
+
+    class Watched(simulate._Normals):
+        def take(self, m):
+            events.append(("take", m))
+            return super().take(m)
+
+        def draw(self, m, pairs):
+            z = super().draw(m, pairs)
+            events.append(("draw", pairs, z))
+            return z
+
+    def watched_layout(n, antithetic):
+        order, pairs = layout(n, antithetic)
+        events.append(("layout", order.copy(), antithetic))
+        return order, pairs
+
+    def watched_regroup(keep, pairs):
+        sel, pairs = regroup(keep, pairs)
+        events.append(("regroup", sel))
+        return sel, pairs
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_Normals", Watched)
+        m.setattr(simulate, "_layout", watched_layout)
+        m.setattr(simulate, "_regroup", watched_regroup)
+        run()
+    draws = regroups = broken = 0
+    for kind, *args in events:
+        if kind == "layout":
+            order, antithetic = args
+            n = len(order)
+            partner = (n + 1) // 2 if antithetic else n
+        elif kind == "take":
+            taken, = args
+        elif kind == "regroup":
+            order = order[args[0]]
+            regroups += 1
+        else:
+            pairs, z = args
+            live = set(order.tolist())
+            whole = [k for k in range(n - partner)
+                     if k in live and k + partner in live]
+            assert len(z) == len(order)
+            assert pairs == len(whole)
+            assert taken == len(order) - len(whole)
+            by_path = dict(zip(order.tolist(), z))
+            for k in whole:
+                assert by_path[k] == -by_path[k + partner]
+            draws += 1
+            # paths whose partner left: unpaired now, but not from the
+            # start (the odd path; every path of a plain run)
+            lone = live - set(whole) - {k + partner for k in whole}
+            broken += bool(lone - set(range(n - partner, partner)))
+    return draws, regroups, broken
 
 
-def test_npv_compaction_draws_only_live_pairs():
-    # keep alone leaves the slot of the dead pair (1, 5) drawn, as the exit
-    # loop needs; renumber after it, as the NPV compaction does, drops it
-    n, half = 8, 4
-    src = _Normals(np.random.default_rng(9), n, True)
-    live = np.arange(n)
-    keep = np.flatnonzero(~np.isin(live, (1, 5)))
-    live = live[keep]
-    src.keep(keep)
-    assert src.n_slots == 4
-    src.renumber()
-    assert src.n_slots == 3
-    _check_pairs(src, live, half)
-    # a compaction that ends every path leaves no slot
-    src.keep(np.array([], dtype=np.int64))
-    src.renumber()
-    assert src.n_slots == 0
-    assert len(src.draw(0)) == 0
+# plain, and antithetic with an odd path; on mixed_spec (sigma > 0 and
+# jumps) both kernels step
+_REPLAYED = [small_cfg(seed=3, paths=200, dt=5e-3, tmax=7.5),
+             small_cfg(seed=3, paths=201, dt=5e-3, tmax=7.5,
+                       antithetic=True)]
+
+
+def test_npv_compaction_draws_only_live_pairs(monkeypatch, mixed_spec):
+    # every step of the NPV kernel, through its roulette compactions
+    for cfg in _REPLAYED:
+        draws, regroups, broken = _replay_draws(
+            monkeypatch,
+            lambda: simulate_aux_npv(mixed_spec, None, 0.0, 1.0, 1.5, 1.0, 0.5,
+                                     cfg))
+        assert draws > 600 and regroups > 0 and broken == 0
+
+
+def test_exit_steps_draw_only_live_pairs(monkeypatch, mixed_spec):
+    # every step of the free and the reflected exit loop, where partners
+    # leave one at a time
+    for cfg in _REPLAYED:
+        draws, regroups, broken = _replay_draws(
+            monkeypatch,
+            lambda: estimate_exit_identities(mixed_spec, 1.0, 2.0, 1.0, cfg))
+        assert draws == regroups > 100
+        assert (broken > 0) == cfg.antithetic
 
 
 def test_no_normals_where_nothing_diffuses(cramer_lundberg_spec,
