@@ -7,11 +7,12 @@ knot segment ell is an exponential sum in closed form: one array call of Z
 tabulates it at every knot below the overflow horizon.  On the segment where
 it turns positive ell is increasing and convex, so Newton from the right end
 of a piece at most 1/Phi(q) wide reaches the root with no bracket.
-Z_q^{-1}(phi) is the lam = 0 case of the same solve.  The value function and
-its derivatives are one-point calls of the closed-form kernel in value_grid.
-The generator residual is an independent check of that closed form: it
-integrates the jump part numerically, with a fixed Gauss-Legendre rule on
-each kink-free segment, over values taken from one kernel call.
+Z_q^{-1}(phi) is the lam = 0 case of the same solve.  The value function,
+its derivatives and the generator residual are point calls of value_grid's
+closed form, which builds one table per barrier that all of them share and
+takes one step per point.  The residual is an independent check of it: it
+integrates the jump part with a fixed Gauss-Legendre rule on each kink-free
+segment, over values from one call.
 """
 
 from __future__ import annotations
@@ -148,16 +149,11 @@ def barrier_root(problem: AuxProblem,
 
     with ell(0) = 1 - phi < 0 and ell'(x) = W_q(x) (q - lam omega'_+(x));
     for a concave payoff q - lam omega'_+ is nondecreasing, so ell falls,
-    then rises through its one zero.  omega'_+ is constant
-    between payoff knots, so on each knot segment ell is an exponential sum
-    in closed form.  ell is tabulated at every knot below the overflow
-    horizon x_cap and at x_cap with one array call of Z.  On the one
-    segment where it turns positive, ell' > 0 and ell'' >= 0, so Newton
-    started at the right end of the first piece of width at most 1/Phi(q)
-    with ell > 0 falls monotonically to the root; it stops when a step no
-    longer lowers the iterate by more than a few ulps.  No Z is evaluated
-    past x_cap.  Raises NumericsError if ell stays nonpositive up to x_cap
-    or if |ell| at the root exceeds 1e-10.
+    then rises through its one zero.  _first_zero finds it segment by
+    segment between the payoff knots, by Newton on the one segment where
+    ell turns positive; no Z is evaluated past the overflow horizon x_cap.
+    Raises NumericsError if ell stays nonpositive up to x_cap or if |ell|
+    at the root exceeds 1e-10.
     """
     ev = evaluator if evaluator is not None else problem.evaluator()
     pw = problem.payoff
@@ -183,10 +179,11 @@ def value(problem: AuxProblem, b: float, x: float,
 def value_derivative(problem: AuxProblem, b: float, x: float,
                      evaluator: ScaleEvaluator | None = None) -> float:
     """d/dx of the value on [0, b] (one-sided limits at the ends)."""
+    ev = evaluator if evaluator is not None else problem.evaluator()
+    cf = _closed_form(problem, b, ev)       # checks b first
     if not 0.0 <= x <= b:
         raise ValueError("x must lie in [0, b]")
-    ev = evaluator if evaluator is not None else problem.evaluator()
-    return float(_closed_form(problem, b, ev)([x])[1][0])
+    return float(cf([x])[1][0])
 
 
 def dominance_gap(problem: AuxProblem, b: float, grid,
@@ -234,6 +231,7 @@ def hjb_residual(problem: AuxProblem, b: float, x: float,
     if x <= 0:
         raise ValueError("x must be positive")
     ev = evaluator if evaluator is not None else problem.evaluator()
+    cf = _closed_form(problem, b, ev)
     spec, lam, q = problem.spec, problem.lam, problem.q
     t0 = b - x
     nodes = wts = np.empty(0)
@@ -247,8 +245,7 @@ def hjb_residual(problem: AuxProblem, b: float, x: float,
                   [:-1] for u, v in zip(edges[:-1], edges[1:])]
         nodes, wts = _composite_rule(np.concatenate(panels + [edges[-1:]]),
                                      _GL24)
-    v, vp, vpp = _closed_form(problem, b, ev)(
-        np.concatenate(([x, b], x + nodes)), 1)
+    v, vp, vpp = cf(np.concatenate(([x, b], x + nodes)), 1)
     vx, vb, vp, vpp = v[0], v[1], vp[0], vpp[0]
     if x >= b:
         vp = 1.0        # the right derivative; V'' is 0 there already

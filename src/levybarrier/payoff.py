@@ -34,6 +34,12 @@ class ConcavePayoff:
     vals: np.ndarray        # payoff values at knots
     slope_tail: float       # right derivative beyond the last knot
 
+    def __post_init__(self):    # read-only: no cache of them goes stale
+        for name in ("xs", "vals"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @cached_property
     def slopes(self) -> np.ndarray:
         """Interior segment slopes (len(xs) - 1 entries), computed once and
@@ -92,13 +98,8 @@ def right_derivative(pw: ConcavePayoff, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    if len(pw.xs) == 1:
-        out = np.full_like(x, pw.slope_tail)
-        return float(out) if out.ndim == 0 else out
-    idx = np.searchsorted(pw.xs, x, side="right") - 1
-    idx = np.clip(idx, 0, len(pw.xs) - 2)
-    slopes = pw.slopes
-    out = np.where(x >= pw.xs[-1], pw.slope_tail, slopes[idx])
+    slopes = np.append(pw.slopes, pw.slope_tail)
+    out = slopes[np.searchsorted(pw.xs, x, side="right") - 1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,7 +112,7 @@ def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
     rise is no longer roundoff; otherwise NumericsError names the violation.
     Nothing is projected: a concave input within that bound is used as is.
     """
-    xs, vals = np.asarray(samples, dtype=float).reshape(-1, 2).T.copy()
+    xs, vals = np.asarray(samples, dtype=float).reshape(-1, 2).T
     if slope_tail is None:
         slope_tail = ((vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
                       if len(xs) > 1 else 0.0)

@@ -56,7 +56,8 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
 
     Roots come from the companion matrix of the cleared polynomial and are
     polished by Newton on psi(s)-q.  Construction aborts on complex or
-    near-multiple roots (measure-zero parameter sets, not handled).
+    near-multiple roots (measure-zero parameter sets, not handled) and on a
+    root where psi' is not finite in float64, such as one on a pole.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -66,24 +67,29 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
     if np.any(np.abs(raw.imag) > 1e-9 * scale):
         raise NumericsError("complex roots")
     roots = np.sort(raw.real)[::-1].copy()
+    residues = np.empty_like(roots)
     # Newton polish on psi(s)-q itself (better conditioned than the poly).
-    for j, s in enumerate(roots):
-        for _ in range(50):
-            f, df = _psi(spec, s)
-            f -= q
-            if df == 0:
-                break
-            step = f / df
-            s -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(s)):
-                break
-        roots[j] = s
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for j, s in enumerate(roots):
+            try:
+                for _ in range(50):
+                    f, df = _psi(spec, s)
+                    f -= q
+                    if df == 0:
+                        break
+                    step = f / df
+                    s -= step
+                    if abs(step) <= 1e-15 * max(1.0, abs(s)):
+                        break
+                roots[j], residues[j] = s, 1.0 / _psi(spec, s)[1]
+            except FloatingPointError:
+                raise NumericsError(f"psi' at the root {s:.6g} of psi(s) = q"
+                                    " is not finite in float64") from None
     gaps = -np.diff(roots)
     if np.any(gaps < 1e-9 * (1.0 + abs(roots[0]))):
         raise NumericsError("near-multiple roots")
     if np.sum(roots > 0) != 1:
         raise NumericsError("expected exactly one positive root")
-    residues = np.array([1.0 / _psi(spec, s)[1] for s in roots])
     return ScaleEvaluator(spec=spec, q=q, roots=roots, residues=residues,
                           z_coeffs=q * residues / roots,
                           w_prime_coeffs=residues * roots)

@@ -279,3 +279,32 @@ def test_large_phi_bounded_variation_barrier(drift_mu, lam, linear_payoff):
     assert 0.0 < b < ev.x_cap
     assert abs(value_derivative(prob, b, b, ev) - 1.0) <= 1e-8
     assert abs(value_derivative(prob, b, 0.0, ev) - prob.phi) <= 1e-8
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda p, b, ev: value(p, b, 0.5, ev),
+    lambda p, b, ev: value_derivative(p, b, 0.0, ev),
+    lambda p, b, ev: hjb_residual(p, b, 0.5, ev),
+    lambda p, b, ev: dominance_gap(p, b, np.linspace(0.0, 2.0, 9), ev),
+    lambda p, b, ev: value_on_grid(p, b, np.linspace(0.0, 2.0, 9), ev),
+], ids=["value", "value_derivative", "hjb_residual", "dominance_gap",
+        "value_on_grid"])
+def test_bad_barrier_is_a_model_error(mixed_spec, kinked_payoff, b, call):
+    # a RuntimeWarning here is an error too (pytest's filterwarnings)
+    prob = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7, phi=1.5,
+                      payoff=kinked_payoff)
+    with pytest.raises(ModelError, match="barrier b must be positive and "
+                                         "finite, got"):
+        call(prob, b, prob.evaluator())
+
+
+def test_barrier_errors_kept(brownian_spec, linear_payoff):
+    prob = AuxProblem(spec=brownian_spec, lam=0.0, delta=1.0, phi=2.0,
+                      payoff=linear_payoff)
+    ev = prob.evaluator()
+    for x in (-0.1, 1.1):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, b\]"):
+            value_derivative(prob, 1.0, x, ev)
+    with pytest.raises(NumericsError, match="overflow horizon exceeded"):
+        value(prob, 2.0 * ev.x_cap, 0.5, ev)

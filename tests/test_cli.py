@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,26 @@ def test_non_finite_model_value_exit_2(tmp_path, capsys, command, demo, old,
     err = capsys.readouterr().err
     assert rc == 2
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("rate", ["1e-120", "1e-160"])
+def test_root_on_a_pole_exit_3(tmp_path, capsys, rate):
+    # a mixture rate this small puts a root of psi(s) = q on the pole -rate
+    # in float64: a NumericsError naming the root, with no RuntimeWarning
+    text = (DEMOS / "aux.cfg").read_text()
+    assert "jump_rate = 0.0" in text
+    p = tmp_path / "pole.cfg"
+    p.write_text(text.replace(
+        "jump_rate = 0.0", f"jump_rate = 1.0\njump_mix = [[1.0, {rate}]]"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve-aux", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    head, tail = err.split(" of ")
+    assert tail == "psi(s) = q is not finite in float64\n"
+    root = float(head.removeprefix("psi' at the root "))
+    assert abs(root + float(rate)) < 1e-4 * float(rate)
 
 
 def test_short_discounts_exit_2(tmp_path, capsys):

@@ -74,3 +74,24 @@ def test_seeded_random_concave_functions_roundtrip():
         vals = np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
         out = concavify(list(zip(xs, vals)))
         assert np.array_equal(out.vals, vals)
+
+
+def test_payoff_keeps_read_only_float_copies():
+    knots = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.5]])
+    pw = make_payoff(knots, 0.25)
+    knots[1, 1] = 9.0       # the caller's array is not the payoff's
+    assert evaluate(pw, 1.0) == 1.0
+    samples = np.array([[0, 0], [1, 2], [2, 3]])
+    cw = concavify(samples)
+    samples[1, 1] = 0
+    for arr in (pw.xs, pw.vals, cw.xs, cw.vals):
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert cw.vals.tolist() == [0.0, 2.0, 3.0]
+
+
+def test_right_derivative_single_knot():
+    pw = make_payoff([[0.0, 1.0]], 0.5)
+    assert right_derivative(pw, 0.0) == 0.5
+    assert right_derivative(pw, np.array([0.0, 2.0])).tolist() == [0.5, 0.5]

@@ -1,19 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (reference_value, reference_value_derivative,
                       reference_value_second_derivative)
-from levybarrier import AuxProblem, barrier_root, make_payoff
+from levybarrier import (AuxProblem, barrier_root, build_scale_evaluator,
+                         hjb_residual, make_payoff, value, value_grid)
 from levybarrier.auxiliary import value_derivative
-from levybarrier.payoff import right_derivative
-from levybarrier.value_grid import (_closed_form, _k_on_points, _scan,
-                                    value_on_grid)
+from levybarrier.payoff import evaluate, right_derivative
+from levybarrier.value_grid import _closed_form, _scan, value_on_grid
 
 
 def _k_on_points_scalar(payoff, roots, pts, b, dtype=float):
-    """Point-by-point reference for _k_on_points: the backward recurrence
-    with one scalar right derivative per point, in the arithmetic of
-    dtype."""
+    """Point-by-point reference for the K table and its steps: the backward
+    recurrence with one scalar right derivative per point, in the arithmetic
+    of dtype."""
     n = len(pts)
     roots = roots.astype(dtype)
     out = np.zeros((n, len(roots)), dtype=dtype)
@@ -46,9 +48,10 @@ def many_knot_case(mixed_spec):
     return prob, sol
 
 
-def test_k_on_points_matches_scalar_recurrence(many_knot_case):
-    # the scan sums in another order than the point-by-point recurrence, so
-    # both are held to the scalar recurrence run in long double
+def test_k_table_and_steps_match_scalar_recurrence(many_knot_case):
+    # the scan sums in another order than the point-by-point recurrence, and
+    # a point between knots takes one step from the next knot, so the table
+    # and its steps are held to the scalar recurrence run in long double
     prob, sol = many_knot_case
     b, ev, pw = sol.barrier, sol.evaluator, prob.payoff
     grid = np.linspace(0.0, b, 157)
@@ -57,9 +60,16 @@ def test_k_on_points_matches_scalar_recurrence(many_knot_case):
     assert len(knots) > 50
     pts = np.unique(np.concatenate((grid, knots, [0.0, b])))
     exact = _k_on_points_scalar(pw, ev.roots, pts, b, np.longdouble)
-    for got in (_k_on_points(pw, ev.roots, pts, b),
-                _k_on_points_scalar(pw, ev.roots, pts, b)):
+    cf = _closed_form(prob, b, ev)
+    np.testing.assert_array_equal(cf.knots, np.concatenate(([0.0], knots,
+                                                            [b])))
+    steps, om = cf.step(pts)
+    for got in (steps, _k_on_points_scalar(pw, ev.roots, pts, b)):
         np.testing.assert_allclose(got, exact, rtol=2e-14, atol=0)
+    # on a knot the step has length 0: the table row itself
+    on = np.isin(pts, cf.knots)
+    np.testing.assert_array_equal(steps[on], cf.k)
+    np.testing.assert_allclose(om, evaluate(pw, pts), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 257])
@@ -79,8 +89,13 @@ def test_scan_matches_scalar_recurrence(n, growth):
 def test_value_on_grid_matches_pointwise_many_knots(many_knot_case):
     prob, sol = many_knot_case
     b, ev = sol.barrier, sol.evaluator
-    xs = np.linspace(0.0, 1.6 * b, 81)
-    assert not np.isin(xs[1:], prob.payoff.xs).any()
+    # between knots, on knots below and above b, at 0 and at b: both the
+    # positive and the zero-length step from the next knot run
+    between = np.linspace(0.0, 1.6 * b, 81)
+    assert not np.isin(between[1:], prob.payoff.xs).any()
+    on = prob.payoff.xs[1::9]
+    assert np.sum(on < b) > 5 and np.sum(on > b) > 5
+    xs = np.concatenate((between, on, [b, 0.0]))
     assert np.sum(xs > b) > 20
     vals, derivs = value_on_grid(prob, b, xs, ev)
     ref_v = np.array([reference_value(prob, b, float(x), ev) for x in xs])
@@ -113,3 +128,41 @@ def test_second_derivative_twelve_cases(twelve_cases):
         assert vpp == pytest.approx(ref, rel=1e-11, abs=1e-11)
         checked += 1
     assert checked == 8
+
+
+def test_one_table_per_problem_barrier_and_evaluator(mixed_spec,
+                                                      kinked_payoff,
+                                                      monkeypatch):
+    # the point calls of one verify battery on one (problem, b, evaluator)
+    built = []
+    cold = value_grid._ClosedForm
+
+    def counting(problem, b, ev):
+        built.append(b)
+        return cold(problem, b, ev)
+
+    monkeypatch.setattr(value_grid, "_ClosedForm", counting)
+    prob = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7, phi=1.5,
+                      payoff=kinked_payoff)
+    sol = barrier_root(prob)
+    b, ev = sol.barrier, sol.evaluator
+    inside = np.linspace(b / 25, b, 25)
+    calls = [(value_derivative, b), (value_derivative, 0.0)]
+    calls += [(value, x) for x in inside]
+    calls += [(hjb_residual, x)
+              for x in np.concatenate((inside, np.linspace(1.02 * b, 2 * b,
+                                                           10)))]
+    assert len(calls) == 62
+    got = [f(prob, b, float(x), ev) for f, x in calls]
+    assert built == [b]
+    # each equal to the result of a cold build, on a fresh copy
+    assert got == [f(dataclasses.replace(prob), b, float(x), ev)
+                   for f, x in calls]
+    assert len(built) == 63
+    built.clear()
+    value(prob, 0.9 * b, 0.5, ev)
+    value(prob, 0.9 * b, 0.7, ev)
+    ev2 = build_scale_evaluator(prob.spec, prob.q)
+    value(prob, 0.9 * b, 0.5, ev2)
+    value(dataclasses.replace(prob), 0.9 * b, 0.5, ev2)
+    assert built == [0.9 * b] * 3
