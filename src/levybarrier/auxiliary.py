@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .levy import LevySpec
-from .payoff import ConcavePayoff, evaluate, right_derivative
+from .payoff import ConcavePayoff, evaluate, make_payoff, right_derivative
 from .scale import Z, ScaleEvaluator, _composite_rule, build_scale_evaluator
 from .value_grid import _closed_form, value_on_grid
 
@@ -41,7 +41,7 @@ class AuxProblem:
     lam: float          # payoff weight (killing rate), >= 0
     delta: float        # discount, > 0
     phi: float          # injection cost, > 1
-    payoff: ConcavePayoff
+    payoff: ConcavePayoff | None    # None, at lam = 0 only: the zero payoff
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
@@ -50,6 +50,11 @@ class AuxProblem:
             raise ModelError("lam must be nonnegative and finite")
         if not 1 < self.phi < math.inf:
             raise ModelError("phi must exceed 1 and be finite")
+        if self.payoff is None and self.lam == 0:       # the zero payoff
+            object.__setattr__(self, "payoff", make_payoff([(0, 0)], 0))
+        if not isinstance(self.payoff, ConcavePayoff):
+            raise ModelError("lam > 0 needs a payoff" if self.payoff is None
+                             else "payoff must be a ConcavePayoff")
         if self.lam > 0 and right_derivative(self.payoff, 0.0) > self.phi + 1e-9:
             raise ModelError("payoff slope at 0+ exceeds phi")
 
@@ -58,7 +63,10 @@ class AuxProblem:
         return self.delta + self.lam
 
     def evaluator(self) -> ScaleEvaluator:
-        return build_scale_evaluator(self.spec, self.q)
+        """The scale evaluator at q, built once and kept in vars(self)."""
+        if "_evaluator" not in vars(self):
+            vars(self)["_evaluator"] = build_scale_evaluator(self.spec, self.q)
+        return vars(self)["_evaluator"]
 
 
 @dataclass(frozen=True)

@@ -130,13 +130,6 @@ def payoff_from(problem: dict) -> ConcavePayoff:
                        _float(problem, "payoff_tail_slope", "problem", 1.0))
 
 
-def phi_from(problem: dict) -> float:
-    phi = _float(problem, "phi", "problem")
-    if phi <= 1.0:
-        raise ConfigError("problem.phi: phi must exceed 1")
-    return phi
-
-
 def aux_inputs_from(tree: dict, state: str | None = None):
     """(LevySpec, lam, delta, phi, payoff) for the single-regime commands."""
     levy_sections = tree.get("levy")
@@ -150,7 +143,7 @@ def aux_inputs_from(tree: dict, state: str | None = None):
     problem = tree.get("problem")
     if problem is None:
         raise ConfigError("problem: required")
-    phi = phi_from(problem)
+    phi = _float(problem, "phi", "problem")
     lam = _float(problem, "lambda", "problem", 0.0)
     delta = _float(problem, "delta", "problem")
     return spec, lam, delta, phi, payoff_from(problem)
@@ -177,7 +170,7 @@ def regime_model_from(tree: dict) -> RegimeModel:
     problem = tree.get("problem")
     if problem is None:
         raise ConfigError("problem: required")
-    phi = phi_from(problem)
+    phi = _float(problem, "phi", "problem")
     jumps: dict = {}
     idx = {s: i for i, s in enumerate(states)}
     for si, node in tree.get("jumps", {}).items():

@@ -4,19 +4,19 @@ The payoff is stored as ascending knots plus a tail slope.  All solver
 integrals pair piecewise-constant right derivatives against exponential sums,
 so nothing smoother than piecewise-linear is ever needed.
 
-Every payoff passes one concavity rule, _payoff_error: knots ascending from
-0, segment slopes nonincreasing and a tail slope no steeper than the last
-segment, each within a tolerance.  Payoffs read from a model (make_payoff)
-get a tolerance at roundoff scale.  Sampled payoffs (concavify), such as the
-regime hat operator's post-switch average of a concave value field, are
-concave in exact arithmetic and are used as sampled; a slope rise above
-_SAMPLE_TOL there is a fault upstream, not roundoff, and is raised.
+The type enforces the concavity rule: no ConcavePayoff can be built that
+breaks a law of _checked_slopes by more than _SAMPLE_TOL (ModelError).  Two
+constructors stay, one per tolerance.  make_payoff, which config, the demos
+and the README use, first checks a model's payoff at roundoff scale.
+concavify takes sampled payoffs, such as the regime hat operator's
+post-switch average of a concave value field: concave in exact arithmetic
+and used as sampled, so a slope rise above _SAMPLE_TOL is a fault upstream,
+raised as NumericsError; the benchmark harness times concavify by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,62 +24,69 @@ from .errors import ModelError, NumericsError
 
 # make_payoff accepts concavity violations up to this (roundoff in the input).
 _ACCEPT_TOL = 1e-9
-# concavify rejects sampled payoffs whose slopes rise by more than this.
+# no payoff, sampled ones included, has slopes rising by more than this.
 _SAMPLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class ConcavePayoff:
+    """Checked when built (ModelError), with read-only copies of its arrays
+    and slopes, so no cache of them goes stale."""
+
     xs: np.ndarray          # ascending knot abscissae, xs[0] = 0
     vals: np.ndarray        # payoff values at knots
     slope_tail: float       # right derivative beyond the last knot
+    # the len(xs) - 1 interior segment slopes, taken once by the check
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):    # read-only: no cache of them goes stale
+    def __post_init__(self):
         for name in ("xs", "vals"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @cached_property
-    def slopes(self) -> np.ndarray:
-        """Interior segment slopes (len(xs) - 1 entries), computed once and
-        shared read-only by every caller."""
-        out = np.diff(self.vals) / np.diff(self.xs)
-        out.flags.writeable = False
-        return out
+        object.__setattr__(self, "slopes", _checked_slopes(
+            self.xs, self.vals, self.slope_tail, _SAMPLE_TOL))
+        self.slopes.flags.writeable = False
 
     def __call__(self, x):
         return evaluate(self, x)
 
 
-def _payoff_error(pw: ConcavePayoff, tol: float) -> str | None:
-    """The first violated law of a concave payoff: knots ascending from 0,
-    slopes nonincreasing within tol, tail slope at most the last slope plus
-    tol.  None when pw is concave within tol."""
-    if not len(pw.xs) or pw.xs[0] != 0.0 or np.any(np.diff(pw.xs) <= 0):
-        return "knots not ascending"
-    slopes = pw.slopes
-    if np.any(np.diff(slopes) > tol):
-        return "not concave"
+def _checked_slopes(xs: np.ndarray, vals: np.ndarray, slope_tail: float,
+                    tol: float) -> np.ndarray:
+    """The segment slopes, or ModelError naming the first law broken:
+    knots ascending from 0 (not NaN), one finite value per knot and a
+    finite tail slope, finite slopes, slopes nonincreasing within tol, tail
+    slope at most the last slope plus tol."""
+    if xs.ndim != 1 or not len(xs) or xs[0] != 0.0 or \
+            not (xs[1:] > xs[:-1]).all():
+        raise ModelError("knots not ascending")
+    if vals.shape != xs.shape or not (np.isfinite(vals).all()
+                                      and np.isfinite(slope_tail)):
+        raise ModelError("need one finite value per knot and a finite tail "
+                         "slope")
+    with np.errstate(over="ignore"):      # past float64's range: inf
+        slopes = np.diff(vals) / np.diff(xs)
+        if not np.isfinite(slopes).all():
+            raise ModelError("slopes overflow float64")
+        if np.any(np.diff(slopes) > tol):
+            raise ModelError("not concave")
     last = slopes[-1] if len(slopes) else np.inf
-    if pw.slope_tail > last + tol:
-        return "bad tail slope"
-    return None
+    if slope_tail > last + tol:
+        raise ModelError("bad tail slope")
+    return slopes
 
 
 def make_payoff(knots, slope_tail: float) -> ConcavePayoff:
     """Validate knots and build a ConcavePayoff.
 
-    Rejects non-ascending knots and concavity violations above roundoff
-    scale with ModelError.
+    Checks the knots at roundoff scale before the type's own check, so
+    ModelError names the first law they break at that scale.
     """
-    pw = ConcavePayoff(xs=np.asarray([k[0] for k in knots], dtype=float),
-                       vals=np.asarray([k[1] for k in knots], dtype=float),
-                       slope_tail=float(slope_tail))
-    diag = _payoff_error(pw, _ACCEPT_TOL)
-    if diag is not None:
-        raise ModelError(diag)
-    return pw
+    xs = np.asarray([k[0] for k in knots], dtype=float)
+    vals = np.asarray([k[1] for k in knots], dtype=float)
+    _checked_slopes(xs, vals, float(slope_tail), _ACCEPT_TOL)
+    return ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
 
 
 def evaluate(pw: ConcavePayoff, x):
@@ -116,9 +123,8 @@ def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
     if slope_tail is None:
         slope_tail = ((vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
                       if len(xs) > 1 else 0.0)
-    pw = ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
-    diag = _payoff_error(pw, _SAMPLE_TOL)
-    if diag is not None:
-        raise NumericsError(f"sampled payoff: {diag} (tolerance "
-                            f"{_SAMPLE_TOL:.0e})")
-    return pw
+    try:
+        return ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
+    except ModelError as e:
+        raise NumericsError(f"sampled payoff: {e} (tolerance "
+                            f"{_SAMPLE_TOL:.0e})") from None

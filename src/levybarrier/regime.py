@@ -153,19 +153,32 @@ def checked_barriers(model: RegimeModel, barriers) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ValueField:
     """Per-state value function on a shared uniform grid, with slope-phi
-    extension below 0 and slope-1 extension above the grid."""
+    extension below 0 and slope-1 extension above the grid.  It checks its
+    grid and columns when built (ModelError); solve checks the rows."""
 
     grid: np.ndarray                 # ascending, grid[0] = 0
     values: np.ndarray               # shape (n_states, len(grid))
     phi: float
+
+    def __post_init__(self):
+        grid = np.asarray(self.grid, dtype=float)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", np.asarray(self.values, float))
+        # NaN fails the comparison, and inf could only be the last point
+        if grid.ndim != 1 or not len(grid) or grid[0] != 0.0 or not (
+                (grid[1:] > grid[:-1]).all() and grid[-1] < math.inf):
+            raise ModelError("grid: must be 1-d, finite and strictly "
+                             "ascending from 0")
+        if self.values.ndim != 2 or self.values.shape[1] != len(grid):
+            raise ModelError(f"values: expected one column per grid point "
+                             f"({len(grid)}), got {self.values.shape}")
 
     def at_zero(self, i: int) -> float:
         return float(self.values[i, 0])
 
 
 def identity_field(model: RegimeModel, grid: np.ndarray) -> ValueField:
-    vals = np.tile(grid, (model.n, 1))
-    return ValueField(grid=grid, values=vals.copy(), phi=model.phi)
+    return ValueField(grid, np.tile(grid, (model.n, 1)), model.phi)
 
 
 def rho_metric(f: ValueField, g: ValueField) -> float:
@@ -357,18 +370,17 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
     diag = _solver_error(tol, max_iter, grid_points, x_max)
     if diag is not None:
         raise ModelError(diag)
-    if seed is not None and \
-            np.shape(seed.values) != (model.n, len(seed.grid)):
+    if seed is not None and len(seed.values) != model.n:
         raise ModelError(f"seed: expected one row per state, shape "
                          f"({model.n}, {len(seed.grid)}), got "
-                         f"{np.shape(seed.values)}")
+                         f"{seed.values.shape}")
     if x_max is None:
         x_max = default_x_max(model)
     grid = np.linspace(0.0, x_max, grid_points + 1)
     if seed is not None and not np.array_equal(seed.grid, grid):
         raise ModelError(f"seed: expected the solve's grid, {len(grid)} "
                          f"points to {x_max:.6g}, got {len(seed.grid)} "
-                         f"points to {np.max(seed.grid, initial=0):.6g}")
+                         f"points to {seed.grid[-1]:.6g}")
     f = seed if seed is not None else identity_field(model, grid)
 
     while True:

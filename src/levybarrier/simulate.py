@@ -82,15 +82,18 @@ _ROULETTE_RATE = 1.5
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Monte Carlo settings, each checked when built (ModelError)."""
+
     n_paths: int
     dt: float
     t_max: float
     rng_seed: int
     antithetic: bool = False
 
-    def check(self, q_min: float) -> None:
-        """Reject the settings, or the smallest discount rate q_min of the
-        run, for which the estimate would be undefined or truncated."""
+    def __post_init__(self):
+        if not isinstance(self.antithetic, bool):
+            raise ModelError(f"antithetic must be True or False, got "
+                             f"{self.antithetic!r}")
         # a standard error needs 2 samples: 2 paths, or 2 antithetic pair
         # means (a pair and an unpaired path)
         need, when = (3, " when antithetic") if self.antithetic else (2, "")
@@ -104,11 +107,16 @@ class SimConfig:
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise ModelError(f"rng_seed must be an integer >= 0, "
                              f"got {seed!r}")
-        if not q_min > 0:
-            raise ModelError(f"discount rate must be positive, got {q_min!r}")
         if not math.isfinite(self.t_max):
             raise ModelError(f"t_max must be finite, got {self.t_max!r}")
-        if not math.exp(-q_min * self.t_max) < 1e-3:
+
+    def check(self, q_min: float) -> None:
+        """The settings' rules that need the run's smallest discount rate:
+        reject a q_min that leaves the estimate undefined or truncated."""
+        if not q_min > 0:
+            raise ModelError(f"discount rate must be positive, got {q_min!r}")
+        # at t_max <= 0 the tail is 1 or more, and exp could overflow
+        if not (self.t_max > 0 and math.exp(-q_min * self.t_max) < 1e-3):
             raise ModelError("t_max too short: discount tail above 1e-3")
 
 
@@ -524,8 +532,6 @@ def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
     """Estimate the NPV of the (0, b) double-barrier strategy started at x0:
     discounted dividends, minus phi times injections, plus the running payoff
     stream weighted by lam.  payoff may be None only when lam == 0."""
-    if lam > 0 and payoff is None:
-        raise ModelError("lam > 0 needs a payoff")
     # the auxiliary problem's own checks of spec, lam, delta, phi and payoff
     q = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi, payoff=payoff).q
     if not (0 < b < math.inf and 0 <= x0 < math.inf):

@@ -12,6 +12,7 @@ from conftest import (ell, ell_deriv, payoff_W_integral,
                       reference_barrier_root, reference_payoff_Z_integral,
                       reference_value, reference_value_derivative,
                       reference_z_inverse, seeded_aux_problems)
+from levybarrier import auxiliary, value_grid
 from levybarrier.auxiliary import z_inverse
 from levybarrier.payoff import concavify
 from levybarrier.regime import _aux_problem, default_x_max
@@ -200,6 +201,51 @@ def test_problem_validation(brownian_spec, linear_payoff):
         AuxProblem(spec=brownian_spec, lam=0.5, delta=1.0, phi=2.0,
                    payoff=steep)
 
+
+
+@pytest.mark.parametrize("lam, payoff, message", [
+    (0.5, None, "lam > 0 needs a payoff"),
+    (0.5, "junk", "payoff must be a ConcavePayoff"),
+    (0.0, "junk", "payoff must be a ConcavePayoff"),
+])
+def test_payoff_must_be_a_payoff(brownian_spec, lam, payoff, message):
+    # each raised AttributeError, at the problem or at its barrier root
+    with pytest.raises(ModelError, match=message):
+        barrier_root(AuxProblem(spec=brownian_spec, lam=lam, delta=1.0,
+                                phi=2.0, payoff=payoff))
+
+
+def test_no_payoff_at_lam_zero_is_the_zero_payoff(three_specs):
+    for spec in three_specs:
+        prob = AuxProblem(spec=spec, lam=0.0, delta=1.0, phi=2.0,
+                          payoff=None)
+        b = barrier_root(prob).barrier
+        assert b == z_inverse(build_scale_evaluator(spec, 1.0), 2.0)
+        assert value_derivative(prob, b, b) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_problem_keeps_its_evaluator(mixed_spec, kinked_payoff,
+                                     monkeypatch):
+    built = []
+    build, closed_form = auxiliary.build_scale_evaluator, \
+        value_grid._ClosedForm
+
+    def counting_build(spec, q):
+        built.append("evaluator")
+        return build(spec, q)
+
+    def counting_closed_form(*args):
+        built.append("closed form")
+        return closed_form(*args)
+
+    monkeypatch.setattr(auxiliary, "build_scale_evaluator", counting_build)
+    monkeypatch.setattr(value_grid, "_ClosedForm", counting_closed_form)
+    prob = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7, phi=1.5,
+                      payoff=kinked_payoff)
+    xs = np.linspace(0.0, 1.0, 10)
+    warm = [value(prob, 1.0, x) for x in xs]
+    assert built == ["evaluator", "closed form"]
+    assert warm == [value(dataclasses.replace(prob), 1.0, x) for x in xs]
 
 
 def _demo_hat_problems():

@@ -1,6 +1,6 @@
-"""Model objects are valid by construction: building a LevySpec or a
-RegimeModel either raises ModelError or gives an object the solvers can
-use.
+"""Model objects are valid by construction: building a LevySpec, a
+RegimeModel, a ConcavePayoff, a SimConfig or a ValueField either raises
+ModelError or gives an object the solvers can use.
 
 The box: n in 1-3 states; switch_rates of shape (0-4, 0-4), or a ragged
 list, and discounts and levy of length 0-4, each of the right shape three
@@ -9,7 +9,11 @@ times in four; switch-jump keys (i, j) with i, j in -1..n; jump kinds
 of magnitude in [1e-300, 1e2].  The tiny magnitudes reach two float64
 limits that the checks name: a mixture rate under about 1e-154 underflows
 its square in psi'(0), and a discount under about 1e-16 lambda_i rounds
-beta to 1.
+beta to 1.  Payoffs take 0-4 knots, values and tail slopes from the same
+numbers, concave three times in four, with one value per knot unless a
+draw mis-sizes them; SimConfig fields are valid three times in four each;
+value fields take grids of 0-5 points from 0, or of any numbers, and values
+of matching or any 1-d or 2-d shape.
 """
 
 import math
@@ -18,8 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from levybarrier import (LevySpec, ModelError, RegimeModel, SwitchJump,
-                         laplace_exponent)
+from levybarrier import (ConcavePayoff, LevySpec, ModelError, RegimeModel,
+                         SimConfig, SwitchJump, ValueField, laplace_exponent)
 
 POSITIVE = st.floats(1e-300, 1e2)
 NEGATIVE = st.floats(-1e2, -1e-300)
@@ -85,6 +89,50 @@ def model_fields(draw):
                 phi=_either(draw, st.floats(1.001, 1e2), NUMBERS))
 
 
+@st.composite
+def payoff_fields(draw):
+    """(xs, vals, slope_tail): a concave payoff, or any numbers, of 0-4
+    knots, with a value per knot unless the draw mis-sizes them."""
+    n = draw(st.integers(0, 4))
+    if _either(draw, st.just(True), st.just(False)):
+        gaps = [draw(POSITIVE) for _ in range(n - 1)]
+        xs = np.concatenate(([0.0], np.cumsum(gaps)))[:n]
+        slopes = sorted((draw(st.floats(-1e2, 1e2)) for _ in gaps),
+                        reverse=True)
+        vals = draw(st.floats(-1e2, 1e2)) + np.concatenate(
+            ([0.0], np.cumsum(np.multiply(slopes, gaps))))[:n]
+        tail = min(slopes, default=1.0) - draw(POSITIVE)
+    else:
+        xs = [draw(NUMBERS) for _ in range(n)]
+        size = _either(draw, st.just(n), st.integers(0, 4))
+        vals = [draw(NUMBERS) for _ in range(size)]
+        tail = draw(NUMBERS)
+    return np.array(xs), np.array(vals), tail
+
+
+@st.composite
+def sim_fields(draw):
+    return dict(
+        n_paths=_either(draw, st.integers(3, 10**6),
+                        st.one_of(st.integers(-5, 5), NUMBERS)),
+        dt=_either(draw, POSITIVE, NUMBERS),
+        t_max=_either(draw, POSITIVE, NUMBERS),
+        rng_seed=_either(draw, st.integers(0, 2**32),
+                         st.one_of(st.integers(-5, 5), NUMBERS)),
+        antithetic=_either(draw, st.booleans(),
+                           st.sampled_from([0, 1, None, "yes"])))
+
+
+@st.composite
+def field_fields(draw):
+    m = draw(st.integers(0, 5))
+    grid = _either(draw, st.just(np.linspace(0.0, draw(POSITIVE), m)),
+                   st.lists(NUMBERS, max_size=5).map(np.array))
+    shape = _either(draw, st.just((draw(st.integers(1, 3)), len(grid))),
+                    st.lists(st.integers(0, 5), min_size=1, max_size=2))
+    return grid, np.full(shape, draw(NUMBERS))
+
+
 def test_spec_is_valid_or_model_error():
     built = []
 
@@ -132,3 +180,66 @@ def test_float64_limits_fail_at_construction():
                                                        [1.0, 0.0]],
                     discounts=[1e-17, 1.0], levy=(SPECS[0], SPECS[0]),
                     switch_jumps={}, phi=2.0)
+
+
+def test_payoff_is_valid_or_model_error():
+    built = []
+
+    @SETTINGS
+    @given(payoff_fields())
+    def check(fields):
+        try:
+            pw = ConcavePayoff(*fields)
+        except ModelError:
+            return
+        built.append(pw)
+        xs = np.append(pw.xs, pw.xs[-1] + np.array([1.0, 1e2]))
+        assert np.all(np.isfinite(pw(xs)))
+        with np.errstate(over="ignore"):
+            rises = np.diff(np.append(pw.slopes, pw.slope_tail))
+        assert np.all(rises <= 1e-6)
+
+    check()
+    assert len(built) >= 50
+
+
+def test_sim_config_is_valid_or_model_error():
+    built = []
+
+    @SETTINGS
+    @given(sim_fields(), POSITIVE)
+    def check(fields, q):
+        try:
+            config = SimConfig(**fields)
+        except ModelError:
+            return
+        built.append(config)
+        assert config.n_paths >= (3 if config.antithetic else 2)
+        assert 0 < config.dt < math.inf and math.isfinite(config.t_max)
+        np.random.SeedSequence(config.rng_seed)
+        try:
+            config.check(q)
+        except ModelError:
+            pass
+
+    check()
+    assert len(built) >= 50
+
+
+def test_value_field_is_valid_or_model_error():
+    built = []
+
+    @SETTINGS
+    @given(field_fields())
+    def check(fields):
+        try:
+            f = ValueField(*fields, phi=2.0)
+        except ModelError:
+            return
+        built.append(f)
+        assert f.grid.ndim == 1 and f.grid[0] == 0.0
+        assert np.all(np.isfinite(f.grid)) and np.all(np.diff(f.grid) > 0)
+        assert f.values.shape == (len(f.values), len(f.grid))
+
+    check()
+    assert len(built) >= 50

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from levybarrier import (ModelError, NumericsError, concavify, evaluate,
+from levybarrier import (AuxProblem, ConcavePayoff, LevySpec, ModelError,
+                         NumericsError, barrier_root, concavify, evaluate,
                          make_payoff, right_derivative)
 
 
@@ -31,6 +34,46 @@ def test_make_payoff_rejections():
         make_payoff([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0]], 0.5)
     with pytest.raises(ModelError, match="tail"):
         make_payoff([[0.0, 0.0], [1.0, 1.0]], 2.0)
+
+
+@pytest.mark.parametrize("xs, vals, tail, message", [
+    # each built before; the barrier root then returned 1.1638, returned
+    # 1.2013, raised ZeroDivisionError, raised NumericsError("no sign change
+    # within overflow horizon"), raised numpy's ValueError, IndexError
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 1.5], 0.5, "knots not ascending"),
+    ([0.5, 1.0], [0.0, 0.5], 0.5, "knots not ascending"),
+    ([0.0, 1.0], [0.0, 1.0], 3.0, "bad tail slope"),
+    ([0.0, 1.0], [0.0, math.nan], 0.5, "one finite value per knot"),
+    ([0.0, 1.0], [0.0, 1.0, 2.0], 0.5, "one finite value per knot"),
+    ([], [], 0.5, "knots not ascending"),
+    ([0.0, math.nan], [0.0, 1.0], 0.5, "knots not ascending"),
+    ([0.0, 1.0], [0.0, 1.0], math.inf, "finite tail slope"),
+    ([0.0, 1e-300], [0.0, 1e10], 0.0, "slopes overflow float64"),
+], ids=["unsorted", "start-0.5", "tail-3", "nan-value", "mis-sized",
+        "empty", "nan-knot", "inf-tail", "slope-overflow"])
+def test_payoff_checks_itself(xs, vals, tail, message):
+    spec = LevySpec(drift_mu=0.0, sigma=math.sqrt(2.0))
+    with pytest.raises(ModelError, match=message):
+        barrier_root(AuxProblem(spec=spec, lam=0.5, delta=1.0, phi=2.0,
+                                payoff=ConcavePayoff(np.array(xs),
+                                                     np.array(vals), tail)))
+
+
+def test_make_payoff_reports_the_first_law_at_its_tolerance():
+    # the slopes rise by 1e-7, within the type's 1e-6 but above the
+    # input's 1e-9, and the tail rises by 1; the type alone would name
+    # the tail
+    knots = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0 + 1e-7]]
+    with pytest.raises(ModelError, match="bad tail slope"):
+        ConcavePayoff(*np.array(knots).T, 2.0)
+    with pytest.raises(ModelError, match="not concave"):
+        make_payoff(knots, 2.0)
+
+
+def test_concavify_reports_a_broken_law_as_numerics():
+    with pytest.raises(NumericsError, match=r"sampled payoff: need one "
+                       r"finite value per knot .* \(tolerance 1e-06\)"):
+        concavify([(0.0, 0.0), (1.0, math.nan)], slope_tail=1.0)
 
 
 def test_negative_x_rejected(linear_payoff):

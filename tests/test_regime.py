@@ -289,6 +289,24 @@ def test_bad_seed_is_a_model_error(two_state_model, values, message):
         solve(two_state_model, seed=seed, grid_points=400, x_max=2.0)
 
 
+@pytest.mark.parametrize("grid, values, message", [
+    ([0.5, 0.75, 1.0], np.zeros((2, 3)), "grid: must be 1-d"),
+    ([0.0, np.nan, 1.0], np.zeros((2, 3)), "strictly ascending from 0"),
+    ([0.0, 1.0, np.inf], np.zeros((2, 3)), "finite"),
+    ([0.0, 1.0, 1.0], np.zeros((2, 3)), "strictly ascending"),
+    ([], np.zeros((2, 0)), "grid: must be 1-d"),
+    (np.zeros((2, 2)), np.zeros((2, 2)), "grid: must be 1-d"),
+    ([0.0, 0.5, 1.0], np.zeros((2, 4)), r"values: expected one column per "
+                                        r"grid point \(3\), got \(2, 4\)"),
+    ([0.0, 0.5, 1.0], np.zeros(3), "one column per grid point"),
+], ids=["start-0.5", "nan", "inf", "flat", "empty", "2-d", "columns",
+        "1-d-values"])
+def test_value_field_checks_itself(grid, values, message):
+    # each of these built before
+    with pytest.raises(ModelError, match=message):
+        ValueField(grid=np.array(grid), values=values, phi=2.0)
+
+
 def test_seed_off_the_solve_grid_is_a_model_error(two_state_model):
     # the default x_max is not 2, so this grid is not the solve's
     grid = np.linspace(0.0, 2.0, 401)

@@ -353,6 +353,19 @@ def test_config_check_rejects_short_horizon():
         SimConfig(n_paths=10, dt=0.0, t_max=30.0, rng_seed=0).check(1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_paths", -5, "n_paths must be an integer >= 2, got -5"),
+    ("dt", -1.0, "dt must be positive and finite"),
+    ("antithetic", "yes", "antithetic must be True or False, got 'yes'"),
+])
+def test_config_checks_itself(field, value, message):
+    # each of these built before
+    fields = {**dict(n_paths=10, dt=1e-3, t_max=20.0, rng_seed=0),
+              field: value}
+    with pytest.raises(ModelError, match=message):
+        SimConfig(**fields)
+
+
 def test_seed_reproducibility(brownian_spec, linear_payoff):
     cfg = small_cfg(seed=42, paths=2000, dt=5e-3)
     a = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
