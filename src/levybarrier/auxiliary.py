@@ -26,7 +26,7 @@ from .errors import ModelError, NumericsError
 from .levy import LevySpec
 from .payoff import ConcavePayoff, evaluate, make_payoff, right_derivative
 from .scale import Z, ScaleEvaluator, _composite_rule, build_scale_evaluator
-from .value_grid import _closed_form, value_on_grid
+from .value_grid import _ClosedForm, _closed_form, value_on_grid
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ def dominance_gap(problem: AuxProblem, b: float, grid,
     sol = solution if solution is not None else barrier_root(problem, ev)
     grid = np.asarray(grid, dtype=float)
     v_opt, _ = value_on_grid(problem, sol.barrier, grid, ev)
-    v_b, _ = value_on_grid(problem, b, grid, ev)
-    return v_opt - v_b
+    # b on a table the problem does not keep, so it keeps the optimal one
+    return v_opt - _ClosedForm(problem, b, ev)(grid)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,9 @@ def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
     """
     xs, vals = np.asarray(samples, dtype=float).reshape(-1, 2).T
     if slope_tail is None:
-        slope_tail = ((vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
-                      if len(xs) > 1 else 0.0)
+        with np.errstate(all="ignore"):     # the type's check names the fault
+            slope_tail = ((vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
+                          if len(xs) > 1 else 0.0)
     try:
         return ConcavePayoff(xs=xs, vals=vals, slope_tail=float(slope_tail))
     except ModelError as e:

@@ -2,11 +2,12 @@
 mappings and the contraction iteration to the optimal barrier vector.
 
 The value field lives on a uniform grid per state, extended linearly with
-slope phi below 0 and slope 1 above the dividend barrier.  One iteration maps
-the field through the post-switch payoff (hat) operator, re-solves the
-single-regime barrier problem per state and re-evaluates the closed-form
-value, which contracts in the sup metric with factor
-max_i lambda_i / (lambda_i + delta_i).
+slope phi below 0 and slope 1 above the dividend barrier.  The fixed point
+is one loop over each state's local problem (_aux_problem): its single-regime
+barrier problem with the hat of the field, the post-switch average, as final
+payoff.  The loop's map contracts in the sup metric with factor
+max_i lambda_i / (lambda_i + delta_i); a barrier near the grid end makes the
+solve a fresh one on a grid twice as long.
 
 A RegimeModel checks itself when it is built, so an iteration runs no
 model checks, and it redoes no per-grid work: each state's scale evaluator
@@ -265,10 +266,11 @@ def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-switch mappings and the fixed point
 
-def _aux_problem(model: RegimeModel, i: int, pw: ConcavePayoff) -> AuxProblem:
+def _aux_problem(model: RegimeModel, f: ValueField, i: int) -> AuxProblem:
+    """State i's local problem: its barrier problem, the hat of f as payoff."""
     return AuxProblem(spec=model.levy[i], lam=model.lam(i),
                       delta=float(model.discounts[i]), phi=model.phi,
-                      payoff=pw)
+                      payoff=hat_operator(model, f, i))
 
 
 def apply_T_b(model: RegimeModel, f: ValueField, barriers) -> ValueField:
@@ -276,26 +278,23 @@ def apply_T_b(model: RegimeModel, f: ValueField, barriers) -> ValueField:
     barriers = checked_barriers(model, barriers)
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
-        pw = hat_operator(model, f, i)
-        problem = _aux_problem(model, i, pw)
-        new_vals[i], _ = value_on_grid(problem, float(barriers[i]), f.grid,
+        new_vals[i], _ = value_on_grid(_aux_problem(model, f, i),
+                                       float(barriers[i]), f.grid,
                                        model.evaluators[i])
     return ValueField(grid=f.grid, values=new_vals, phi=model.phi)
 
 
 def apply_T_sup(model: RegimeModel,
                 f: ValueField) -> tuple[ValueField, np.ndarray]:
-    """Optimal one-switch mapping: solve the single-regime barrier problem
-    per state against the hat payoff and evaluate its value.  f must lie
-    in the cone (concave, slopes in [1, phi]), checked once for all states."""
+    """Optimal one-switch mapping: each state's local problem solved and
+    evaluated.  f must lie in the cone (concave, slopes in [1, phi])."""
     diag = in_cone(f)
     if diag is not None:
         raise ModelError(f"f not in cone: {diag}")
     barriers = np.empty(model.n)
     new_vals = np.empty_like(f.values)
     for i in range(model.n):
-        pw = hat_operator(model, f, i)
-        problem = _aux_problem(model, i, pw)
+        problem = _aux_problem(model, f, i)
         sol = barrier_root(problem, model.evaluators[i])
         barriers[i] = sol.barrier
         new_vals[i], _ = value_on_grid(problem, sol.barrier, f.grid,
@@ -322,8 +321,7 @@ class RegimeSolution:
 
     def smooth_fit_residuals(self, i: int) -> tuple[float, float]:
         """(|V'(b_i-) - 1|, |V'(0+) - phi|) via the closed-form derivative."""
-        pw = hat_operator(self.model, self.value, i)
-        problem = _aux_problem(self.model, i, pw)
+        problem = _aux_problem(self.model, self.value, i)
         ev = self.model.evaluators[i]
         b = float(self.barriers[i])
         return (abs(value_derivative(problem, b, b, ev) - 1.0),
@@ -360,12 +358,12 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
           grid_points: int = 2000, x_max: float | None = None) -> RegimeSolution:
     """Iterate the optimal one-switch mapping to its fixed point.
 
-    The grid is widened, and the solve restarted from the identity field,
-    whenever a barrier approaches the grid boundary, so truncation never
-    silently biases the result.  A setting out of range, or a seed off the
-    first grid (linspace(0, x_max, grid_points + 1)), with other than one
-    row per state, or outside the cone, raises ModelError; a field the
-    solver made that leaves the cone raises NumericsError.
+    A barrier past 0.8 x_max makes it a fresh solve, from the identity
+    field on a grid to 2 x_max, so truncation never silently biases the
+    result.  A setting out of range, or a seed off the grid
+    (linspace(0, x_max, grid_points + 1)), with other than one row per
+    state, or outside the cone, raises ModelError; a field the solver made
+    that leaves the cone raises NumericsError.
     """
     diag = _solver_error(tol, max_iter, grid_points, x_max)
     if diag is not None:
@@ -383,34 +381,26 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
                          f"points to {seed.grid[-1]:.6g}")
     f = seed if seed is not None else identity_field(model, grid)
 
-    while True:
-        rho_trace = []
-        regrow = False
-        for it in range(1, max_iter + 1):
-            try:
-                f_new, barriers = apply_T_sup(model, f)
-            except ModelError as e:
-                # only the caller's seed is a model input
-                if f is seed:
-                    raise
-                raise NumericsError(str(e)) from None
-            if np.max(barriers) > 0.8 * x_max:
-                regrow = True
-                break
-            rho = rho_metric(f, f_new)
-            rho_trace.append(rho)
-            f = f_new
-            if rho < tol:
-                return RegimeSolution(model=model, value=f, barriers=barriers,
-                                      iterations=it, final_rho=rho,
-                                      rho_trace=tuple(rho_trace))
-        if regrow:
-            x_max *= 2.0
-            grid = np.linspace(0.0, x_max, grid_points + 1)
-            f = identity_field(model, grid)
-            continue
-        ratios = [b / a for a, b in zip(rho_trace[:-1], rho_trace[1:]) if a > 0]
-        raise NumericsError(
-            "no convergence: final rho %.3e after %d iterations "
-            "(last decay ratio %.4f)" % (rho_trace[-1], max_iter,
-                                         ratios[-1] if ratios else float("nan")))
+    rho_trace = []
+    for it in range(1, max_iter + 1):
+        try:
+            f_new, barriers = apply_T_sup(model, f)
+        except ModelError as e:
+            # only the caller's seed is a model input
+            if f is seed:
+                raise
+            raise NumericsError(str(e)) from None
+        if np.max(barriers) > 0.8 * x_max:
+            return solve(model, None, tol, max_iter, grid_points, 2.0 * x_max)
+        rho = rho_metric(f, f_new)
+        rho_trace.append(rho)
+        f = f_new
+        if rho < tol:
+            return RegimeSolution(model=model, value=f, barriers=barriers,
+                                  iterations=it, final_rho=rho,
+                                  rho_trace=tuple(rho_trace))
+    ratios = [b / a for a, b in zip(rho_trace[:-1], rho_trace[1:]) if a > 0]
+    raise NumericsError(
+        "no convergence: final rho %.3e after %d iterations "
+        "(last decay ratio %.4f)" % (rho_trace[-1], max_iter,
+                                     ratios[-1] if ratios else float("nan")))

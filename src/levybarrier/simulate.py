@@ -531,11 +531,13 @@ def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
                      config: SimConfig) -> SimEstimate:
     """Estimate the NPV of the (0, b) double-barrier strategy started at x0:
     discounted dividends, minus phi times injections, plus the running payoff
-    stream weighted by lam.  payoff may be None only when lam == 0."""
+    stream weighted by lam.  payoff may be None only when lam == 0.  Any
+    finite x0 is a start: below 0 the strategy first injects up to 0, as
+    simulate_regime_npv does."""
     # the auxiliary problem's own checks of spec, lam, delta, phi and payoff
     q = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi, payoff=payoff).q
-    if not (0 < b < math.inf and 0 <= x0 < math.inf):
-        raise ModelError(f"need finite b > 0 and x0 >= 0, got b={b!r}, "
+    if not (0 < b < math.inf and math.isfinite(x0)):
+        raise ModelError(f"need finite b > 0 and finite x0, got b={b!r}, "
                          f"x0={x0!r}")
     config.check(q)
     # The exponential time at rate lam ends the auxiliary problem, so it is

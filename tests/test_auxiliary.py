@@ -6,8 +6,8 @@ import pytest
 
 from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError, Z,
                          apply_T_sup, barrier_root, build_scale_evaluator,
-                         config, dominance_gap, hat_operator, hjb_residual,
-                         identity_field, make_payoff, value, value_derivative)
+                         config, dominance_gap, hjb_residual, identity_field,
+                         make_payoff, value, value_derivative)
 from conftest import (ell, ell_deriv, payoff_W_integral,
                       reference_barrier_root, reference_payoff_Z_integral,
                       reference_value, reference_value_derivative,
@@ -248,6 +248,35 @@ def test_problem_keeps_its_evaluator(mixed_spec, kinked_payoff,
     assert warm == [value(dataclasses.replace(prob), 1.0, x) for x in xs]
 
 
+def test_dominance_gap_keeps_the_optimal_table(mixed_spec, kinked_payoff,
+                                               monkeypatch):
+    # with b*'s table kept, as after the verify battery's point calls, the
+    # gaps at 0.5 b* and 2 b* build their own tables and leave b*'s kept
+    built = []
+    cold = value_grid._ClosedForm
+
+    def counting(problem, b, ev):
+        built.append(b)
+        return cold(problem, b, ev)
+
+    for module in (value_grid, auxiliary):
+        monkeypatch.setattr(module, "_ClosedForm", counting)
+    prob = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7, phi=1.5,
+                      payoff=kinked_payoff)
+    sol = barrier_root(prob)
+    b, ev = sol.barrier, sol.evaluator
+    value(prob, b, 0.5, ev)
+    grid = np.linspace(0.0, 2.0 * b, 80)
+    gaps = [dominance_gap(prob, f * b, grid, ev, sol) for f in (0.5, 2.0)]
+    assert built == [b, 0.5 * b, 2.0 * b]
+    for f, gap in zip((0.5, 2.0), gaps):
+        fresh = dataclasses.replace(prob)
+        v_opt, _ = value_on_grid(fresh, b, grid, ev)
+        v_b, _ = value_on_grid(fresh, f * b, grid, ev)
+        assert np.array_equal(gap, v_opt - v_b)
+        assert gap.min() >= -1e-9
+
+
 def _demo_hat_problems():
     """Both states' problems against the hat payoff of one apply_T_sup step
     on demos/regime.cfg, on its 2,000-point grid: about 2,000 knots each."""
@@ -255,8 +284,7 @@ def _demo_hat_problems():
         config.parse_config((DEMOS / "regime.cfg").read_text()))
     grid = np.linspace(0.0, default_x_max(model), 2001)
     f1, _ = apply_T_sup(model, identity_field(model, grid))
-    return [_aux_problem(model, i, hat_operator(model, f1, i))
-            for i in range(model.n)]
+    return [_aux_problem(model, f1, i) for i in range(model.n)]
 
 
 def test_barrier_root_matches_reference(twelve_cases, brownian_spec,

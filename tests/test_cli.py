@@ -396,6 +396,17 @@ def test_simulate_matches_analytic(aux_config, capsys):
     assert abs(mean - analytic) <= 3.0 * se
 
 
+@pytest.mark.parametrize("name", ["aux", "regime"])
+def test_simulate_starts_below_zero(name, capsys):
+    # both simulators take any finite start, priced at slope phi below 0
+    rc = main(["simulate", "--config", str(DEMOS / f"{name}.cfg"), "--paths",
+               "2000", "--dt", "0.005", "--x0", "-0.3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    mean, se, analytic = map(float, out.splitlines()[1].split(","))
+    assert abs(mean - analytic) <= 3.0 * se
+
+
 @pytest.mark.parametrize("which, extra, message", [
     ("regime", ["--barrier", "1.2"], "--barrier: expected 2 value(s)"),
     ("regime", ["--barrier", "1.2", "--state", "b"], "--barrier"),

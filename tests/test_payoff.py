@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_concavify_reports_a_broken_law_as_numerics():
     with pytest.raises(NumericsError, match=r"sampled payoff: need one "
                        r"finite value per knot .* \(tolerance 1e-06\)"):
         concavify([(0.0, 0.0), (1.0, math.nan)], slope_tail=1.0)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([(0.0, 0.0), (1.0, 1.0), (1.0, 2.0)], "knots not ascending"),
+    ([(0.0, 0.0), (1.0, math.inf), (2.0, math.inf)],
+     "need one finite value per knot"),
+], ids=["repeated-last-knot", "infinite-values"])
+def test_concavify_default_tail_slope_leaves_the_fault_to_the_type(samples,
+                                                                   message):
+    # the default tail slope divides by 0, or takes inf from inf: the
+    # type's check, not a RuntimeWarning, names the fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=rf"^sampled payoff: "
+                           rf"{message}.* \(tolerance 1e-06\)$"):
+            concavify(samples)
 
 
 def test_negative_x_rejected(linear_payoff):

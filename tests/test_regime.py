@@ -443,6 +443,50 @@ def test_nonconvergence_reports_decay(two_state_model):
         solve(two_state_model, tol=1e-14, max_iter=3, grid_points=400)
 
 
+@pytest.mark.parametrize("seeded, failing_call, error", [
+    (False, 1, NumericsError), (False, 2, NumericsError),
+    (True, 1, ModelError), (True, 2, NumericsError),
+], ids=["identity-first", "identity-second", "seed-first", "seed-second"])
+def test_solver_made_field_error_is_numerics(two_state_model, monkeypatch,
+                                             seeded, failing_call, error):
+    # a ModelError from apply_T_sup on the caller's seed is the caller's;
+    # on a field the solver made, the same text is a NumericsError
+    calls = []
+    real = regime.apply_T_sup
+    text = "f not in cone: state 1: not concave"
+
+    def failing(model, f):
+        calls.append(f)
+        if len(calls) == failing_call:
+            raise ModelError(text)
+        return real(model, f)
+
+    monkeypatch.setattr(regime, "apply_T_sup", failing)
+    grid = np.linspace(0.0, 2.0, 401)
+    seed = identity_field(two_state_model, grid) if seeded else None
+    with pytest.raises(error) as info:
+        solve(two_state_model, seed=seed, grid_points=400, x_max=2.0)
+    assert type(info.value) is error and str(info.value) == text
+    assert len(calls) == failing_call and (calls[0] is seed) == seeded
+
+
+def test_value_at_extends_linearly_and_continuously(two_state_model):
+    # slope phi below 0 and slope 1 past the grid end, joined to the grid
+    sol = solve(two_state_model, tol=1e-8, grid_points=400)
+    end, phi, eps = float(sol.value.grid[-1]), two_state_model.phi, 1e-9
+    for i in range(two_state_model.n):
+        v0, v_end = sol.value.values[i, [0, -1]]
+        assert sol.value_at(0.0, i) == v0 and sol.value_at(end, i) == v_end
+        assert sol.value_at(-0.3, i) == pytest.approx(v0 - 0.3 * phi,
+                                                      rel=1e-15)
+        assert sol.value_at(end + 0.7, i) == pytest.approx(v_end + 0.7,
+                                                           rel=1e-15)
+        # continuous at both ends: within phi * eps on either side
+        for x, v in ((0.0, v0), (end, v_end)):
+            for y in (x - eps, x + eps):
+                assert abs(sol.value_at(y, i) - v) <= phi * eps + 1e-14
+
+
 def test_one_z_table_per_state_and_grid(two_state_model, monkeypatch):
     # every barrier root of a solve tabulates Z on the whole knot table,
     # the grid; the evaluator keeps it, so it is computed once per state on

@@ -413,6 +413,21 @@ def test_npv_matches_analytic_sinh(brownian_spec, linear_payoff):
         assert abs(est.mean - an) <= 3.0 * est.std_error
 
 
+def test_npv_below_zero_starts_with_an_injection(mixed_spec, kinked_payoff):
+    # from x0 < 0 each path first injects -x0 at cost phi, then runs as the
+    # path from 0 does, as V(x0) = V(0) + phi x0 below 0 says
+    prob = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7, phi=1.5,
+                      payoff=kinked_payoff)
+    sol = barrier_root(prob)
+    b = sol.barrier
+    cfg = small_cfg(seed=31, paths=10_000, dt=2e-3)
+    at_zero, below = (simulate_aux_npv(mixed_spec, kinked_payoff, 0.3, 0.7,
+                                       1.5, b, x0, cfg) for x0 in (0.0, -0.3))
+    assert below.mean - 1.5 * -0.3 == pytest.approx(at_zero.mean, abs=1e-12)
+    an = value(prob, b, -0.3, sol.evaluator)
+    assert abs(below.mean - an) <= 3.0 * below.std_error
+
+
 @pytest.mark.parametrize("spec_name", ["mixed_spec", "cramer_lundberg_spec"])
 def test_npv_with_payoff_stream(spec_name, kinked_payoff, request):
     # the sigma = 0 case runs the jump clock with no boundary shift
@@ -610,6 +625,7 @@ def test_regime_npv_rejects_non_finite_start(symmetric_two_state, x0):
 @pytest.mark.parametrize("case", ["exit-b-zero", "exit-q-zero",
                                   "exit-q-negative", "npv-phi-below-1",
                                   "npv-lam-negative", "npv-b-nan",
+                                  "npv-x0-inf",
                                   "fractional-n-paths", "negative-seed",
                                   "fractional-seed", "tmax-inf", "one-sample",
                                   "one-antithetic-pair"])
@@ -631,6 +647,8 @@ def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
         "npv-b-nan": (lambda: simulate_aux_npv(
             spec, pw, 0.0, 1.0, 2.0, float("nan"), 0.6, cfg),
             "finite b > 0"),
+        "npv-x0-inf": (lambda: simulate_aux_npv(
+            spec, pw, 0.0, 1.0, 2.0, 1.3, float("inf"), cfg), "finite x0"),
         "fractional-n-paths": (lambda: estimate_exit_identities(
             spec, 1.0, 2.0, 1.0, small_cfg(paths=2.5)),
             "n_paths must be an integer"),
