@@ -1,6 +1,7 @@
 """Regime-switching walkthrough: a calm diffusive state and a stressed
 jumpy state, with a downward capital shock on entering stress.  Solves for
-the state-dependent barrier vector and shows the contraction trace.
+the state-dependent barrier vector and shows the fixed-point residual of
+each iteration.
 
 Run:  python3 demos/regime_switching.py
 """
@@ -32,11 +33,9 @@ def main() -> None:
     print(f"converged in {sol.iterations} iterations, "
           f"final rho = {sol.final_rho:.3e}")
 
-    print("\ncontraction trace (rho and per-step ratio):")
-    trace = sol.rho_trace
-    for k, r in enumerate(trace):
-        ratio = "" if k == 0 else f"   ratio {r / trace[k - 1]:.4f}"
-        print(f"  iter {k + 1:2d}: rho = {r:.6e}{ratio}")
+    print("\nfixed-point residual per iteration:")
+    for k, r in enumerate(sol.rho_trace):
+        print(f"  iter {k + 1:2d}: rho = {r:.6e}")
 
     print("\nstate-dependent solution:")
     for i, name in enumerate(model.states):

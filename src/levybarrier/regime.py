@@ -5,9 +5,18 @@ The value field lives on a uniform grid per state, extended linearly with
 slope phi below 0 and slope 1 above the dividend barrier.  The fixed point
 is one loop over each state's local problem (_aux_problem): its single-regime
 barrier problem with the hat of the field, the post-switch average, as final
-payoff.  The loop's map contracts in the sup metric with factor
-max_i lambda_i / (lambda_i + delta_i); a barrier near the grid end makes the
-solve a fresh one on a grid twice as long.
+payoff.  The loop's map T contracts in the sup metric with factor
+beta = max_i lambda_i / (lambda_i + delta_i); a barrier near the grid end
+makes the solve a fresh one on a grid twice as long.
+
+T is exact on constant shifts: a payoff raised by k pays lambda_i k / q_i
+more and keeps its barrier, so T(f + c) = T(f) + M c for a constant c_i
+per state, with M_ij = lambda_ij / q_i off the diagonal.  Each iteration
+therefore solves its constant part exactly (MacQueen 1966, Porteus 1971):
+the shift c = (I - M)^-1 mid, mid_i the midrange of row i of T f - f,
+centres every row of T(f + c) - (f + c) on 0, and iterating
+T(f + c) = T f + M c leaves only the non-constant part, which shrinks far
+faster than beta.
 
 A RegimeModel checks itself when it is built, so an iteration runs no
 model checks, and it redoes no per-grid work: each state's scale evaluator
@@ -356,7 +365,18 @@ def _solver_error(tol, max_iter, grid_points, x_max=None) -> str | None:
 def solve(model: RegimeModel, seed: ValueField | None = None,
           tol: float = 1e-8, max_iter: int = 500,
           grid_points: int = 2000, x_max: float | None = None) -> RegimeSolution:
-    """Iterate the optimal one-switch mapping to its fixed point.
+    """Iterate the optimal one-switch mapping to its fixed point, with a
+    level shift per iteration (see the module docstring).
+
+    Iteration k computes g = T f and the shift c, and its rho_trace entry
+    is sup |T(f + c) - (f + c)| = max_i (max_x d_i - min_x d_i) / 2 for
+    d = g - f, read off with no second call of T.  Once that is below tol
+    the solution is f + c with the barriers of that T call: the roots of
+    the returned field's own local problems, so smooth fit holds to
+    rounding.  final_rho is the returned field's fixed-point residual, so
+    its distance to the fixed point is at most final_rho / (1 - beta).
+    Otherwise the next f is g + M c, which is T(f + c); every shift keeps
+    the rows' slopes, so the field stays in the cone.
 
     A barrier past 0.8 x_max makes it a fresh solve, from the identity
     field on a grid to 2 x_max, so truncation never silently biases the
@@ -381,10 +401,14 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
                          f"points to {seed.grid[-1]:.6g}")
     f = seed if seed is not None else identity_field(model, grid)
 
+    # T(f + c) = T(f) + M c for a constant c_i per state, M_ij = lambda_ij/q_i
+    m = model.switch_rates * (1.0 - np.eye(model.n))
+    m /= [[model.q(i)] for i in range(model.n)]
+    shift = np.linalg.inv(np.eye(model.n) - m)
     rho_trace = []
     for it in range(1, max_iter + 1):
         try:
-            f_new, barriers = apply_T_sup(model, f)
+            g, barriers = apply_T_sup(model, f)
         except ModelError as e:
             # only the caller's seed is a model input
             if f is seed:
@@ -392,13 +416,19 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
             raise NumericsError(str(e)) from None
         if np.max(barriers) > 0.8 * x_max:
             return solve(model, None, tol, max_iter, grid_points, 2.0 * x_max)
-        rho = rho_metric(f, f_new)
+        d = g.values - f.values
+        hi, lo = d.max(axis=1), d.min(axis=1)
+        # the shift c centres every row of T(f + c) - (f + c) on 0
+        c = shift @ ((hi + lo) / 2.0)
+        rho = float(np.max(hi - lo) / 2.0)
         rho_trace.append(rho)
-        f = f_new
         if rho < tol:
-            return RegimeSolution(model=model, value=f, barriers=barriers,
-                                  iterations=it, final_rho=rho,
-                                  rho_trace=tuple(rho_trace))
+            return RegimeSolution(
+                model=model, value=ValueField(grid, f.values + c[:, None],
+                                              model.phi),
+                barriers=barriers, iterations=it, final_rho=rho,
+                rho_trace=tuple(rho_trace))
+        f = ValueField(grid, g.values + (m @ c)[:, None], model.phi)
     ratios = [b / a for a, b in zip(rho_trace[:-1], rho_trace[1:]) if a > 0]
     raise NumericsError(
         "no convergence: final rho %.3e after %d iterations "

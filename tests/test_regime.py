@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
                          build_scale_evaluator, make_payoff, solve, value)
 from conftest import reference_hyperexp_average
 from levybarrier import auxiliary, regime
+from levybarrier.config import parse_config, regime_model_from
 from levybarrier.regime import (ValueField, _hyperexp_average, apply_T_b,
                                 apply_T_sup, default_x_max, hat_operator,
                                 identity_field, in_cone, rho_metric)
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def single_regime_reference(spec, phi):
@@ -214,6 +219,86 @@ def test_contraction_ratio_bounded(two_state_model, three_state_model):
         ratios = [r2 / r1 for r1, r2 in
                   zip(sol.rho_trace[:-1], sol.rho_trace[1:]) if r1 > 0]
         assert max(ratios[:-1]) <= model.beta + 1e-3
+
+
+def _shift_matrix(model):
+    # M_ij = lambda_ij / q_i off the diagonal: a payoff raised by k pays
+    # lambda_i k / q_i more, and hat_i(f + c) = hat_i(f) + sum_j
+    # (lambda_ij / lambda_i) c_j
+    m = np.array(model.switch_rates, dtype=float)
+    np.fill_diagonal(m, 0.0)
+    return m / np.array([model.q(i) for i in range(model.n)])[:, None]
+
+
+@pytest.mark.parametrize("model_name, shifts", [
+    ("two_state_model", [(0.3, -0.7), (5.0, 2.0)]),
+    ("three_state_model", [(0.3, -0.7, 1.1), (5.0, 2.0, -3.0)]),
+])
+def test_shift_identity(model_name, shifts, request):
+    # T(f + c) = T(f) + M c, and the barriers do not move
+    model = request.getfixturevalue(model_name)
+    f = identity_field(model, np.linspace(0.0, 6.0, 800))
+    g, barriers = apply_T_sup(model, f)
+    m = _shift_matrix(model)
+    for c in map(np.array, shifts):
+        shifted = ValueField(f.grid, f.values + c[:, None], model.phi)
+        g_c, barriers_c = apply_T_sup(model, shifted)
+        np.testing.assert_allclose(g_c.values, g.values + (m @ c)[:, None],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(barriers_c, barriers, rtol=0.0,
+                                   atol=1e-12)
+
+
+def test_final_rho_is_the_returned_fields_residual(two_state_model,
+                                                   three_state_model):
+    for model in (two_state_model, three_state_model):
+        sol = solve(model, tol=1e-8, grid_points=1200)
+        g, barriers = apply_T_sup(model, sol.value)
+        assert sol.final_rho == pytest.approx(rho_metric(g, sol.value),
+                                              rel=1e-6)
+        # the returned barriers are the returned field's own roots
+        np.testing.assert_allclose(barriers, sol.barriers, rtol=0.0,
+                                   atol=1e-12)
+
+
+def _bounded_variation_model():
+    # the sigma = 0 model of test_large_phi_bounded_variation_solve
+    specs = tuple(LevySpec(drift_mu=mu, sigma=0.0, jump_rate=1.0,
+                           jump_mix=((1.0, 1.0),)) for mu in (-0.001, -0.002))
+    return RegimeModel(states=("a", "b"),
+                       switch_rates=np.array([[0.0, 0.3], [0.3, 0.0]]),
+                       discounts=np.array([0.7, 0.7]), levy=specs,
+                       switch_jumps={}, phi=1.5)
+
+
+@pytest.mark.parametrize("model_name, grid_points", [
+    ("two_state_model", 1200), ("three_state_model", 1200),
+    ("bounded_variation", 1000)])
+def test_smooth_fit_to_rounding(model_name, grid_points, request):
+    # the barriers are roots of the returned field's own local problems
+    model = (_bounded_variation_model() if model_name == "bounded_variation"
+             else request.getfixturevalue(model_name))
+    sol = solve(model, tol=1e-8, grid_points=grid_points)
+    for i in range(model.n):
+        assert max(sol.smooth_fit_residuals(i)) <= 1e-12
+
+
+def test_demo_model_iteration_budget():
+    # the level shift solves each iteration's constant part exactly, so only
+    # the non-constant part, which shrinks far faster than beta, is iterated
+    tree = parse_config((DEMOS / "regime.cfg").read_text())
+    sol = solve(regime_model_from(tree), tol=1e-8, grid_points=2000)
+    assert sol.iterations <= 9
+
+
+def test_t_sup_contracts_at_beta(two_state_model, three_state_model):
+    # the paper's contraction of T itself, which the solver's trace no
+    # longer shows: rho(T f, T g) <= beta rho(f, g)
+    for model in (two_state_model, three_state_model):
+        f = solve(model, tol=1e-8, grid_points=1200).value
+        g = identity_field(model, f.grid)
+        gap = rho_metric(apply_T_sup(model, f)[0], apply_T_sup(model, g)[0])
+        assert gap <= (model.beta + 1e-3) * rho_metric(f, g)
 
 
 def test_monotone_rho_decay(two_state_model):
