@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .levy import LevySpec
-from .payoff import ConcavePayoff, evaluate, make_payoff, right_derivative
+from .payoff import ConcavePayoff, evaluate, make_payoff
 from .scale import Z, ScaleEvaluator, _composite_rule, build_scale_evaluator
 from .value_grid import _ClosedForm, _closed_form, value_on_grid
 
@@ -55,7 +55,7 @@ class AuxProblem:
         if not isinstance(self.payoff, ConcavePayoff):
             raise ModelError("lam > 0 needs a payoff" if self.payoff is None
                              else "payoff must be a ConcavePayoff")
-        if self.lam > 0 and right_derivative(self.payoff, 0.0) > self.phi + 1e-9:
+        if self.lam > 0 and self.payoff.slopes[0] > self.phi + 1e-9:
             raise ModelError("payoff slope at 0+ exceeds phi")
 
     @property
@@ -165,8 +165,7 @@ def barrier_root(problem: AuxProblem,
     """
     ev = evaluator if evaluator is not None else problem.evaluator()
     pw = problem.payoff
-    root = _first_zero(ev, problem.phi, problem.lam, pw.xs,
-                       np.append(pw.slopes, pw.slope_tail))
+    root = _first_zero(ev, problem.phi, problem.lam, pw.xs, pw.slopes)
     return AuxSolution(problem=problem, evaluator=ev, barrier=root)
 
 

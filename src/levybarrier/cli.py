@@ -32,14 +32,17 @@ def _g17(v: float) -> str:
     return "%.17g" % v
 
 
-def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
-    """Write rows as out_dir/name, creating out_dir if need be."""
-    d = Path(out_dir)
-    d.mkdir(parents=True, exist_ok=True)
+def _csv(header: list[str], rows) -> str:
+    """The header and rows as CSV text, one line each, values by _g17."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_g17(v) for v in row))
-    (d / name).write_text("\n".join(lines) + "\n")
+    lines += [",".join(_g17(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(out_dir: str, name: str, text: str) -> None:
+    """Write the CSV text as out_dir/name, creating out_dir if need be."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    (Path(out_dir) / name).write_text(text)
 
 
 # argparse settings of every option but --config
@@ -113,8 +116,8 @@ def _solve_aux(tree, args, out):
         res = [hjb_residual(problem, b, float(x), ev) if x > 0
                else float("nan") for x in xs]
         _write_csv(args.out, "value_curve.csv",
-                   ["x", "V", "V_prime", "hjb_residual"],
-                   zip(xs, vals, derivs, res))
+                   _csv(["x", "V", "V_prime", "hjb_residual"],
+                        zip(xs, vals, derivs, res)))
     return 0
 
 
@@ -136,8 +139,9 @@ def _solve_regime(tree, args, out):
         print(f"value_at_zero_{s}={_g17(sol.value.at_zero(i))}", file=out)
     if args.out:
         for i, s in enumerate(model.states):
-            _write_csv(args.out, f"curve_{s}.csv", ["x", "V"],
-                       zip(sol.value.grid, sol.value.values[i]))
+            _write_csv(args.out, f"curve_{s}.csv",
+                       _csv(["x", "V"],
+                            zip(sol.value.grid, sol.value.values[i])))
     return 0
 
 
@@ -159,7 +163,6 @@ def _parse_barriers(arg: str | None, n: int):
 
 
 def _simulate(tree, args, out):
-    rows = []
     if "chain" in tree:
         model = regime_model_from(tree)
         config = _sim_config(tree, args, float(np.min(model.discounts)))
@@ -188,13 +191,11 @@ def _simulate(tree, args, out):
         analytic = value(problem, b, x0, sol.evaluator)
         est = simulate_aux_npv(problem.spec, problem.payoff, problem.lam,
                                problem.delta, problem.phi, b, x0, config)
-    rows.append((est.mean, est.std_error, analytic))
-    print("mean,std_error,analytic", file=out)
-    for row in rows:
-        print(",".join(_g17(v) for v in row), file=out)
+    text = _csv(["mean", "std_error", "analytic"],
+                [(est.mean, est.std_error, analytic)])
+    print(text, end="", file=out)
     if args.out:
-        _write_csv(args.out, "simulate.csv", ["mean", "std_error", "analytic"],
-                   rows)
+        _write_csv(args.out, "simulate.csv", text)
     return 0
 
 
@@ -206,12 +207,11 @@ def _curve(tree, args, out):
     ev = sol.evaluator
     hi = args.x0 if args.x0 is not None else 2.0 * sol.barrier
     xs = np.linspace(0.0, hi, 201)
-    rows = list(zip(xs, *_scale_sums(ev, xs)[:3]))     # W, Z, Zbar
-    print("x,W,Z,Zbar", file=out)
-    for row in rows:
-        print(",".join(_g17(v) for v in row), file=out)
+    text = _csv(["x", "W", "Z", "Zbar"],
+                zip(xs, *_scale_sums(ev, xs)[:3]))     # W, Z, Zbar
+    print(text, end="", file=out)
     if args.out:
-        _write_csv(args.out, "scale_curve.csv", ["x", "W", "Z", "Zbar"], rows)
+        _write_csv(args.out, "scale_curve.csv", text)
     return 0
 
 

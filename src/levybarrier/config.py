@@ -153,7 +153,11 @@ def regime_model_from(tree: dict) -> RegimeModel:
     chain = tree.get("chain")
     if chain is None:
         raise ConfigError("chain: required")
-    states = tuple(str(s) for s in _require(chain, "states", "chain"))
+    states = _require(chain, "states", "chain")
+    if not (isinstance(states, (list, tuple))
+            and all(isinstance(s, str) for s in states)):
+        raise ConfigError(f"chain.states: expected a list of state names, "
+                          f"got {states!r}")
     rates = _floats(chain, "switch_rates", "chain")
     discounts = _floats(chain, "discounts", "chain")
     levy_sections = tree.get("levy", {})

@@ -1,8 +1,8 @@
 """Piecewise-linear concave payoffs with right-derivative semantics.
 
-The payoff is stored as ascending knots plus a tail slope.  All solver
-integrals pair piecewise-constant right derivatives against exponential sums,
-so nothing smoother than piecewise-linear is ever needed.
+The payoff is stored as ascending knots plus a tail slope, with its right
+derivative omega'_+ at each knot.  Every solver integral pairs it against
+exponential sums, so nothing smoother than piecewise-linear is ever needed.
 
 The type enforces the concavity rule: no ConcavePayoff can be built that
 breaks a law of _checked_slopes by more than _SAMPLE_TOL (ModelError).  Two
@@ -36,7 +36,7 @@ class ConcavePayoff:
     xs: np.ndarray          # ascending knot abscissae, xs[0] = 0
     vals: np.ndarray        # payoff values at knots
     slope_tail: float       # right derivative beyond the last knot
-    # the len(xs) - 1 interior segment slopes, taken once by the check
+    # omega'_+ at each knot (segment slopes, then slope_tail), by the check
     slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,7 +54,7 @@ class ConcavePayoff:
 
 def _checked_slopes(xs: np.ndarray, vals: np.ndarray, slope_tail: float,
                     tol: float) -> np.ndarray:
-    """The segment slopes, or ModelError naming the first law broken:
+    """omega'_+ at each knot, or ModelError naming the first law broken:
     knots ascending from 0 (not NaN), one finite value per knot and a
     finite tail slope, finite slopes, slopes nonincreasing within tol, tail
     slope at most the last slope plus tol."""
@@ -74,7 +74,7 @@ def _checked_slopes(xs: np.ndarray, vals: np.ndarray, slope_tail: float,
     last = slopes[-1] if len(slopes) else np.inf
     if slope_tail > last + tol:
         raise ModelError("bad tail slope")
-    return slopes
+    return np.append(slopes, slope_tail)
 
 
 def make_payoff(knots, slope_tail: float) -> ConcavePayoff:
@@ -105,8 +105,7 @@ def right_derivative(pw: ConcavePayoff, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    slopes = np.append(pw.slopes, pw.slope_tail)
-    out = slopes[np.searchsorted(pw.xs, x, side="right") - 1]
+    out = pw.slopes[np.searchsorted(pw.xs, x, side="right") - 1]
     return float(out) if out.ndim == 0 else out
 
 

@@ -62,14 +62,19 @@ class RegimeModel:
     state, the jumps at each switch and the per-state discounts.  Building
     one raises ModelError naming the first rule it breaks.  It keeps
     read-only copies of its fields (switch_rates and discounts as float
-    arrays), so a model that exists stays valid."""
+    arrays), so a model that exists stays valid.  switch_rates is kept
+    with a zero diagonal, so a generator and its off-diagonal part build
+    the same model.  The read-only arrays lam (lambda_i, the row sums) and
+    q (delta_i + lambda_i) are kept with it."""
 
     states: tuple[str, ...]
-    switch_rates: np.ndarray        # off-diagonal lambda_ij >= 0
+    switch_rates: np.ndarray        # lambda_ij >= 0 off the diagonal, 0 on it
     discounts: np.ndarray           # delta_i > 0
     levy: tuple[LevySpec, ...]
     switch_jumps: Mapping           # (i, j) index pairs -> SwitchJump
     phi: float
+    lam: np.ndarray = field(init=False, repr=False)     # lambda_i
+    q: np.ndarray = field(init=False, repr=False)       # delta_i + lambda_i
 
     def __post_init__(self):
         for name in ("switch_rates", "discounts"):
@@ -78,7 +83,6 @@ class RegimeModel:
             except (TypeError, ValueError):
                 raise ModelError(f"{name}: expected an array of numbers") \
                     from None
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "levy", tuple(self.levy))
@@ -102,14 +106,19 @@ class RegimeModel:
         off = self.switch_rates[~np.eye(n, dtype=bool)]
         if not (np.all(np.isfinite(self.switch_rates)) and np.all(off >= 0)):
             raise ModelError("switch rates must be nonnegative and finite")
+        np.fill_diagonal(self.switch_rates, 0.0)
+        object.__setattr__(self, "lam", self.switch_rates.sum(axis=1))
+        object.__setattr__(self, "q", self.discounts + self.lam)
+        for arr in (self.switch_rates, self.discounts, self.lam, self.q):
+            arr.flags.writeable = False
         for i, s in enumerate(self.states):
-            if self.lam(i) <= 0:
+            if self.lam[i] <= 0:
                 raise ModelError(f"state {s}: every state must switch "
                                  f"(lambda_i > 0)")
             if not 0 < self.discounts[i] < math.inf:
                 raise ModelError(f"state {s}: discount must be positive and "
                                  f"finite")
-            if not self.lam(i) / self.q(i) < 1:
+            if not self.lam[i] / self.q[i] < 1:
                 raise ModelError(f"state {s}: discount vanishes next to "
                                  f"lambda_i in float64, so beta rounds to 1")
             if not isinstance(self.levy[i], LevySpec):
@@ -125,12 +134,6 @@ class RegimeModel:
     def n(self) -> int:
         return len(self.states)
 
-    def lam(self, i: int) -> float:
-        return float(np.sum(self.switch_rates[i]) - self.switch_rates[i, i])
-
-    def q(self, i: int) -> float:
-        return float(self.discounts[i]) + self.lam(i)
-
     def jump(self, i: int, j: int) -> SwitchJump:
         return self.switch_jumps.get((i, j), SwitchJump("none"))
 
@@ -138,14 +141,13 @@ class RegimeModel:
     def evaluators(self) -> tuple[ScaleEvaluator, ...]:
         """The scale evaluator of each state at q_i = delta_i + lambda_i,
         built once per model and shared by every iteration."""
-        return tuple(build_scale_evaluator(self.levy[i], self.q(i))
+        return tuple(build_scale_evaluator(self.levy[i], float(self.q[i]))
                      for i in range(self.n))
 
     @property
     def beta(self) -> float:
         """Contraction factor max_i lambda_i / (lambda_i + delta_i)."""
-        return max(self.lam(i) / (self.lam(i) + float(self.discounts[i]))
-                   for i in range(self.n))
+        return float(np.max(self.lam / self.q))
 
 
 def checked_barriers(model: RegimeModel, barriers) -> np.ndarray:
@@ -232,11 +234,9 @@ def hat_operator(model: RegimeModel, f: ValueField, i: int) -> ConcavePayoff:
     tail slope pinned to 1; concavify only checks it.  f is not checked
     for the cone here: apply_T_sup does that once per iteration.
     """
-    lam_i = model.lam(i)
+    lam_i = model.lam[i]
     out = np.zeros_like(f.grid)
     for j in range(model.n):
-        if j == i:
-            continue
         rate = float(model.switch_rates[i, j])
         if rate == 0.0:
             continue
@@ -277,7 +277,7 @@ def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
 
 def _aux_problem(model: RegimeModel, f: ValueField, i: int) -> AuxProblem:
     """State i's local problem: its barrier problem, the hat of f as payoff."""
-    return AuxProblem(spec=model.levy[i], lam=model.lam(i),
+    return AuxProblem(spec=model.levy[i], lam=float(model.lam[i]),
                       delta=float(model.discounts[i]), phi=model.phi,
                       payoff=hat_operator(model, f, i))
 
@@ -402,8 +402,7 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
     f = seed if seed is not None else identity_field(model, grid)
 
     # T(f + c) = T(f) + M c for a constant c_i per state, M_ij = lambda_ij/q_i
-    m = model.switch_rates * (1.0 - np.eye(model.n))
-    m /= [[model.q(i)] for i in range(model.n)]
+    m = model.switch_rates / model.q[:, None]
     shift = np.linalg.inv(np.eye(model.n) - m)
     rho_trace = []
     for it in range(1, max_iter + 1):

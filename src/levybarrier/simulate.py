@@ -329,33 +329,29 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
     1-tuple of per-path NPVs of the dynamic double-barrier strategy
     (0, b_{Y_t}) on n paths, discounted dividends minus phi times
     injections, each state discounting at its entry of discounts.  The
-    chain is given by the RegimeModel fields of the same names; a state
-    whose switch_rates row is 0 off the diagonal never switches.  With a
-    payoff, every step also adds payoff_weight * omega(U), discounted,
-    after its jumps.  Roulette runs at the smallest entry of discounts."""
+    chain is given by the RegimeModel fields of the same names, so the
+    diagonal of switch_rates must be 0; a state whose row is 0 never
+    switches.  With a payoff, every step also adds payoff_weight *
+    omega(U), discounted, after its jumps.  Roulette runs at the smallest
+    entry of discounts."""
     n_steps = int(math.ceil(config.t_max / config.dt))
     dt = config.dt
     sqdt = math.sqrt(dt)
 
-    n_states = len(levy)
     mu = np.array([s.drift_mu for s in levy])
     sig = np.array([s.sigma for s in levy])
     eta = np.array([s.jump_rate for s in levy])
     deltas = np.asarray(discounts, dtype=float)
-    lam = np.array([float(np.sum(row) - row[i])
-                    for i, row in enumerate(switch_rates)])
+    lam = switch_rates.sum(axis=1)
     # per-state boundaries shifted inward by the continuity correction;
     # smooth fit (V' = phi at 0, V' = 1 at b) makes the shifted payout
     # accounting value-neutral to first order
     lo_eff = np.minimum(_AGP * sig * sqdt, 0.25 * barriers)
     hi_eff = np.maximum(barriers - _AGP * sig * sqdt, 0.75 * barriers)
     # destination cdf per origin state (none for a state that never switches)
-    dest_cdf = np.zeros((n_states, n_states))
-    for i in range(n_states):
-        probs = switch_rates[i].astype(float).copy()
-        probs[i] = 0.0
-        if lam[i] > 0:
-            dest_cdf[i] = np.cumsum(probs / probs.sum())
+    dest_cdf = np.zeros(switch_rates.shape)
+    for i in np.flatnonzero(lam):
+        dest_cdf[i] = np.cumsum(switch_rates[i] / lam[i])
 
     # Per-state quantities, one column per state: the boundaries in double
     # precision (for the clamps at a switch), then the per-step boundaries,

@@ -57,7 +57,7 @@ class _ClosedForm:
         pw, roots = problem.payoff, ev.roots
         m = int(np.searchsorted(pw.xs, b))
         self.knots = np.append(pw.xs[:m], b)
-        self.slopes = np.append(pw.slopes, pw.slope_tail)[:m]
+        self.slopes = pw.slopes[:m]
         self.om = np.append(pw.vals[:m], evaluate(pw, b))
         # rows from b down, contiguous: the scan is slow on reversed views
         e = np.exp(np.outer(np.diff(self.knots, append=b)[::-1], roots))

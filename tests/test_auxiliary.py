@@ -380,5 +380,8 @@ def test_barrier_errors_kept(brownian_spec, linear_payoff):
     for x in (-0.1, 1.1):
         with pytest.raises(ValueError, match=r"x must lie in \[0, b\]"):
             value_derivative(prob, 1.0, x, ev)
+    for x in (0.0, -0.5):
+        with pytest.raises(ValueError, match="^x must be positive$"):
+            hjb_residual(prob, 1.0, x, ev)
     with pytest.raises(NumericsError, match="overflow horizon exceeded"):
         value(prob, 2.0 * ev.x_cap, 0.5, ev)

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -7,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levybarrier import ModelError, SwitchJump
 from levybarrier.cli import main
-from levybarrier.config import (ConfigError, parse_config, regime_model_from,
-                                sim_config_from)
+from levybarrier.config import (ConfigError, aux_inputs_from, parse_config,
+                                regime_model_from, sim_config_from,
+                                solver_options_from)
 
 AUX_CONFIG = """
 # single-regime problem on the Brownian model with W_1 = sinh
@@ -97,13 +101,72 @@ def test_config_line_anchored_diagnostics():
         parse_config("x = 1\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("[a]\nx = not!a!literal\n")
+    with pytest.raises(ConfigError, match="^line 1: empty section name$"):
+        parse_config("[ ]\n")
+    with pytest.raises(ConfigError,
+                       match="^line 3: section clashes with key$"):
+        parse_config("[a]\nx = 1\n[a.x]\n")
+
+
+_REGIME_PROBLEM = "[problem]\nphi = 2.0\ndelta = 1.0\n"
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (aux_inputs_from, "[problem]\nphi = 2.0\n", "levy: required"),
+    (aux_inputs_from, AUX_CONFIG.split("[problem]")[0], "problem: required"),
+    (aux_inputs_from, AUX_CONFIG + "[levy.base]\njump_mix = [1.0, 2.0]\n",
+     "levy.base.jump_mix: expected [[weight, rate], ...]"),
+    (regime_model_from, AUX_CONFIG, "chain: required"),
+    (regime_model_from, REGIME_CONFIG.replace(_REGIME_PROBLEM, ""),
+     "problem: required"),
+    (regime_model_from, REGIME_CONFIG + '[chain]\nstates = ["a", "c"]\n',
+     "levy.c: required"),
+    (regime_model_from, REGIME_CONFIG + "[levy.b]\nsigma = -1.0\n",
+     "state b: sigma must be nonnegative and finite"),
+    (regime_model_from, REGIME_CONFIG + "[jumps.c.a]\n",
+     "jumps.c: unknown state"),
+    (regime_model_from, REGIME_CONFIG + "[jumps.a.c]\n",
+     "jumps.a.c: unknown state"),
+    (regime_model_from, REGIME_CONFIG + '[jumps.a.b]\nkind = "uniform"\n',
+     "jumps.a.b.kind: unknown kind 'uniform'"),
+])
+def test_config_reader_errors(reader, text, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        reader(parse_config(text))
+
+
+@pytest.mark.parametrize("value", ["2.5", "None", "True", '"calm"'])
+def test_chain_states_must_be_a_list_of_names(regime_config, capsys, value):
+    # a number once crashed on iteration, a string was read by character
+    regime_config.write_text(regime_config.read_text()
+                             + f"\n[chain]\nstates = {value}\n")
+    rc = main(["solve-regime", "--config", str(regime_config)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"chain.states: expected a list of state names, got "
+                   f"{ast.literal_eval(value)!r}\n")
+
+
+def test_explicit_no_jump_and_integral_float_grid():
+    tree = parse_config(REGIME_CONFIG + '[jumps.a.b]\nkind = "none"\n'
+                        "[solver]\ngrid_points = 2e3\n")
+    assert regime_model_from(tree).switch_jumps == {(0, 1): SwitchJump("none")}
+    points = solver_options_from(tree)["grid_points"]
+    assert points == 2000 and type(points) is int
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    rc = main(["solve-aux", "--config", str(tmp_path / "missing.cfg")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config: ") and "missing.cfg" in err
 
 
 def test_regime_model_from_config():
     model = regime_model_from(parse_config(REGIME_CONFIG))
     assert model.states == ("a", "b")
     assert model.phi == 2.0
-    assert model.lam(0) == 1.0
+    assert model.lam[0] == 1.0
 
 
 def test_sim_config_overrides():

@@ -164,7 +164,7 @@ def test_model_is_valid_or_model_error():
             return
         built.append(model)
         assert 0 <= model.beta < 1
-        assert all(model.q(i) > 0 for i in range(model.n))
+        assert np.all(model.q > 0)
 
     check()
     assert len(built) >= 10
@@ -196,7 +196,7 @@ def test_payoff_is_valid_or_model_error():
         xs = np.append(pw.xs, pw.xs[-1] + np.array([1.0, 1e2]))
         assert np.all(np.isfinite(pw(xs)))
         with np.errstate(over="ignore"):
-            rises = np.diff(np.append(pw.slopes, pw.slope_tail))
+            rises = np.diff(pw.slopes)
         assert np.all(rises <= 1e-6)
 
     check()

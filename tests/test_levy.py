@@ -70,6 +70,8 @@ def test_phi_inverse_matches_reference(three_specs):
 def test_negative_theta_rejected(brownian_spec):
     with pytest.raises(ValueError):
         laplace_exponent(brownian_spec, -0.5)
+    with pytest.raises(ValueError, match="^theta must be nonnegative$"):
+        laplace_exponent_deriv(brownian_spec, -0.5)
 
 
 def test_validate_rejects_subordinator():
@@ -97,6 +99,9 @@ def test_validate_rejects_bad_weights():
      "rates must be strictly positive and finite"),
     (dict(jump_mix=((float("inf"), 2.0),)),
      "weights must be positive and finite"),
+    # psi'(0) = -mu - eta / rate = -1e310, while psi(0) = 0 stays finite
+    (dict(jump_rate=1e160, jump_mix=((1.0, 1e-150),)),
+     "psi or psi' at 0 overflows float64"),
 ])
 def test_validate_rejects_non_finite(fields, message):
     with pytest.raises(ModelError, match=message):

@@ -95,8 +95,47 @@ def test_model_fields_are_read_only(two_state_model):
     with pytest.raises(TypeError):
         model.switch_jumps[(1, 0)] = SwitchJump("none")
     rates[0, 1] = 5.0   # the caller's array stays the caller's
-    assert model.lam(0) == 0.5
-    assert model.evaluators[0].q == model.q(0) == 1.3
+    assert model.lam[0] == 0.5
+    assert model.evaluators[0].q == model.q[0] == 1.3
+
+
+def _with_rates(model, rates):
+    return dataclasses.replace(model, switch_rates=np.array(rates))
+
+
+def test_diagonal_is_stored_as_zero(two_state_model):
+    # the row sum minus the diagonal rounds: 0.1 + 0.2 - 0.1 is not 0.2
+    model = _with_rates(two_state_model, [[0.1, 0.2], [0.2, 0.1]])
+    assert model.lam.tolist() == [0.2, 0.2]
+    assert model.q.tolist() == [0.8 + 0.2, 1.2 + 0.2]
+    assert np.diag(model.switch_rates).tolist() == [0.0, 0.0]
+    for arr in (model.switch_rates, model.lam, model.q):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+
+
+@pytest.mark.parametrize("diag", [1e16, -1e17])
+def test_large_diagonal_is_ignored(two_state_model, diag):
+    # the row sum minus a diagonal this large cancels lambda_i to 0
+    model = _with_rates(two_state_model, [[diag, 1.0], [1.0, 0.0]])
+    assert model.lam.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_diagonal_is_rejected(two_state_model, bad):
+    with pytest.raises(ModelError, match="^switch rates must be "
+                       "nonnegative and finite$"):
+        _with_rates(two_state_model, [[bad, 0.5], [1.0, 0.0]])
+
+
+def test_generator_and_its_off_diagonal_part_solve_alike(three_state_model):
+    rates = three_state_model.switch_rates
+    generator = rates - np.diag(rates.sum(axis=1))
+    a = solve(three_state_model, grid_points=300)
+    b = solve(_with_rates(three_state_model, generator), grid_points=300)
+    assert np.array_equal(a.barriers, b.barriers)
+    assert np.array_equal(a.value.values, b.value.values)
+    assert a.rho_trace == b.rho_trace
 
 
 def test_beta_formula(two_state_model):
@@ -222,12 +261,10 @@ def test_contraction_ratio_bounded(two_state_model, three_state_model):
 
 
 def _shift_matrix(model):
-    # M_ij = lambda_ij / q_i off the diagonal: a payoff raised by k pays
-    # lambda_i k / q_i more, and hat_i(f + c) = hat_i(f) + sum_j
+    # M_ij = lambda_ij / q_i, 0 on the stored diagonal: a payoff raised by
+    # k pays lambda_i k / q_i more, and hat_i(f + c) = hat_i(f) + sum_j
     # (lambda_ij / lambda_i) c_j
-    m = np.array(model.switch_rates, dtype=float)
-    np.fill_diagonal(m, 0.0)
-    return m / np.array([model.q(i) for i in range(model.n)])[:, None]
+    return model.switch_rates / model.q[:, None]
 
 
 @pytest.mark.parametrize("model_name, shifts", [
@@ -415,6 +452,23 @@ def test_apply_T_b_rejects_bad_barriers(two_state_model, barriers, message):
     f = identity_field(two_state_model, np.linspace(0.0, 4.0, 401))
     with pytest.raises(ModelError, match=message):
         apply_T_b(two_state_model, f, barriers)
+
+
+def test_in_cone_reports_convexity(two_state_model):
+    # slopes 1 to 1.2, inside [1, phi], but rising
+    grid = np.linspace(0.0, 1.0, 101)
+    f = ValueField(grid, np.tile(grid + 0.1 * grid**2, (2, 1)), 1.6)
+    assert in_cone(f) == "state 0: not concave"
+
+
+def test_model_rejects_a_non_levy_spec_and_an_unknown_jump(two_state_model):
+    with pytest.raises(ModelError, match="^state stress: levy must be a "
+                       "LevySpec$"):
+        dataclasses.replace(two_state_model,
+                            levy=(two_state_model.levy[0], "stress"))
+    with pytest.raises(ModelError, match="^jump 1->0: unknown kind$"):
+        dataclasses.replace(two_state_model,
+                            switch_jumps={(1, 0): SwitchJump("uniform")})
 
 
 def test_in_cone_reports_non_finite(two_state_model):
@@ -606,8 +660,7 @@ def test_evaluators_built_once_per_model(two_state_model, monkeypatch):
     model = two_state_model
     sol = solve(model, tol=1e-8, grid_points=400)
     # default_x_max's at delta_i, then one per state at q_i
-    assert built == [float(d) for d in model.discounts] + [
-        model.q(i) for i in range(model.n)]
+    assert built == [float(d) for d in model.discounts] + model.q.tolist()
     built.clear()
     for i in range(model.n):
         assert max(sol.smooth_fit_residuals(i)) <= 1e-8

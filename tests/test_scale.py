@@ -43,6 +43,8 @@ def test_cramer_lundberg_roots(cramer_lundberg_spec):
 def test_w_at_zero_brownian(brownian_spec):
     ev = build_scale_evaluator(brownian_spec, 1.0)
     assert W(ev, 0.0) == pytest.approx(0.0, abs=1e-13)
+    with pytest.raises(ValueError, match="^x must be positive$"):
+        W_deriv(ev, 0.0)
 
 
 def test_behaviour_on_negative_half_line(mixed_spec):
