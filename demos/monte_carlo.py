@@ -40,8 +40,7 @@ def main() -> None:
           f"(= arccosh(phi) here)")
     print("strategy NPV, simulated vs analytic:")
     for x0 in (0.0, 0.5 * sol.barrier, sol.barrier):
-        est = lb.simulate_aux_npv(spec, None, 0.0, 1.0, 2.0,
-                                  sol.barrier, x0, cfg)
+        est = lb.simulate_aux_npv(prob, sol.barrier, x0, cfg)
         exact = lb.value(prob, sol.barrier, x0, sol.evaluator)
         z = (est.mean - exact) / est.std_error
         print(f"  x0 = {x0:.3f}: mc {est.mean:+.5f} +- {est.std_error:.5f}"
@@ -49,10 +48,9 @@ def main() -> None:
 
     # Common random numbers: the same seed reuses the same paths, so a
     # perturbed barrier loses value path-by-path up to noise.
-    worse = lb.simulate_aux_npv(spec, None, 0.0, 1.0, 2.0,
-                                0.7 * sol.barrier, 0.5 * sol.barrier, cfg)
-    best = lb.simulate_aux_npv(spec, None, 0.0, 1.0, 2.0,
-                               sol.barrier, 0.5 * sol.barrier, cfg)
+    worse = lb.simulate_aux_npv(prob, 0.7 * sol.barrier, 0.5 * sol.barrier,
+                                cfg)
+    best = lb.simulate_aux_npv(prob, sol.barrier, 0.5 * sol.barrier, cfg)
     print(f"\nCRN dominance: NPV(b*) - NPV(0.7 b*) = "
           f"{best.mean - worse.mean:+.5f} (should be >= 0 up to noise)")
 

@@ -20,9 +20,9 @@ def main() -> None:
         switch_rates=np.array([[0.0, 0.5], [1.0, 0.0]]),
         discounts=np.array([0.8, 1.2]),
         levy=(calm, stress),
-        # Entering stress wipes out an Exp(3) amount of surplus.
-        switch_jumps={(0, 1): lb.SwitchJump(kind="hyperexp",
-                                            mix=((1.0, 3.0),))},
+        # Entering stress wipes out an Exp(3) amount of surplus: the jump
+        # is its (weight, rate) pairs.
+        switch_jumps={(0, 1): ((1.0, 3.0),)},
         phi=1.6,
     )
 

@@ -9,9 +9,9 @@ from .errors import ModelError, NumericsError
 from .levy import LevySpec, laplace_exponent, laplace_exponent_deriv
 from .payoff import ConcavePayoff, concavify, evaluate, make_payoff, \
     right_derivative
-from .regime import (RegimeModel, RegimeSolution, SwitchJump, ValueField,
-                     apply_T_b, apply_T_sup, hat_operator, identity_field,
-                     rho_metric, solve)
+from .regime import (RegimeModel, RegimeSolution, ValueField, apply_T_b,
+                     apply_T_sup, hat_operator, identity_field, rho_metric,
+                     solve)
 from .scale import (ScaleEvaluator, W, W_deriv, Z, Zbar,
                     build_scale_evaluator, phi_inverse,
                     verify_laplace_transform)
@@ -24,12 +24,12 @@ __all__ = [
     "NumericsError", "LevySpec", "laplace_exponent",
     "laplace_exponent_deriv", "phi_inverse",
     "ConcavePayoff", "concavify", "evaluate", "make_payoff",
-    "right_derivative", "RegimeModel", "RegimeSolution", "SwitchJump",
-    "ValueField", "apply_T_b", "apply_T_sup", "hat_operator",
-    "identity_field", "rho_metric", "solve", "ScaleEvaluator", "W",
-    "W_deriv", "Z", "Zbar", "build_scale_evaluator",
-    "verify_laplace_transform", "SimConfig", "SimEstimate",
-    "estimate_exit_identities", "simulate_aux_npv", "simulate_regime_npv",
+    "right_derivative", "RegimeModel", "RegimeSolution", "ValueField",
+    "apply_T_b", "apply_T_sup", "hat_operator", "identity_field",
+    "rho_metric", "solve", "ScaleEvaluator", "W", "W_deriv", "Z", "Zbar",
+    "build_scale_evaluator", "verify_laplace_transform", "SimConfig",
+    "SimEstimate", "estimate_exit_identities", "simulate_aux_npv",
+    "simulate_regime_npv",
 ]
 
 __version__ = "0.1.0"

@@ -48,6 +48,8 @@ class AuxProblem:
             raise ModelError("delta must be positive and finite")
         if not 0 <= self.lam < math.inf:
             raise ModelError("lam must be nonnegative and finite")
+        if not self.lam / self.q < 1:       # q = delta + lam
+            raise ModelError("delta vanishes next to lam in float64")
         if not 1 < self.phi < math.inf:
             raise ModelError("phi must exceed 1 and be finite")
         if self.payoff is None and self.lam == 0:       # the zero payoff

@@ -73,14 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _aux_problem(tree, state):
     """The config's single-regime problem, on the Levy section of `state`
     (the first one by default)."""
-    spec, lam, delta, phi, payoff = aux_inputs_from(tree, state)
-    return AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi, payoff=payoff)
-
-
-def _aux_solution(tree, state):
-    """The config's single-regime problem and its barrier solution."""
-    problem = _aux_problem(tree, state)
-    return problem, barrier_root(problem)
+    return AuxProblem(*aux_inputs_from(tree, state))
 
 
 def _regime_solution(tree):
@@ -101,15 +94,16 @@ def _sim_config(tree, args, q_min: float):
 
 
 def _solve_aux(tree, args, out):
-    problem, sol = _aux_solution(tree, args.state)
-    b, ev, phi = sol.barrier, sol.evaluator, problem.phi
+    sol = barrier_root(_aux_problem(tree, args.state))
+    problem, b, ev = sol.problem, sol.barrier, sol.evaluator
     print(f"barrier={_g17(b)}", file=out)
     print(f"value_at_zero={_g17(value(problem, b, 0.0, ev))}", file=out)
     print(f"value_at_barrier={_g17(value(problem, b, b, ev))}", file=out)
     print("smooth_fit_barrier_residual="
           + _g17(abs(value_derivative(problem, b, b, ev) - 1.0)), file=out)
     print("smooth_fit_zero_residual="
-          + _g17(abs(value_derivative(problem, b, 0.0, ev) - phi)), file=out)
+          + _g17(abs(value_derivative(problem, b, 0.0, ev) - problem.phi)),
+          file=out)
     if args.out:
         xs = np.linspace(0.0, 2.0 * b, 101)
         vals, derivs = value_on_grid(problem, b, xs, ev)
@@ -189,8 +183,7 @@ def _simulate(tree, args, out):
         b = override[0] if override is not None else sol.barrier
         x0 = args.x0 if args.x0 is not None else b
         analytic = value(problem, b, x0, sol.evaluator)
-        est = simulate_aux_npv(problem.spec, problem.payoff, problem.lam,
-                               problem.delta, problem.phi, b, x0, config)
+        est = simulate_aux_npv(problem, b, x0, config)
     text = _csv(["mean", "std_error", "analytic"],
                 [(est.mean, est.std_error, analytic)])
     print(text, end="", file=out)
@@ -203,7 +196,7 @@ def _curve(tree, args, out):
     if args.x0 is not None and not 0 < args.x0 < math.inf:
         raise ConfigError("--x0: the curve's right end must be positive and "
                           "finite")
-    _, sol = _aux_solution(tree, args.state)
+    sol = barrier_root(_aux_problem(tree, args.state))
     ev = sol.evaluator
     hi = args.x0 if args.x0 is not None else 2.0 * sol.barrier
     xs = np.linspace(0.0, hi, 201)

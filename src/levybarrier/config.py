@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ModelError
 from .levy import LevySpec
 from .payoff import ConcavePayoff, make_payoff
-from .regime import RegimeModel, SwitchJump, _solver_error
+from .regime import RegimeModel, _solver_error
 from .simulate import SimConfig
 
 
@@ -185,7 +185,7 @@ def regime_model_from(tree: dict) -> RegimeModel:
                 raise ConfigError(f"jumps.{si}.{sj}: unknown state")
             kind = spec_node.get("kind", "none")
             if kind == "none":
-                jump = SwitchJump("none")
+                jump = ()
             elif kind == "hyperexp":
                 ws = _require(spec_node, "weights", f"jumps.{si}.{sj}")
                 rs = _require(spec_node, "rates", f"jumps.{si}.{sj}")
@@ -197,7 +197,7 @@ def regime_model_from(tree: dict) -> RegimeModel:
                 if len(ws) != len(rs):
                     raise ConfigError(f"jumps.{si}.{sj}: weights and rates "
                                       "differ in length")
-                jump = SwitchJump("hyperexp", tuple(zip(ws, rs)))
+                jump = tuple(zip(ws, rs))
             else:
                 raise ConfigError(f"jumps.{si}.{sj}.kind: unknown kind {kind!r}")
             jumps[(idx[si], idx[sj])] = jump
@@ -206,14 +206,16 @@ def regime_model_from(tree: dict) -> RegimeModel:
 
 
 def _integer(section: dict, key: str, default: int, where: str) -> int:
-    """section[key] as an int; an integral float such as 2e3 counts, any
-    other value is rejected rather than cut."""
+    """section[key] as an int that an array size can hold; an integral
+    float such as 2e3 counts, any other value is rejected rather than cut."""
     val = section.get(key, default)
-    if isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if isinstance(val, float) and val.is_integer():
-        return int(val)
-    raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
+    n = int(val) if isinstance(val, float) and val.is_integer() else val
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
+    if n > np.iinfo(np.intp).max:
+        raise ConfigError(f"{where}.{key}: {val!r} exceeds the largest array "
+                          f"size, {np.iinfo(np.intp).max}")
+    return n
 
 
 def solver_options_from(tree: dict) -> dict:

@@ -30,8 +30,9 @@ _WEIGHT_TOL = 1e-12
 class LevySpec:
     """One spectrally positive Levy process.  Building one raises
     ModelError naming the first rule it breaks: the fields below, paths
-    that are neither deterministic nor increasing, and psi and psi' at 0
-    that can be evaluated in float64.
+    that are neither deterministic nor increasing (also where sigma**2 / 2
+    underflows to 0), a sigma**2 inside float64, and psi and psi' at 0 that
+    can be evaluated in float64.
 
     drift_mu:  linear drift of X (finite).
     sigma:     Brownian volatility (>= 0, finite).
@@ -64,15 +65,23 @@ class LevySpec:
             rates = [r for _, r in self.jump_mix]
             if len(set(rates)) != len(rates):
                 raise ModelError("mixture rates must be pairwise distinct")
-        if self.sigma == 0 and self.jump_rate == 0:
-            raise ModelError("degenerate: deterministic drift only")
-        if self.sigma == 0 and self.jump_rate > 0 and self.drift_mu >= 0:
-            raise ModelError("monotone paths: subordinator")
+        if self.sigma * self.sigma == math.inf:
+            raise ModelError("sigma**2 overflows float64")
+        # psi sees sigma**2 / 2, so the sigma = 0 rules hold where it is 0
+        flat = ("" if self.sigma == 0
+                else "sigma**2 / 2 underflows to 0 in float64, so ")
+        if 0.5 * self.sigma**2 == 0 and self.jump_rate == 0:
+            raise ModelError(flat + "degenerate: deterministic drift only")
+        if 0.5 * self.sigma**2 == 0 < self.jump_rate and self.drift_mu >= 0:
+            raise ModelError(flat + "monotone paths: subordinator")
         try:
             at_zero = _psi(self, 0.0)
         except ZeroDivisionError:
             raise ModelError("psi'(0) cannot be evaluated in float64: a "
                              "mixture rate's square underflows to 0") from None
+        except OverflowError:
+            raise ModelError("psi'(0) cannot be evaluated in float64: a "
+                             "mixture rate's square overflows") from None
         if not all(map(math.isfinite, at_zero)):
             raise ModelError("psi or psi' at 0 overflows float64")
 

@@ -47,15 +47,6 @@ from .value_grid import _scan, value_on_grid
 _CONE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class SwitchJump:
-    """Distribution of the (nonpositive) jump applied at a regime switch:
-    either a point mass at 0 or a negated hyperexponential mixture."""
-
-    kind: str                                   # "none" | "hyperexp"
-    mix: tuple[tuple[float, float], ...] = ()   # (weight, rate) of |J|
-
-
 @dataclass(frozen=True, eq=False)
 class RegimeModel:
     """A Markov additive model: the switching chain, one LevySpec per
@@ -65,13 +56,15 @@ class RegimeModel:
     arrays), so a model that exists stays valid.  switch_rates is kept
     with a zero diagonal, so a generator and its off-diagonal part build
     the same model.  The read-only arrays lam (lambda_i, the row sums) and
-    q (delta_i + lambda_i) are kept with it."""
+    q (delta_i + lambda_i) are kept with it.  switch_jumps maps (i, j) to
+    the (weight, rate) float pairs of the hyperexponential |J_ij|, as
+    LevySpec.jump_mix, or to () for no jump; phi is every state's cost."""
 
     states: tuple[str, ...]
     switch_rates: np.ndarray        # lambda_ij >= 0 off the diagonal, 0 on it
     discounts: np.ndarray           # delta_i > 0
     levy: tuple[LevySpec, ...]
-    switch_jumps: Mapping           # (i, j) index pairs -> SwitchJump
+    switch_jumps: Mapping           # (i, j) -> (weight, rate) pairs of |J|
     phi: float
     lam: np.ndarray = field(init=False, repr=False)     # lambda_i
     q: np.ndarray = field(init=False, repr=False)       # delta_i + lambda_i
@@ -86,8 +79,6 @@ class RegimeModel:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "levy", tuple(self.levy))
-        object.__setattr__(self, "switch_jumps",
-                           MappingProxyType(dict(self.switch_jumps)))
         n = self.n
         if not 1 < self.phi < math.inf:
             raise ModelError("phi must exceed 1 and be finite")
@@ -99,19 +90,32 @@ class RegimeModel:
         if len(self.levy) != n:
             raise ModelError(f"levy: expected one LevySpec per state ({n}), "
                              f"got {len(self.levy)}")
-        for i, j in self.switch_jumps:
+        jumps = dict(self.switch_jumps)
+        for (i, j), mix in jumps.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ModelError(f"jump {i}->{j}: state index outside "
                                  f"0..{n - 1}")
+            try:
+                mix = jumps[i, j] = tuple((float(w), float(r)) for w, r in mix)
+            except (TypeError, ValueError):
+                raise ModelError(f"jump {i}->{j}: expected (weight, rate) "
+                                 f"pairs, got {mix!r}") from None
+            diag = _mixture_error(mix) if mix else None
+            if diag is not None:
+                raise ModelError(f"jump {i}->{j}: {diag}")
+        object.__setattr__(self, "switch_jumps", MappingProxyType(jumps))
         off = self.switch_rates[~np.eye(n, dtype=bool)]
         if not (np.all(np.isfinite(self.switch_rates)) and np.all(off >= 0)):
             raise ModelError("switch rates must be nonnegative and finite")
         np.fill_diagonal(self.switch_rates, 0.0)
-        object.__setattr__(self, "lam", self.switch_rates.sum(axis=1))
+        with np.errstate(over="ignore"):    # checked per state below
+            object.__setattr__(self, "lam", self.switch_rates.sum(axis=1))
         object.__setattr__(self, "q", self.discounts + self.lam)
         for arr in (self.switch_rates, self.discounts, self.lam, self.q):
             arr.flags.writeable = False
         for i, s in enumerate(self.states):
+            if not self.lam[i] < math.inf:
+                raise ModelError(f"state {s}: switch rates sum past float64")
             if self.lam[i] <= 0:
                 raise ModelError(f"state {s}: every state must switch "
                                  f"(lambda_i > 0)")
@@ -123,19 +127,13 @@ class RegimeModel:
                                  f"lambda_i in float64, so beta rounds to 1")
             if not isinstance(self.levy[i], LevySpec):
                 raise ModelError(f"state {s}: levy must be a LevySpec")
-        for (i, j), sj in self.switch_jumps.items():
-            if sj.kind not in ("none", "hyperexp"):
-                raise ModelError(f"jump {i}->{j}: unknown kind")
-            diag = _mixture_error(sj.mix) if sj.kind == "hyperexp" else None
-            if diag is not None:
-                raise ModelError(f"jump {i}->{j}: {diag}")
 
     @property
     def n(self) -> int:
         return len(self.states)
 
-    def jump(self, i: int, j: int) -> SwitchJump:
-        return self.switch_jumps.get((i, j), SwitchJump("none"))
+    def jump(self, i: int, j: int) -> tuple[tuple[float, float], ...]:
+        return self.switch_jumps.get((i, j), ())
 
     @cached_property
     def evaluators(self) -> tuple[ScaleEvaluator, ...]:
@@ -164,13 +162,12 @@ def checked_barriers(model: RegimeModel, barriers) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ValueField:
-    """Per-state value function on a shared uniform grid, with slope-phi
-    extension below 0 and slope-1 extension above the grid.  It checks its
-    grid and columns when built (ModelError); solve checks the rows."""
+    """Per-state value function on a shared grid, extended below 0 with
+    the slope phi of its model and above the grid with slope 1.  It checks
+    its grid and columns when built (ModelError); solve checks the rows."""
 
     grid: np.ndarray                 # ascending, grid[0] = 0
     values: np.ndarray               # shape (n_states, len(grid))
-    phi: float
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -190,7 +187,7 @@ class ValueField:
 
 
 def identity_field(model: RegimeModel, grid: np.ndarray) -> ValueField:
-    return ValueField(grid, np.tile(grid, (model.n, 1)), model.phi)
+    return ValueField(grid, np.tile(grid, (model.n, 1)))
 
 
 def rho_metric(f: ValueField, g: ValueField) -> float:
@@ -205,7 +202,7 @@ def rho_metric(f: ValueField, g: ValueField) -> float:
     return float(np.max(np.abs(f.values - g.values)))
 
 
-def in_cone(f: ValueField, tol: float = _CONE_TOL) -> str | None:
+def in_cone(f: ValueField, phi: float, tol: float = _CONE_TOL) -> str | None:
     """Check per-state finiteness, concavity and slope window [1, phi] on
     the grid."""
     h = np.diff(f.grid)
@@ -213,7 +210,7 @@ def in_cone(f: ValueField, tol: float = _CONE_TOL) -> str | None:
         if not np.all(np.isfinite(f.values[i])):
             return f"state {i}: non-finite value"
         slopes = np.diff(f.values[i]) / h
-        if np.any(slopes < 1.0 - tol) or np.any(slopes > f.phi + tol):
+        if np.any(slopes < 1.0 - tol) or np.any(slopes > phi + tol):
             return f"state {i}: slope outside [1, phi]"
         if np.any(np.diff(slopes) > tol):
             return f"state {i}: not concave"
@@ -227,12 +224,12 @@ def hat_operator(model: RegimeModel, f: ValueField, i: int) -> ConcavePayoff:
     """Expected continuation value in state i just after a regime switch.
 
     Averages the destination-state field over the switch jump, pricing the
-    below-zero overshoot linearly at slope phi.  Point-mass jumps are exact;
-    hyperexponential jumps integrate the piecewise-linear field in closed
-    form via a per-rate forward recursion.  The average maps the concave
-    cone into itself, so the sampled result is the payoff as it is, with
-    tail slope pinned to 1; concavify only checks it.  f is not checked
-    for the cone here: apply_T_sup does that once per iteration.
+    below-zero overshoot linearly at slope phi.  With no jump it is the
+    field itself; a hyperexponential jump integrates the piecewise-linear
+    field in closed form via a per-rate forward recursion.  The average
+    maps the concave cone into itself, so the sampled result is the payoff
+    as it is, with tail slope pinned to 1; concavify only checks it.  f is
+    not checked for the cone here: apply_T_sup does that once per iteration.
     """
     lam_i = model.lam[i]
     out = np.zeros_like(f.grid)
@@ -241,15 +238,13 @@ def hat_operator(model: RegimeModel, f: ValueField, i: int) -> ConcavePayoff:
         if rate == 0.0:
             continue
         p = rate / lam_i
-        sj = model.jump(i, j)
-        if sj.kind == "none":
-            out += p * f.values[j]
-        else:
-            out += p * _hyperexp_average(f, j, sj)
+        mix = model.jump(i, j)
+        out += p * (_hyperexp_average(f, j, mix, model.phi) if mix
+                    else f.values[j])
     return concavify(np.column_stack((f.grid, out)), slope_tail=1.0)
 
 
-def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
+def _hyperexp_average(f: ValueField, j: int, mix, phi: float) -> np.ndarray:
     """E[ f(x+J, j) 1{x+J>=0} + (phi(x+J)+f(0,j)) 1{x+J<0} ] on the grid,
     J = -|J| with |J| hyperexponential.
 
@@ -260,8 +255,8 @@ def _hyperexp_average(f: ValueField, j: int, sj: SwitchJump) -> np.ndarray:
     with the point-by-point recursion to rounding.  The tail
     int_x^inf (phi(x-z) + f(0,j)) nu e^{-nu z} dz is closed form.
     """
-    grid, vals, phi = f.grid, f.values[j], f.phi
-    w, nu = np.array(sj.mix, dtype=float).T
+    grid, vals = f.grid, f.values[j]
+    w, nu = np.array(mix).T
     h = np.diff(grid)[:, None]
     s = np.diff(vals)[:, None] / h
     a = np.exp(-nu * h)
@@ -290,14 +285,14 @@ def apply_T_b(model: RegimeModel, f: ValueField, barriers) -> ValueField:
         new_vals[i], _ = value_on_grid(_aux_problem(model, f, i),
                                        float(barriers[i]), f.grid,
                                        model.evaluators[i])
-    return ValueField(grid=f.grid, values=new_vals, phi=model.phi)
+    return ValueField(grid=f.grid, values=new_vals)
 
 
 def apply_T_sup(model: RegimeModel,
                 f: ValueField) -> tuple[ValueField, np.ndarray]:
     """Optimal one-switch mapping: each state's local problem solved and
     evaluated.  f must lie in the cone (concave, slopes in [1, phi])."""
-    diag = in_cone(f)
+    diag = in_cone(f, model.phi)
     if diag is not None:
         raise ModelError(f"f not in cone: {diag}")
     barriers = np.empty(model.n)
@@ -308,7 +303,7 @@ def apply_T_sup(model: RegimeModel,
         barriers[i] = sol.barrier
         new_vals[i], _ = value_on_grid(problem, sol.barrier, f.grid,
                                        sol.evaluator)
-    return ValueField(grid=f.grid, values=new_vals, phi=model.phi), barriers
+    return ValueField(grid=f.grid, values=new_vals), barriers
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,11 +418,10 @@ def solve(model: RegimeModel, seed: ValueField | None = None,
         rho_trace.append(rho)
         if rho < tol:
             return RegimeSolution(
-                model=model, value=ValueField(grid, f.values + c[:, None],
-                                              model.phi),
+                model=model, value=ValueField(grid, f.values + c[:, None]),
                 barriers=barriers, iterations=it, final_rho=rho,
                 rho_trace=tuple(rho_trace))
-        f = ValueField(grid, g.values + (m @ c)[:, None], model.phi)
+        f = ValueField(grid, g.values + (m @ c)[:, None])
     ratios = [b / a for a, b in zip(rho_trace[:-1], rho_trace[1:]) if a > 0]
     raise NumericsError(
         "no convergence: final rho %.3e after %d iterations "

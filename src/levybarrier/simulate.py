@@ -375,8 +375,7 @@ def _double_barrier_npv(levy, switch_rates: np.ndarray, discounts: np.ndarray,
     jump_accept = eta / eta_max if eta_max > 0 else eta
     sw_accept = lam / lam_max if lam_max > 0 else lam
     jump_mix = [_mixture(s.jump_mix) if s.jump_mix else None for s in levy]
-    drop_mix = {ij: _mixture(sj.mix) for ij, sj in switch_jumps.items()
-                if sj.kind == "hyperexp"}
+    drop_mix = {ij: _mixture(mix) for ij, mix in switch_jumps.items() if mix}
 
     k0, kdt = _roulette(float(deltas.min()), dt)
     lo0, hi0 = float(lo_eff[i0]), float(hi_eff[i0])
@@ -522,16 +521,13 @@ def _sample_switch_drops(rng, origins, dests, drop_mix) -> np.ndarray:
     return out
 
 
-def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
-                     delta: float, phi: float, b: float, x0: float,
+def simulate_aux_npv(problem: AuxProblem, b: float, x0: float,
                      config: SimConfig) -> SimEstimate:
-    """Estimate the NPV of the (0, b) double-barrier strategy started at x0:
-    discounted dividends, minus phi times injections, plus the running payoff
-    stream weighted by lam.  payoff may be None only when lam == 0.  Any
-    finite x0 is a start: below 0 the strategy first injects up to 0, as
-    simulate_regime_npv does."""
-    # the auxiliary problem's own checks of spec, lam, delta, phi and payoff
-    q = AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi, payoff=payoff).q
+    """Estimate value(problem, b, x0), the NPV of the (0, b) double-barrier
+    strategy: discounted dividends, minus phi times injections, plus the
+    payoff stream weighted by lam.  Any finite x0 is a start: below 0 the
+    strategy first injects up to 0, as simulate_regime_npv does."""
+    q, lam, payoff = problem.q, problem.lam, problem.payoff
     if not (0 < b < math.inf and math.isfinite(x0)):
         raise ModelError(f"need finite b > 0 and finite x0, got b={b!r}, "
                          f"x0={x0!r}")
@@ -539,11 +535,12 @@ def simulate_aux_npv(spec: LevySpec, payoff: ConcavePayoff | None, lam: float,
     # The exponential time at rate lam ends the auxiliary problem, so it is
     # a one-state chain that never switches, discounted at delta + lam, that
     # is paid the stream lam * omega(U) in place of the switch.
-    kernel = _double_barrier_npv((spec,), np.zeros((1, 1)), np.array([q]), {},
-                                 phi, np.array([float(b)]), x0, 0, config,
+    kernel = _double_barrier_npv((problem.spec,), np.zeros((1, 1)),
+                                 np.array([q]), {}, problem.phi,
+                                 np.array([float(b)]), x0, 0, config,
                                  payoff if lam > 0 else None, lam * config.dt)
     scale = b + abs(x0) + (abs(evaluate(payoff, b)) if lam > 0 else 0.0) + 1.0
-    tail = math.exp(-q * config.t_max) * phi * scale
+    tail = math.exp(-q * config.t_max) * problem.phi * scale
     return _run_chunks(config, kernel, tail)[0]
 
 

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
-                         RegimeModel, SwitchJump, make_payoff)
+                         RegimeModel, make_payoff)
 from levybarrier.levy import laplace_exponent, laplace_exponent_deriv
 from levybarrier.payoff import evaluate, right_derivative
 from levybarrier.scale import W, W_deriv, Z, Zbar
@@ -234,14 +234,14 @@ def reference_laplace_integral(ev, s, horizon):
 # grid point at a time, independent of the doubling scan in
 # levybarrier.regime.
 
-def reference_hyperexp_average(f, j, sj):
+def reference_hyperexp_average(f, j, mix, phi):
     """E[ f(x+J, j) 1{x+J>=0} + (phi(x+J)+f(0,j)) 1{x+J<0} ] on the grid,
     J = -|J| with |J| hyperexponential, one rate at a time."""
-    grid, vals, phi = f.grid, f.values[j], f.phi
+    grid, vals = f.grid, f.values[j]
     h = np.diff(grid)
     s = np.diff(vals) / h
     out = np.zeros(len(grid))
-    for w, nu in sj.mix:
+    for w, nu in mix:
         # per segment: int_0^h (f_{m+1} - s z) nu e^{-nu z} dz
         e = np.exp(-nu * h)
         zint = (1.0 - e) / nu - h * e
@@ -380,7 +380,7 @@ def two_state_model(brownian_spec):
         switch_rates=np.array([[0.0, 0.5], [1.0, 0.0]]),
         discounts=np.array([0.8, 1.2]),
         levy=(brownian_spec, stress),
-        switch_jumps={(0, 1): SwitchJump("hyperexp", ((1.0, 3.0),))},
+        switch_jumps={(0, 1): ((1.0, 3.0),)},
         phi=1.6)
 
 
@@ -395,6 +395,6 @@ def three_state_model(brownian_spec, mixed_spec):
                                [0.5, 0.1, 0.0]]),
         discounts=np.array([0.9, 1.1, 1.3]),
         levy=(brownian_spec, stress, mixed_spec),
-        switch_jumps={(0, 1): SwitchJump("hyperexp", ((0.7, 2.0), (0.3, 5.0))),
-                      (2, 0): SwitchJump("hyperexp", ((1.0, 4.0),))},
+        switch_jumps={(0, 1): ((0.7, 2.0), (0.3, 5.0)),
+                      (2, 0): ((1.0, 4.0),)},
         phi=1.8)

@@ -183,6 +183,15 @@ def test_value_on_grid_matches_pointwise(twelve_cases):
         assert derivs == pytest.approx(ref_d, rel=1e-11, abs=1e-11)
 
 
+def test_lam_that_swamps_delta_is_rejected(brownian_spec, linear_payoff):
+    # lam / q rounds to 1, so ell = 1 - phi everywhere in float64: this
+    # warned in the barrier root and failed with "no sign change"
+    with pytest.raises(ModelError, match="^delta vanishes next to lam in "
+                       "float64$"):
+        AuxProblem(spec=brownian_spec, lam=1e300, delta=1.0, phi=2.0,
+                   payoff=linear_payoff)
+
+
 def test_problem_validation(brownian_spec, linear_payoff):
     with pytest.raises(ModelError, match="phi"):
         AuxProblem(spec=brownian_spec, lam=0.0, delta=1.0, phi=0.9,

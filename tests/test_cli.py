@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levybarrier import ModelError, SwitchJump
+from levybarrier import ModelError
 from levybarrier.cli import main
 from levybarrier.config import (ConfigError, aux_inputs_from, parse_config,
                                 regime_model_from, sim_config_from,
@@ -150,7 +150,7 @@ def test_chain_states_must_be_a_list_of_names(regime_config, capsys, value):
 def test_explicit_no_jump_and_integral_float_grid():
     tree = parse_config(REGIME_CONFIG + '[jumps.a.b]\nkind = "none"\n'
                         "[solver]\ngrid_points = 2e3\n")
-    assert regime_model_from(tree).switch_jumps == {(0, 1): SwitchJump("none")}
+    assert regime_model_from(tree).switch_jumps == {(0, 1): ()}
     points = solver_options_from(tree)["grid_points"]
     assert points == 2000 and type(points) is int
 
@@ -160,6 +160,61 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config: ") and "missing.cfg" in err
+
+
+def _demo_with(tmp_path, demo, key, value):
+    """demos/<demo> with its first `key = ...` line set to value."""
+    p = tmp_path / demo
+    p.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                        (DEMOS / demo).read_text(), count=1, flags=re.M))
+    return p
+
+
+_LARGEST = np.iinfo(np.intp).max
+_DRIFT_ONLY = ("sigma**2 / 2 underflows to 0 in float64, so degenerate: "
+               "deterministic drift only")
+
+
+@pytest.mark.parametrize("demo, command, key, value, message", [
+    ("aux.cfg", "curve", "sigma", "1e-300", _DRIFT_ONLY),
+    ("aux.cfg", "solve-aux", "sigma", "1e-300", _DRIFT_ONLY),
+    ("regime.cfg", "solve-regime", "sigma", "1e-300",
+     "state calm: " + _DRIFT_ONLY),
+    ("aux.cfg", "curve", "sigma", "1e300", "sigma**2 overflows float64"),
+    ("aux.cfg", "solve-aux", "sigma", "1e300", "sigma**2 overflows float64"),
+    ("regime.cfg", "solve-regime", "sigma", "1e300",
+     "state calm: sigma**2 overflows float64"),
+    ("aux.cfg", "solve-aux", "lambda", "1e300",
+     "delta vanishes next to lam in float64"),
+    ("regime.cfg", "solve-regime", "grid_points", "1e300",
+     f"solver.grid_points: 1e+300 exceeds the largest array size, "
+     f"{_LARGEST}"),
+    ("regime.cfg", "solve-regime", "grid_points", str(_LARGEST + 1),
+     f"solver.grid_points: {_LARGEST + 1} exceeds the largest array size, "
+     f"{_LARGEST}"),
+])
+def test_float64_edges_exit_2(tmp_path, capsys, demo, command, key, value,
+                              message):
+    # each crashed, or warned and then exited 3 with a false reason
+    rc = main([command, "--config",
+               str(_demo_with(tmp_path, demo, key, value))])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="ROADMAP item 1: the scale sums overflow float64 "
+                          "at a small delta or sigma")
+@pytest.mark.parametrize("demo, command, key", [
+    ("aux.cfg", "curve", "delta"), ("aux.cfg", "solve-aux", "delta"),
+    ("aux.cfg", "curve", "sigma"), ("aux.cfg", "solve-aux", "sigma"),
+    ("regime.cfg", "solve-regime", "sigma"),
+])
+def test_small_delta_or_sigma_runs_without_warning(tmp_path, demo, command,
+                                                   key):
+    rc = main([command, "--config",
+               str(_demo_with(tmp_path, demo, key, "1e-9"))])
+    assert rc in (0, 2, 3)
 
 
 def test_regime_model_from_config():

@@ -4,12 +4,12 @@ ModelError or gives an object the solvers can use.
 
 The box: n in 1-3 states; switch_rates of shape (0-4, 0-4), or a ragged
 list, and discounts and levy of length 0-4, each of the right shape three
-times in four; switch-jump keys (i, j) with i, j in -1..n; jump kinds
-"none", "hyperexp" and an unknown one; and every number 0, +-inf, NaN or
-of magnitude in [1e-300, 1e2].  The tiny magnitudes reach two float64
-limits that the checks name: a mixture rate under about 1e-154 underflows
-its square in psi'(0), and a discount under about 1e-16 lambda_i rounds
-beta to 1.  Payoffs take 0-4 knots, values and tail slopes from the same
+times in four; switch-jump keys (i, j) with i, j in -1..n; jump values
+that are a mixture, () or no (weight, rate) pairs; and every number 0,
++-inf, NaN or of magnitude in [1e-300, 1e2].  The tiny magnitudes reach
+three float64 limits that the checks name: a sigma or a mixture rate under
+about 1e-154 underflows its square in psi, and a discount under about
+1e-16 lambda_i rounds beta to 1.  Payoffs take 0-4 knots, values and tail slopes from the same
 numbers, concave three times in four, with one value per knot unless a
 draw mis-sizes them; SimConfig fields are valid three times in four each;
 value fields take grids of 0-5 points from 0, or of any numbers, and values
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from levybarrier import (ConcavePayoff, LevySpec, ModelError, RegimeModel,
-                         SimConfig, SwitchJump, ValueField, laplace_exponent)
+                         SimConfig, ValueField, laplace_exponent)
 
 POSITIVE = st.floats(1e-300, 1e2)
 NEGATIVE = st.floats(-1e2, -1e-300)
@@ -80,9 +80,10 @@ def model_fields(draw):
     index = _either(draw, st.just(st.integers(0, n - 1)),
                     st.just(st.integers(-1, n)))
     keys = draw(st.lists(st.tuples(index, index), max_size=3))
-    kinds = _either(draw, st.sampled_from(["none", "hyperexp"]),
-                    st.just("gamma"))
-    jumps = {k: SwitchJump(kinds, tuple(draw(mixtures()))) for k in keys}
+    # a jump is a mixture, () for none, or a value that is no mixture
+    jumps = {k: _either(draw, st.one_of(st.just(()), mixtures()),
+                        st.sampled_from(["gamma", 3.0, ((1.0,),)]))
+             for k in keys}
     return dict(states=tuple(f"s{i}" for i in range(n)),
                 switch_rates=rates, discounts=discounts, levy=levy,
                 switch_jumps=jumps,
@@ -233,7 +234,7 @@ def test_value_field_is_valid_or_model_error():
     @given(field_fields())
     def check(fields):
         try:
-            f = ValueField(*fields, phi=2.0)
+            f = ValueField(*fields)
         except ModelError:
             return
         built.append(f)

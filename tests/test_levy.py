@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from levybarrier import (LevySpec, ModelError, laplace_exponent,
-                         laplace_exponent_deriv, phi_inverse)
+from levybarrier import (LevySpec, ModelError, build_scale_evaluator,
+                         laplace_exponent, laplace_exponent_deriv,
+                         phi_inverse)
 
 from conftest import reference_phi_inverse
 
@@ -107,6 +109,36 @@ def test_validate_rejects_non_finite(fields, message):
     with pytest.raises(ModelError, match=message):
         LevySpec(**{**dict(drift_mu=-1.0, sigma=0.5, jump_rate=1.0,
                            jump_mix=((1.0, 2.0),)), **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(sigma=1e-300, jump_rate=0.0),
+     "sigma**2 / 2 underflows to 0 in float64, so degenerate: deterministic "
+     "drift only"),
+    (dict(sigma=1e-300, drift_mu=0.5),
+     "sigma**2 / 2 underflows to 0 in float64, so monotone paths: "
+     "subordinator"),
+    (dict(sigma=1e300), "sigma**2 overflows float64"),
+    (dict(jump_mix=((1.0, 1e200),)),
+     "psi'(0) cannot be evaluated in float64: a mixture rate's square "
+     "overflows"),
+], ids=["sigma-tiny-drift", "sigma-tiny-subordinator", "sigma-huge",
+        "rate-huge"])
+def test_validate_rejects_squares_past_float64(fields, message):
+    # psi sees sigma**2 / 2: at 0 the polynomial of a drift had no root
+    # left, and a square past float64 raised OverflowError in psi(0)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        LevySpec(**{**dict(drift_mu=-1.0, sigma=0.5, jump_rate=1.0,
+                           jump_mix=((1.0, 2.0),)), **fields})
+
+
+def test_sigma_whose_square_underflows_is_sigma_zero(cramer_lundberg_spec):
+    # psi sees sigma**2 / 2 = 0, so a jump spec with such a sigma is valid
+    # and has the scale function of sigma = 0
+    tiny = dataclasses.replace(cramer_lundberg_spec, sigma=1e-300)
+    assert np.array_equal(build_scale_evaluator(tiny, 1.0).roots,
+                          build_scale_evaluator(cramer_lundberg_spec,
+                                                1.0).roots)
 
 
 def test_validate_rejects_degenerate():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from levybarrier import (AuxProblem, LevySpec, ModelError, NumericsError,
-                         RegimeModel, SwitchJump, barrier_root,
+                         RegimeModel, barrier_root,
                          build_scale_evaluator, make_payoff, solve, value)
 from conftest import reference_hyperexp_average
 from levybarrier import auxiliary, regime
@@ -53,7 +53,7 @@ def test_validate_model_rejects_non_finite(two_state_model, bad, field,
     (((float("nan"), 3.0),), "weights must be positive"),
     (((0.5, 3.0), (0.2, 5.0)), "weights sum != 1"),
     (((1.0, -3.0),), "rates must be strictly positive"),
-    ((), "weights sum != 1"),
+    (((0.5, 3.0),), "weights sum != 1"),
     (((float("inf"), 3.0),), "weights must be positive and finite"),
     (((1.0, float("inf")),), "rates must be strictly positive and finite"),
     (((1.0, float("nan")),), "rates must be strictly positive and finite"),
@@ -64,7 +64,7 @@ def test_validate_model_rejects_bad_switch_jump(two_state_model, mix,
     with pytest.raises(ModelError, match="jump 0->1") as err:
         dataclasses.replace(
             two_state_model,
-            switch_jumps={(0, 1): SwitchJump("hyperexp", mix)})
+            switch_jumps={(0, 1): mix})
     assert message in str(err.value)
 
 
@@ -73,7 +73,7 @@ def test_validate_model_rejects_bad_switch_jump(two_state_model, mix,
      "levy: expected one LevySpec per state (2), got 1"),
     ("discounts", lambda m: m.discounts[:1],
      "discounts: expected one per state, shape (2,), got (1,)"),
-    ("switch_jumps", lambda m: {(0, 2): SwitchJump("none")},
+    ("switch_jumps", lambda m: {(0, 2): ()},
      "jump 0->2: state index outside 0..1"),
 ], ids=["levy", "discounts", "switch_jumps"])
 def test_validate_model_rejects_mis_shaped(two_state_model, field, value,
@@ -93,7 +93,7 @@ def test_model_fields_are_read_only(two_state_model):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 5.0
     with pytest.raises(TypeError):
-        model.switch_jumps[(1, 0)] = SwitchJump("none")
+        model.switch_jumps[(1, 0)] = ()
     rates[0, 1] = 5.0   # the caller's array stays the caller's
     assert model.lam[0] == 0.5
     assert model.evaluators[0].q == model.q[0] == 1.3
@@ -128,6 +128,15 @@ def test_non_finite_diagonal_is_rejected(two_state_model, bad):
         _with_rates(two_state_model, [[bad, 0.5], [1.0, 0.0]])
 
 
+def test_row_sum_past_float64_is_rejected(three_state_model):
+    # finite rates whose sum overflows: this warned in the sum and was then
+    # rejected on beta rounding to 1, after a second warning
+    rates = [[0.0, 1e308, 1e308], [0.3, 0.0, 0.3], [0.5, 0.1, 0.0]]
+    with pytest.raises(ModelError, match="^state a: switch rates sum past "
+                       "float64$"):
+        _with_rates(three_state_model, rates)
+
+
 def test_generator_and_its_off_diagonal_part_solve_alike(three_state_model):
     rates = three_state_model.switch_rates
     generator = rates - np.diag(rates.sum(axis=1))
@@ -147,12 +156,27 @@ def test_beta_formula(two_state_model):
 def test_rho_metric_and_cone(two_state_model):
     grid = np.linspace(0.0, 5.0, 200)
     f = identity_field(two_state_model, grid)
-    assert in_cone(f) is None
-    g = ValueField(grid=grid, values=f.values + 0.25, phi=f.phi)
+    assert in_cone(f, two_state_model.phi) is None
+    g = ValueField(grid=grid, values=f.values + 0.25)
     assert rho_metric(f, g) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         rho_metric(f, identity_field(two_state_model,
                                      np.linspace(0.0, 4.0, 200)))
+
+
+def test_a_switch_jump_is_its_mixture(symmetric_two_state):
+    # a jump is its (weight, rate) pairs, so no mixture can sit beside a
+    # "none" kind and be dropped, and () is no jump rather than a mixture
+    # whose weights do not sum to 1
+    model = symmetric_two_state
+    none = dataclasses.replace(model, switch_jumps={(0, 1): ()})
+    drop = dataclasses.replace(model, switch_jumps={(0, 1): [[1, 3]]})
+    assert none.switch_jumps == {(0, 1): ()} and none.jump(1, 0) == ()
+    assert drop.switch_jumps == {(0, 1): ((1.0, 3.0),)}
+    f = identity_field(model, np.linspace(0.0, 5.0, 400))
+    hat = hat_operator(model, f, 0).vals
+    assert np.array_equal(hat_operator(none, f, 0).vals, hat)
+    assert np.all(hat_operator(drop, f, 0).vals < hat)
 
 
 def test_hat_operator_identity_field_no_jump(symmetric_two_state):
@@ -172,8 +196,7 @@ def test_hat_operator_exponential_jump_closed_form(brownian_spec):
                         switch_rates=np.array([[0.0, 1.0], [1.0, 0.0]]),
                         discounts=np.array([1.0, 1.0]),
                         levy=(brownian_spec, brownian_spec),
-                        switch_jumps={(0, 1): SwitchJump("hyperexp",
-                                                         ((1.0, nu),))},
+                        switch_jumps={(0, 1): ((1.0, nu),)},
                         phi=phi)
     grid = np.linspace(0.0, 6.0, 2000)
     f = identity_field(model, grid)
@@ -190,8 +213,8 @@ def test_hyperexp_average_matches_quadrature():
     mix = ((0.35, 1.5), (0.65, 6.0))
     grid = 5.0 * np.linspace(0.0, 1.0, 41) ** 1.6
     vals = np.vstack((grid, grid + (phi - 1.0) * (1.0 - np.exp(-grid)) + 0.3))
-    f = ValueField(grid=grid, values=vals, phi=phi)
-    got = _hyperexp_average(f, 1, SwitchJump("hyperexp", mix))
+    f = ValueField(grid=grid, values=vals)
+    got = _hyperexp_average(f, 1, mix, phi)
     f0 = vals[1, 0]
     for m in range(0, len(grid), 4):
         x = grid[m]
@@ -218,16 +241,15 @@ def test_hyperexp_average_matches_scalar_recurrence(grid, mix):
     phi = 1.7
     vals = np.vstack((grid, grid + (phi - 1.0) * (1.0 - np.exp(-grid))
                       + 2.0))
-    f = ValueField(grid=grid, values=vals, phi=phi)
-    sj = SwitchJump("hyperexp", mix)
-    assert _hyperexp_average(f, 1, sj) == pytest.approx(
-        reference_hyperexp_average(f, 1, sj), rel=1e-13)
+    f = ValueField(grid=grid, values=vals)
+    assert _hyperexp_average(f, 1, mix, phi) == pytest.approx(
+        reference_hyperexp_average(f, 1, mix, phi), rel=1e-13)
 
 
 def test_hat_operator_rejects_out_of_cone(two_state_model):
     grid = np.linspace(0.0, 5.0, 50)
     vals = np.tile(grid**2, (2, 1))  # convex, slope > phi
-    f = ValueField(grid=grid, values=vals, phi=two_state_model.phi)
+    f = ValueField(grid=grid, values=vals)
     with pytest.raises(ModelError, match="cone"):
         apply_T_sup(two_state_model, f)
 
@@ -237,7 +259,8 @@ def test_hat_operator_is_the_unprojected_average(two_state_model):
     # state's post-switch average exactly, with nothing pooled away
     model = two_state_model
     f = solve(model, tol=1e-8, grid_points=1200).value
-    averages = (_hyperexp_average(f, 1, model.jump(0, 1)), f.values[0])
+    averages = (_hyperexp_average(f, 1, model.jump(0, 1), model.phi),
+                f.values[0])
     for i, average in enumerate(averages):
         pw = hat_operator(model, f, i)
         assert np.array_equal(pw.vals, average)
@@ -278,7 +301,7 @@ def test_shift_identity(model_name, shifts, request):
     g, barriers = apply_T_sup(model, f)
     m = _shift_matrix(model)
     for c in map(np.array, shifts):
-        shifted = ValueField(f.grid, f.values + c[:, None], model.phi)
+        shifted = ValueField(f.grid, f.values + c[:, None])
         g_c, barriers_c = apply_T_sup(model, shifted)
         np.testing.assert_allclose(g_c.values, g.values + (m @ c)[:, None],
                                    rtol=0.0, atol=1e-12)
@@ -380,8 +403,7 @@ def test_seed_independence(two_state_model):
     grid = sol_a.value.grid
     warm = ValueField(grid=grid,
                       values=np.maximum.accumulate(
-                          np.tile(1.2 * grid, (2, 1)), axis=1),
-                      phi=two_state_model.phi)
+                          np.tile(1.2 * grid, (2, 1)), axis=1))
     sol_b = solve(two_state_model, seed=warm, tol=1e-8, grid_points=1200,
                   x_max=float(grid[-1]))
     assert sol_a.barriers == pytest.approx(sol_b.barriers, abs=1e-6)
@@ -390,8 +412,7 @@ def test_seed_independence(two_state_model):
 def test_seed_outside_cone_is_a_model_error(two_state_model):
     # a field the caller passed in is a model input, unlike the solver's own
     grid = np.linspace(0.0, 2.0, 401)
-    convex = ValueField(grid=grid, values=np.tile(grid**2, (2, 1)),
-                        phi=two_state_model.phi)
+    convex = ValueField(grid=grid, values=np.tile(grid**2, (2, 1)))
     with pytest.raises(ModelError, match="f not in cone"):
         solve(two_state_model, seed=convex, grid_points=400, x_max=2.0)
 
@@ -405,9 +426,19 @@ def test_seed_outside_cone_is_a_model_error(two_state_model):
 def test_bad_seed_is_a_model_error(two_state_model, values, message):
     # the seed is on the solve's grid, so the solver takes it
     grid = np.linspace(0.0, 2.0, 401)
-    seed = ValueField(grid=grid, values=values(grid),
-                      phi=two_state_model.phi)
+    seed = ValueField(grid=grid, values=values(grid))
     with pytest.raises(ModelError, match=message):
+        solve(two_state_model, seed=seed, grid_points=400, x_max=2.0)
+
+
+def test_seed_is_checked_against_the_models_phi(two_state_model):
+    # a field has no phi of its own: slopes of 2.5 leave the phi = 1.6
+    # model's cone, where a seed that carried phi = 3.0 passed the cone
+    # check and failed later with "payoff slope at 0+ exceeds phi"
+    grid = np.linspace(0.0, 2.0, 401)
+    seed = ValueField(grid, np.tile(2.5 * grid, (2, 1)))
+    with pytest.raises(ModelError, match=r"^f not in cone: state 0: slope "
+                       r"outside \[1, phi\]$"):
         solve(two_state_model, seed=seed, grid_points=400, x_max=2.0)
 
 
@@ -426,14 +457,13 @@ def test_bad_seed_is_a_model_error(two_state_model, values, message):
 def test_value_field_checks_itself(grid, values, message):
     # each of these built before
     with pytest.raises(ModelError, match=message):
-        ValueField(grid=np.array(grid), values=values, phi=2.0)
+        ValueField(grid=np.array(grid), values=values)
 
 
 def test_seed_off_the_solve_grid_is_a_model_error(two_state_model):
     # the default x_max is not 2, so this grid is not the solve's
     grid = np.linspace(0.0, 2.0, 401)
-    seed = ValueField(grid=grid, values=np.tile(grid, (2, 1)),
-                      phi=two_state_model.phi)
+    seed = ValueField(grid=grid, values=np.tile(grid, (2, 1)))
     x_max = default_x_max(two_state_model)
     message = (f"seed: expected the solve's grid, 401 points to "
                f"{x_max:.6g}, got 401 points to 2")
@@ -457,8 +487,8 @@ def test_apply_T_b_rejects_bad_barriers(two_state_model, barriers, message):
 def test_in_cone_reports_convexity(two_state_model):
     # slopes 1 to 1.2, inside [1, phi], but rising
     grid = np.linspace(0.0, 1.0, 101)
-    f = ValueField(grid, np.tile(grid + 0.1 * grid**2, (2, 1)), 1.6)
-    assert in_cone(f) == "state 0: not concave"
+    f = ValueField(grid, np.tile(grid + 0.1 * grid**2, (2, 1)))
+    assert in_cone(f, 1.6) == "state 0: not concave"
 
 
 def test_model_rejects_a_non_levy_spec_and_an_unknown_jump(two_state_model):
@@ -466,16 +496,18 @@ def test_model_rejects_a_non_levy_spec_and_an_unknown_jump(two_state_model):
                        "LevySpec$"):
         dataclasses.replace(two_state_model,
                             levy=(two_state_model.levy[0], "stress"))
-    with pytest.raises(ModelError, match="^jump 1->0: unknown kind$"):
-        dataclasses.replace(two_state_model,
-                            switch_jumps={(1, 0): SwitchJump("uniform")})
+    # a jump is its (weight, rate) pairs: a name or a bare number is none
+    for jump in ("uniform", 3.0, ((1.0,),)):
+        with pytest.raises(ModelError, match=re.escape(
+                f"jump 1->0: expected (weight, rate) pairs, got {jump!r}")):
+            dataclasses.replace(two_state_model, switch_jumps={(1, 0): jump})
 
 
 def test_in_cone_reports_non_finite(two_state_model):
     grid = np.linspace(0.0, 4.0, 401)
     f = identity_field(two_state_model, grid)
     f.values[1, 200] = np.nan
-    assert in_cone(f) == "state 1: non-finite value"
+    assert in_cone(f, two_state_model.phi) == "state 1: non-finite value"
 
 
 def test_regrow_matches_solve_on_the_final_grid(two_state_model):
@@ -500,7 +532,7 @@ def test_smooth_fit_per_state(two_state_model, three_state_model):
 
 def test_solution_concave_slopes_in_window(two_state_model):
     sol = solve(two_state_model, tol=1e-8, grid_points=1200)
-    assert in_cone(sol.value, tol=1e-6) is None
+    assert in_cone(sol.value, two_state_model.phi, tol=1e-6) is None
 
 
 def test_default_x_max_unreachable_phi(symmetric_two_state):
@@ -539,7 +571,7 @@ def _fuzz_model(k):
     a, b = rng.uniform(0.2, 1.5, 2)
     discounts = rng.uniform(0.3, 1.5, 2)
     phi = rng.uniform(1.3, 3)
-    jumps = ({(0, 1): SwitchJump("hyperexp", ((0.5, 2.0), (0.5, 5.0)))}
+    jumps = ({(0, 1): ((0.5, 2.0), (0.5, 5.0))}
              if k % 3 == 0 else {})
     return RegimeModel(states=("a", "b"),
                        switch_rates=np.array([[0.0, a], [b, 0.0]]),

@@ -20,6 +20,11 @@ def small_cfg(seed=0, paths=20_000, dt=2e-3, tmax=19.0, antithetic=False):
                      antithetic=antithetic)
 
 
+def aux(spec, payoff=None, lam=0.0, delta=1.0, phi=2.0):
+    """The auxiliary problem that simulate_aux_npv estimates."""
+    return AuxProblem(spec=spec, lam=lam, delta=delta, phi=phi, payoff=payoff)
+
+
 def _direct_moments(samples):
     """(mean, standard error) of samples in one pass over all of them."""
     return samples.mean(), samples.std(ddof=1) / math.sqrt(len(samples))
@@ -245,8 +250,7 @@ def test_npv_compaction_draws_only_live_pairs(monkeypatch, mixed_spec):
     for cfg in _REPLAYED:
         draws, regroups, broken = _replay_draws(
             monkeypatch,
-            lambda: simulate_aux_npv(mixed_spec, None, 0.0, 1.0, 1.5, 1.0, 0.5,
-                                     cfg))
+            lambda: simulate_aux_npv(aux(mixed_spec, phi=1.5), 1.0, 0.5, cfg))
         assert draws > 600 and regroups > 0 and broken == 0
 
 
@@ -273,8 +277,8 @@ def test_no_normals_where_nothing_diffuses(cramer_lundberg_spec,
     monkeypatch.setattr(simulate, "_Normals", no_source)
     monkeypatch.setattr(simulate, "_first_passage", stepping)
     cfg = small_cfg(seed=2, paths=2000)
-    npv = simulate_aux_npv(cramer_lundberg_spec, linear_payoff, 0.0, 1.0,
-                           1.5, 1.0, 0.5, cfg)
+    npv = simulate_aux_npv(aux(cramer_lundberg_spec, linear_payoff, phi=1.5),
+                           1.0, 0.5, cfg)
     assert npv.std_error > 0
     for est in estimate_exit_identities(cramer_lundberg_spec, 1.0, 2.0, 1.0,
                                         cfg):
@@ -368,35 +372,30 @@ def test_config_checks_itself(field, value, message):
 
 def test_seed_reproducibility(brownian_spec, linear_payoff):
     cfg = small_cfg(seed=42, paths=2000, dt=5e-3)
-    a = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                         1.3, 0.6, cfg)
-    b = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                         1.3, 0.6, cfg)
+    a = simulate_aux_npv(aux(brownian_spec, linear_payoff), 1.3, 0.6, cfg)
+    b = simulate_aux_npv(aux(brownian_spec, linear_payoff), 1.3, 0.6, cfg)
     assert a == b
 
 
 def test_chunking_invisible_in_seeding(brownian_spec, linear_payoff):
     # the same seed gives the same substreams regardless of when chunks run
     cfg = small_cfg(seed=9, paths=3000, dt=5e-3)
-    est = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                           1.3, 0.6, cfg)
+    est = simulate_aux_npv(aux(brownian_spec, linear_payoff), 1.3, 0.6, cfg)
     assert est.n_effective == 3000
     assert est.std_error > 0
 
 
 def test_payoff_required_when_lambda_positive(brownian_spec):
     with pytest.raises(ModelError, match="payoff"):
-        simulate_aux_npv(brownian_spec, None, 0.3, 1.0, 2.0, 1.3, 0.6,
+        simulate_aux_npv(aux(brownian_spec, lam=0.3), 1.3, 0.6,
                          small_cfg(paths=10))
 
 
 def test_payoff_ignored_when_lambda_zero(brownian_spec, linear_payoff,
                                          kinked_payoff):
     cfg = small_cfg(seed=3, paths=2000, dt=5e-3)
-    a = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                         1.3, 0.6, cfg)
-    b = simulate_aux_npv(brownian_spec, kinked_payoff, 0.0, 1.0, 2.0,
-                         1.3, 0.6, cfg)
+    a = simulate_aux_npv(aux(brownian_spec, linear_payoff), 1.3, 0.6, cfg)
+    b = simulate_aux_npv(aux(brownian_spec, kinked_payoff), 1.3, 0.6, cfg)
     assert a.mean == b.mean
 
 
@@ -407,8 +406,7 @@ def test_npv_matches_analytic_sinh(brownian_spec, linear_payoff):
     b = sol.barrier
     cfg = small_cfg(seed=17, paths=40_000, dt=2e-3)
     for x0 in (0.0, 0.5 * b, b):
-        est = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                               b, x0, cfg)
+        est = simulate_aux_npv(prob, b, x0, cfg)
         an = value(prob, b, x0, sol.evaluator)
         assert abs(est.mean - an) <= 3.0 * est.std_error
 
@@ -421,8 +419,8 @@ def test_npv_below_zero_starts_with_an_injection(mixed_spec, kinked_payoff):
     sol = barrier_root(prob)
     b = sol.barrier
     cfg = small_cfg(seed=31, paths=10_000, dt=2e-3)
-    at_zero, below = (simulate_aux_npv(mixed_spec, kinked_payoff, 0.3, 0.7,
-                                       1.5, b, x0, cfg) for x0 in (0.0, -0.3))
+    at_zero, below = (simulate_aux_npv(prob, b, x0, cfg)
+                      for x0 in (0.0, -0.3))
     assert below.mean - 1.5 * -0.3 == pytest.approx(at_zero.mean, abs=1e-12)
     an = value(prob, b, -0.3, sol.evaluator)
     assert abs(below.mean - an) <= 3.0 * below.std_error
@@ -437,8 +435,7 @@ def test_npv_with_payoff_stream(spec_name, kinked_payoff, request):
     sol = barrier_root(prob)
     b = sol.barrier
     cfg = small_cfg(seed=23, paths=40_000, dt=2e-3)
-    est = simulate_aux_npv(spec, kinked_payoff, 0.3, 0.7, 1.5, b, 0.5 * b,
-                           cfg)
+    est = simulate_aux_npv(prob, b, 0.5 * b, cfg)
     an = value(prob, b, 0.5 * b, sol.evaluator)
     assert abs(est.mean - an) <= 3.0 * est.std_error
 
@@ -446,30 +443,25 @@ def test_npv_with_payoff_stream(spec_name, kinked_payoff, request):
 def test_npv_decreasing_in_phi(cramer_lundberg_spec, linear_payoff):
     # common random numbers: larger injection cost cannot raise the value
     cfg = small_cfg(seed=5, paths=10_000, dt=2e-3)
-    lo = simulate_aux_npv(cramer_lundberg_spec, linear_payoff, 0.0, 1.0,
-                          1.5, 1.0, 0.0, cfg)
-    hi = simulate_aux_npv(cramer_lundberg_spec, linear_payoff, 0.0, 1.0,
-                          4.0, 1.0, 0.0, cfg)
+    lo, hi = (simulate_aux_npv(aux(cramer_lundberg_spec, linear_payoff,
+                                   phi=phi), 1.0, 0.0, cfg)
+              for phi in (1.5, 4.0))
     assert hi.mean < lo.mean
 
 
 def test_dt_halving_within_2_se(brownian_spec, linear_payoff):
     cfg1 = small_cfg(seed=31, paths=30_000, dt=2e-3)
     cfg2 = small_cfg(seed=32, paths=30_000, dt=1e-3)
-    a = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                         1.3, 0.65, cfg1)
-    b = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                         1.3, 0.65, cfg2)
+    a = simulate_aux_npv(aux(brownian_spec, linear_payoff), 1.3, 0.65, cfg1)
+    b = simulate_aux_npv(aux(brownian_spec, linear_payoff), 1.3, 0.65, cfg2)
     assert abs(a.mean - b.mean) <= 2.0 * (a.std_error + b.std_error)
 
 
 def test_antithetic_reduces_se(brownian_spec, linear_payoff):
-    plain = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                             1.3, 0.65, small_cfg(seed=8, paths=20_000,
-                                                  dt=5e-3))
-    anti = simulate_aux_npv(brownian_spec, linear_payoff, 0.0, 1.0, 2.0,
-                            1.3, 0.65, small_cfg(seed=8, paths=20_000,
-                                                 dt=5e-3, antithetic=True))
+    plain, anti = (simulate_aux_npv(aux(brownian_spec, linear_payoff), 1.3,
+                                    0.65, small_cfg(seed=8, paths=20_000,
+                                                    dt=5e-3, antithetic=a))
+                   for a in (False, True))
     assert anti.std_error < plain.std_error
 
 
@@ -639,16 +631,16 @@ def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
             spec, 0.0, 2.0, 1.0, cfg), "discount rate must be positive"),
         "exit-q-negative": (lambda: estimate_exit_identities(
             spec, -0.5, 2.0, 1.0, cfg), "discount rate must be positive"),
+        # the problem's own checks, made when it is built
         "npv-phi-below-1": (lambda: simulate_aux_npv(
-            spec, pw, 0.0, 1.0, 0.5, 1.3, 0.6, cfg), "phi must exceed 1"),
+            aux(spec, pw, phi=0.5), 1.3, 0.6, cfg), "phi must exceed 1"),
         "npv-lam-negative": (lambda: simulate_aux_npv(
-            spec, pw, -0.2, 1.0, 2.0, 1.3, 0.6, cfg),
+            aux(spec, pw, lam=-0.2), 1.3, 0.6, cfg),
             "lam must be nonnegative"),
         "npv-b-nan": (lambda: simulate_aux_npv(
-            spec, pw, 0.0, 1.0, 2.0, float("nan"), 0.6, cfg),
-            "finite b > 0"),
+            aux(spec, pw), float("nan"), 0.6, cfg), "finite b > 0"),
         "npv-x0-inf": (lambda: simulate_aux_npv(
-            spec, pw, 0.0, 1.0, 2.0, 1.3, float("inf"), cfg), "finite x0"),
+            aux(spec, pw), 1.3, float("inf"), cfg), "finite x0"),
         "fractional-n-paths": (lambda: estimate_exit_identities(
             spec, 1.0, 2.0, 1.0, small_cfg(paths=2.5)),
             "n_paths must be an integer"),
@@ -665,7 +657,7 @@ def test_simulator_inputs_fail_with_reason(brownian_spec, linear_payoff,
             "t_max must be finite"),
         # one sample has no variance: the standard error would read 0
         "one-sample": (lambda: simulate_aux_npv(
-            spec, pw, 0.0, 1.0, 2.0, 1.3, 0.6, small_cfg(paths=1)),
+            aux(spec, pw), 1.3, 0.6, small_cfg(paths=1)),
             "n_paths must be an integer >= 2"),
         "one-antithetic-pair": (lambda: estimate_exit_identities(
             spec, 1.0, 2.0, 1.0, small_cfg(paths=2, antithetic=True)),
