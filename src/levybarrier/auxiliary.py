@@ -10,9 +10,9 @@ of a piece at most 1/Phi(q) wide reaches the root with no bracket.
 Z_q^{-1}(phi) is the lam = 0 case of the same solve.  The value function,
 its derivatives and the generator residual are point calls of value_grid's
 closed form, which builds one table per barrier that all of them share and
-takes one step per point.  The residual is an independent check of it: it
-integrates the jump part with a fixed Gauss-Legendre rule on each kink-free
-segment, over values from one call.
+adds one exponential row to the row of a point's next knot.  The residual
+is an independent check of it: it integrates the jump part with a fixed
+Gauss-Legendre rule on each kink-free segment, over values from one call.
 """
 
 from __future__ import annotations

@@ -56,13 +56,18 @@ def build_scale_evaluator(spec: LevySpec, q: float) -> ScaleEvaluator:
 
     Roots come from the companion matrix of the cleared polynomial and are
     polished by Newton on psi(s)-q.  Construction aborts on complex or
-    near-multiple roots (measure-zero parameter sets, not handled) and on a
-    root where psi' is not finite in float64, such as one on a pole.
+    near-multiple roots (measure-zero parameter sets, not handled), on a
+    polynomial whose monic form overflows float64, and on a root where
+    psi' is not finite in float64, such as one on a pole.
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    coeffs = _psi_poly_coeffs(spec, q)
-    raw = np.roots(coeffs)
+    try:
+        with np.errstate(over="raise"):     # np.roots divides by coeffs[0]
+            raw = np.roots(_psi_poly_coeffs(spec, q))
+    except FloatingPointError:
+        raise NumericsError("the coefficients of psi(s) = q over its "
+                            "leading one overflow float64") from None
     scale = 1.0 + abs(max(raw.real.max(), 0.0))
     if np.any(np.abs(raw.imag) > 1e-9 * scale):
         raise NumericsError("complex roots")

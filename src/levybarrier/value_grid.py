@@ -1,14 +1,25 @@
 """The closed-form value function of the single-regime (0, b) strategy.
 
-On [0, b] the value is a closed form in the scale functions and in the
-payoff integrals K_j(x) = int_x^b omega'_+(y) exp(s_j (y - x)) dy, one per
-root s_j of psi(s) = q.  It is one table per barrier, which the problem
-keeps: K (by _scan's recursive doubling, for all roots at once) and omega
-at the payoff knots below b and at b, and the (problem, b) constants.  A
-point x takes one step from its next knot p >= x, of length 0 on a knot:
-K(x) = e^{s (p - x)} K(p) + omega'_+ (e^{s (p - x)} - 1) / s.  All terms are
+On [0, b] the value is a closed form in the scale functions at b - x and in
+the payoff integrals K_j(x) = int_x^b omega'_+(y) exp(s_j (y - x)) dy, one
+per root s_j of psi(s) = q.  It is one table per barrier, which the problem
+keeps, on the knots kappa_0 = 0 < ... < kappa_m = b (the payoff knots below
+b, and b): K by _scan's recursive doubling, for all roots at once, V, V'
+and V'' on the knots, and two coefficient rows.  On (kappa_{J-1}, kappa_J]
+every term is affine in g = kappa_J - x and G_j = exp(s_j g), as exp(s_j
+(b - x)) = exp(s_j (b - kappa_J)) G_j and K_j(x) = G_j K_j(kappa_J) +
+omega'_J (G_j - 1) / s_j, omega'_J the slope left of kappa_J.  So V(x) =
+V(kappa_J) + beta_J g + sum_j gamma_Jj (G_j - 1), and V', V'' add to their
+rows at kappa_J (V'' from the left) that sum with gamma_Jj times -s_j, s_j^2:
+
+    beta_J = -a0 - (lam/q) (1 - a0) omega'_J,
+    gamma_Jj = d_j [exp(s_j (b - kappa_J)) (R - 1/s_j)
+                    + (lam/q) (K_j(kappa_J) + omega'_J / s_j)],
+
+d the Z_q coefficients, a0 = 1 - sum_j d_j, R = (Z_q(b) - phi - lam int_0^b
+omega'_+ W_q) / (q W_q(b)).  A point call is a searchsorted, a gather and,
+off the knots, one expm1 row; it evaluates no scale function.  K's terms are
 nonnegative for a nondecreasing payoff, so any order of summation is stable.
-W_q, Z_q, Zbar_q and W_q' at b - x come from one exp table per call.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ import numpy as np
 from .errors import ModelError, NumericsError
 from .levy import laplace_exponent_deriv
 from .payoff import evaluate
-from .scale import ScaleEvaluator, _scale_sums
+from .scale import ScaleEvaluator
 
 if TYPE_CHECKING:
     from .auxiliary import AuxProblem
@@ -43,10 +54,12 @@ class _ClosedForm:
     """The value of the (0, b) strategy as one vectorised function
     (xs, n_second=0) -> (V, V', V'') over any real xs, V'' at xs[:n_second].
 
-    Building one checks b and makes the table; each call steps its points
-    in [0, b], 0 and b and makes one scale table at b minus them.  V' at 0
-    and b is the one-sided closed form; V'' is the closed form on [0, b)
-    and 0 elsewhere.  A float64 overflow raises NumericsError.
+    Building one checks b and makes tab (V, V', V'' on the knots), beta and
+    gamma; a call adds to a point's next-knot row the expm1 row off the
+    knots, and outside [0, b] takes the row of 0 or b and the linear branch.
+    V' at 0 and b is one-sided; V'' is the closed form on [0, b), from the
+    left where it jumps (at a payoff knot when lam > 0 and sigma = 0), and 0
+    elsewhere.  A table entry not finite in float64 raises NumericsError.
     """
 
     def __init__(self, problem: AuxProblem, b: float, ev: ScaleEvaluator):
@@ -54,68 +67,60 @@ class _ClosedForm:
             raise ModelError(f"barrier b must be positive and finite, got {b}")
         if b > ev.x_cap:    # before any exp, as in _scale_sums
             raise NumericsError("overflow horizon exceeded")
-        pw, roots = problem.payoff, ev.roots
+        pw, s, d = problem.payoff, ev.roots, ev.z_coeffs
         m = int(np.searchsorted(pw.xs, b))
-        self.knots = np.append(pw.xs[:m], b)
-        self.slopes = pw.slopes[:m]
-        self.om = np.append(pw.vals[:m], evaluate(pw, b))
+        self.knots = kn = np.append(pw.xs[:m], b)
+        slopes = pw.slopes[:m]
         # rows from b down, contiguous: the scan is slow on reversed views
-        e = np.exp(np.outer(np.diff(self.knots, append=b)[::-1], roots))
-        c = np.append(self.slopes, 0.0)[::-1, None] * (e - 1.0) / roots
-        self.k = _scan(e, c)[::-1]
-        self.b, self.ev, self.lam, self.phi, self.q = (
-            b, ev, problem.lam, problem.phi, problem.q)
-        self.a0 = 1.0 - float(ev.z_coeffs.sum())
-        self.psi_p0 = laplace_exponent_deriv(problem.spec, 0.0)
-        self.i2 = float(ev.residues @ self.k[0])     # int_0^b omega' W
-
-    def step(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """K and omega at the points ys in [0, b], from their next knots."""
-        j = np.searchsorted(self.knots, ys)
-        k, om, gap = self.k[j], self.om[j], self.knots[j] - ys
-        pos = np.flatnonzero(gap > 0)     # exp only off the knots
-        g, s = gap[pos], self.slopes[j[pos] - 1]
-        e = np.exp(np.outer(g, self.ev.roots))
-        k[pos] = e * k[pos] + s[:, None] * (e - 1.0) / self.ev.roots
-        om[pos] -= s * g
-        return k, om
+        e = np.exp(np.outer(np.diff(kn, append=b)[::-1], s))
+        c = np.append(slopes, 0.0)[::-1, None] * (e - 1.0) / s
+        self.k = k = np.ascontiguousarray(_scan(e, c)[::-1])
+        self.b, self.ev, self.phi = b, ev, problem.phi
+        w = np.append(slopes[0], slopes)    # left of each knot; at 0, right
+        om = np.append(pw.vals[:m], evaluate(pw, b))
+        lam, q, t = problem.lam, problem.q, b - kn
+        lq, a0 = lam / q, 1.0 - float(d.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            # V, V' on the knots term by term as the closed form reads, not
+            # from gamma: a call on knots alone (a regime grid) returns it
+            e = np.exp(np.outer(t, s))
+            em1, i2 = e - 1.0, float(ev.residues @ k[0])
+            w_t, z_t = e @ ev.residues, 1.0 + em1 @ d
+            bracket = z_t[0] - problem.phi - lam * i2
+            i1 = (om - om[0]) + a0 * (om[-1] - om) + k @ d
+            v = (-t - (em1 / s - t[:, None]) @ d
+                 - laplace_exponent_deriv(problem.spec, 0.0) / q
+                 + lq * (om[0] + i1) + z_t * bracket / (q * w_t[0]))
+            vp = (w_t / w_t[0] * (problem.phi + lam * i2 - z_t[0]) + z_t
+                  - lam * (k @ ev.residues))
+            self.beta = -a0 - lq * (1.0 - a0) * w
+            self.gamma = e * (d * (bracket / (q * w_t[0]) - 1.0 / s))
+            self.gamma += k * (lq * d) + np.outer(w, lq * d / s)
+            self.powers = np.vander(-s, 3, increasing=True)     # 1, -s, s^2
+            self.tab = np.column_stack((v, vp, self.gamma @ self.powers[:, 2]))
+        if not np.isfinite(self.tab).all():
+            raise NumericsError(f"closed form overflows float64 at b = "
+                                f"{b:.6g}: Phi(q) b = {ev.phi_q * b:.0f}")
 
     def __call__(self, xs, n_second=0):
-        b, ev, lam, phi, q = self.b, self.ev, self.lam, self.phi, self.q
         xs = np.asarray(xs, dtype=float)
-        inside = (xs >= 0) & (xs <= b)
-        # V(0) and V(b) anchor the linear branches; t = b at y = 0
-        ys = np.concatenate((xs[inside], [0.0, b]))
-        # the points of xs[:n_second] in [0, b] lead ys, in order
-        head = np.flatnonzero(inside[:n_second])
-        t = b - ys
-        w_t, z_t, zbar_t, wd_t = _scale_sums(ev, t, len(head))
-        w_b, z_b = w_t[-2], z_t[-2]
-        k_ys, om = self.step(ys)
-        om0, bracket = self.om[0], z_b - phi - lam * self.i2
-        i1 = (om - om0) + self.a0 * (self.om[-1] - om) + k_ys @ ev.z_coeffs
-        vpp = np.zeros(min(n_second, len(xs)))
-        sub = np.flatnonzero(t[:len(head)] > 0)
-        try:
-            # at the optimal barrier bracket is the rounding of Z_q(b), and
-            # Z_q(b - x) times it overflows once Phi(q) b is large
-            with np.errstate(over="raise"):
-                v = (-zbar_t - self.psi_p0 / q + (lam / q) * (om0 + i1)
-                     + z_t * bracket / (q * w_b))
-                vp = (w_t / w_b * (phi + lam * self.i2 - z_b) + z_t
-                      - lam * (k_ys @ ev.residues))
-                vpp[head[sub]] = (bracket * wd_t[sub] / w_b - q * w_t[sub]
-                                  + lam * (k_ys[sub] @ ev.w_prime_coeffs))
-        except FloatingPointError:
-            raise NumericsError(f"closed form overflows float64 at b = "
-                                f"{b:.6g}: Phi(q) b = {ev.phi_q * b:.0f}"
-                                ) from None
-        below = xs < 0
-        out = (np.where(below, phi * xs + v[-2], (xs - b) + v[-1]),
-               np.where(below, phi, 1.0))
-        for o, y in zip(out, (v, vp)):
-            o[inside] = y[:-2]
-        return out + (vpp,)
+        b, kn = self.b, self.knots
+        y = np.fmin(np.fmax(xs, 0.0), b)
+        # on xs, not y: y's run of b past the barrier restarts each search
+        j = np.minimum(np.searchsorted(kn, xs), len(kn) - 1)
+        g = kn[j] - y
+        out = self.tab.take(j, 0)
+        off = np.flatnonzero(g)         # expm1 only off the knots
+        jo, go = j[off], g[off]
+        row = np.expm1(np.multiply.outer(go, self.ev.roots)) * self.gamma[jo]
+        out[off] += row.dot(self.powers)
+        out[off, 0] += self.beta[jo] * go
+        dx = xs - y                     # nonzero below 0 and past b only
+        slope = np.where(xs < 0, self.phi, 1.0)
+        inside = dx == 0
+        vpp = out[:n_second, 2]
+        return (out[:, 0] + slope * dx, np.where(inside, out[:, 1], slope),
+                np.where(inside[:n_second] & (y[:n_second] < b), vpp, 0.0))
 
 
 def _closed_form(problem: AuxProblem, b: float, ev: ScaleEvaluator):

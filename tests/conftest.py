@@ -188,7 +188,9 @@ def reference_value_second_derivative(problem, b, x, ev):
     u, v, slope = _segments(pw, max(x, 0.0), b)
     if len(u):
         out += lam * float(np.sum(slope * (W(ev, v - x) - W(ev, u - x))))
-    return out
+    # the boundary term of d/dx int_x^b omega'_+(y) W_q(y - x) dy: W_q(0+)
+    # is 0 when sigma > 0 and positive when sigma = 0
+    return out + lam * float(right_derivative(pw, x)) * float(W(ev, 0.0))
 
 
 # ---------------------------------------------------------------------------

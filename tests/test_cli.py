@@ -202,6 +202,24 @@ def test_float64_edges_exit_2(tmp_path, capsys, demo, command, key, value,
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("demo, command, key, value", [
+    ("aux.cfg", "solve-aux", "sigma", "1e-160"),
+    ("aux.cfg", "curve", "sigma", "1e-160"),
+    ("regime.cfg", "solve-regime", "discounts", "[1e308, 1e308]"),
+])
+def test_float64_edges_exit_3(tmp_path, capsys, demo, command, key, value):
+    # sigma**2 / 2 subnormal, or a discount near float64's top: np.roots
+    # divides the polynomial by its leading coefficient, which overflowed
+    # with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config",
+                   str(_demo_with(tmp_path, demo, key, value))])
+    assert rc == 3
+    assert capsys.readouterr().err == ("the coefficients of psi(s) = q over "
+                                       "its leading one overflow float64\n")
+
+
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
                    reason="ROADMAP item 1: the scale sums overflow float64 "
                           "at a small delta or sigma")

@@ -5,17 +5,18 @@ import pytest
 
 from conftest import (reference_value, reference_value_derivative,
                       reference_value_second_derivative)
-from levybarrier import (AuxProblem, barrier_root, build_scale_evaluator,
-                         hjb_residual, make_payoff, value, value_grid)
+from levybarrier import (AuxProblem, LevySpec, NumericsError, auxiliary,
+                         barrier_root, build_scale_evaluator, hjb_residual,
+                         make_payoff, scale, value, value_grid)
 from levybarrier.auxiliary import value_derivative
-from levybarrier.payoff import evaluate, right_derivative
+from levybarrier.payoff import right_derivative
 from levybarrier.value_grid import _closed_form, _scan, value_on_grid
 
 
 def _k_on_points_scalar(payoff, roots, pts, b, dtype=float):
-    """Point-by-point reference for the K table and its steps: the backward
-    recurrence with one scalar right derivative per point, in the arithmetic
-    of dtype."""
+    """Point-by-point reference for the K table: the backward recurrence
+    with one scalar right derivative per point, in the arithmetic of
+    dtype."""
     n = len(pts)
     roots = roots.astype(dtype)
     out = np.zeros((n, len(roots)), dtype=dtype)
@@ -48,28 +49,21 @@ def many_knot_case(mixed_spec):
     return prob, sol
 
 
-def test_k_table_and_steps_match_scalar_recurrence(many_knot_case):
-    # the scan sums in another order than the point-by-point recurrence, and
-    # a point between knots takes one step from the next knot, so the table
-    # and its steps are held to the scalar recurrence run in long double
+def test_k_table_matches_scalar_recurrence(many_knot_case):
+    # the scan sums in another order than the point-by-point recurrence, so
+    # the table rows on the knots are held to the scalar recurrence run in
+    # long double; points between knots are held to the reference closed
+    # form by test_value_on_grid_matches_pointwise_many_knots
     prob, sol = many_knot_case
     b, ev, pw = sol.barrier, sol.evaluator, prob.payoff
-    grid = np.linspace(0.0, b, 157)
-    assert not np.isin(grid[1:], pw.xs).any()
     knots = pw.xs[(pw.xs > 0) & (pw.xs < b)]
     assert len(knots) > 50
-    pts = np.unique(np.concatenate((grid, knots, [0.0, b])))
-    exact = _k_on_points_scalar(pw, ev.roots, pts, b, np.longdouble)
     cf = _closed_form(prob, b, ev)
     np.testing.assert_array_equal(cf.knots, np.concatenate(([0.0], knots,
                                                             [b])))
-    steps, om = cf.step(pts)
-    for got in (steps, _k_on_points_scalar(pw, ev.roots, pts, b)):
+    exact = _k_on_points_scalar(pw, ev.roots, cf.knots, b, np.longdouble)
+    for got in (cf.k, _k_on_points_scalar(pw, ev.roots, cf.knots, b)):
         np.testing.assert_allclose(got, exact, rtol=2e-14, atol=0)
-    # on a knot the step has length 0: the table row itself
-    on = np.isin(pts, cf.knots)
-    np.testing.assert_array_equal(steps[on], cf.k)
-    np.testing.assert_allclose(om, evaluate(pw, pts), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 257])
@@ -90,7 +84,7 @@ def test_value_on_grid_matches_pointwise_many_knots(many_knot_case):
     prob, sol = many_knot_case
     b, ev = sol.barrier, sol.evaluator
     # between knots, on knots below and above b, at 0 and at b: both the
-    # positive and the zero-length step from the next knot run
+    # expm1 row off the knots and the bare table rows on them run
     between = np.linspace(0.0, 1.6 * b, 81)
     assert not np.isin(between[1:], prob.payoff.xs).any()
     on = prob.payoff.xs[1::9]
@@ -108,12 +102,10 @@ def test_value_on_grid_matches_pointwise_many_knots(many_knot_case):
 def test_second_derivative_twelve_cases(twelve_cases):
     """The kernel's V'' on (0, b) against central differences of the
     kernel's V' and against the reference segment-sum formula, away from
-    the payoff knots (where V'' jumps when lam > 0)."""
+    the payoff knots (where V'' jumps when lam > 0 and sigma = 0)."""
     h = 1e-5
     checked = 0
     for prob in twelve_cases:
-        if prob.spec.sigma == 0:
-            continue
         sol = barrier_root(prob)
         b, ev = sol.barrier, sol.evaluator
         xs = np.linspace(0.1 * b, 0.9 * b, 7)
@@ -127,7 +119,7 @@ def test_second_derivative_twelve_cases(twelve_cases):
         assert vpp == pytest.approx(num, rel=1e-6, abs=1e-7)
         assert vpp == pytest.approx(ref, rel=1e-11, abs=1e-11)
         checked += 1
-    assert checked == 8
+    assert checked == 12
 
 
 def test_one_table_per_problem_barrier_and_evaluator(mixed_spec,
@@ -166,3 +158,44 @@ def test_one_table_per_problem_barrier_and_evaluator(mixed_spec,
     value(prob, 0.9 * b, 0.5, ev2)
     value(dataclasses.replace(prob), 0.9 * b, 0.5, ev2)
     assert built == [0.9 * b] * 3
+
+
+def test_point_calls_evaluate_no_scale_function(mixed_spec, kinked_payoff,
+                                                monkeypatch):
+    # once the table is built, a point call is a gather and, off the knots,
+    # one expm1 row: no W, Z or Zbar table at b minus the points
+    prob = AuxProblem(spec=mixed_spec, lam=0.3, delta=0.7, phi=1.5,
+                      payoff=kinked_payoff)
+    sol = barrier_root(prob)
+    b, ev = sol.barrier, sol.evaluator
+    _closed_form(prob, b, ev)
+    calls = []
+    sums = scale._scale_sums
+
+    def counting(*args):
+        calls.append(args)
+        return sums(*args)
+
+    for module in (scale, value_grid, auxiliary):
+        if hasattr(module, "_scale_sums"):
+            monkeypatch.setattr(module, "_scale_sums", counting)
+    for x in np.linspace(b / 25, 2.0 * b, 30):
+        value(prob, b, float(x), ev)
+        hjb_residual(prob, b, float(x), ev)
+    for x in (0.0, 0.3 * b, b):
+        value_derivative(prob, b, x, ev)
+    assert calls == []
+    scale.W(ev, 1.0)        # the count sees a scale function call
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mu", [1e10, -1e10])
+def test_table_past_float64_is_a_numerics_error(mu):
+    # psi'(0)/q = -mu/1e-300 overflows float64; at mu = 1e10 the kernel
+    # once returned V = inf with no error
+    prob = AuxProblem(spec=LevySpec(drift_mu=mu, sigma=1.0), lam=0.0,
+                      delta=1e-300, phi=2.0, payoff=None)
+    ev = prob.evaluator()
+    b = min(1.0, 0.5 * ev.x_cap)
+    with pytest.raises(NumericsError, match="closed form overflows float64"):
+        value(prob, b, 0.1 * b, ev)
