@@ -1,10 +1,11 @@
 """Single-regime barrier solver: optimal barrier, value function,
 derivatives, dominance comparisons and generator residuals.
 
-The optimal barrier is the zero of ell(x) = Z_q(x) - lam int_0^x omega'_+ W_q
-- phi.  The payoff's right derivative is constant between knots, so on each
-knot segment ell is an exponential sum in closed form: one array call of Z
-tabulates it at every knot below the overflow horizon.  On the segment where
+The optimal barrier is the zero of ell(x) = 1 - phi + q int_0^x g W_q, on the
+gain g = 1 - (lam/q) omega'_+.  The payoff's right derivative is constant
+between knots, so on each knot segment ell is an exponential sum in closed
+form with no difference of two numbers of the size of Z_q: one array call of
+Z tabulates it at every knot below the overflow horizon.  On the segment where
 it turns positive ell is increasing and convex, so Newton from the right end
 of a piece at most 1/Phi(q) wide reaches the root with no bracket.
 Z_q^{-1}(phi) is the lam = 0 case of the same solve.  The value function,
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .levy import LevySpec
-from .payoff import ConcavePayoff, evaluate, make_payoff
+from .payoff import ConcavePayoff, _slope_rounding, evaluate, make_payoff
 from .scale import Z, ScaleEvaluator, _composite_rule, build_scale_evaluator
 from .value_grid import _ClosedForm, _closed_form, value_on_grid
 
@@ -57,7 +58,9 @@ class AuxProblem:
         if not isinstance(self.payoff, ConcavePayoff):
             raise ModelError("lam > 0 needs a payoff" if self.payoff is None
                              else "payoff must be a ConcavePayoff")
-        if self.lam > 0 and self.payoff.slopes[0] > self.phi + 1e-9:
+        pw = self.payoff
+        if self.lam > 0 and pw.slopes[0] > self.phi + 1e-9 + \
+                _slope_rounding(pw.xs, pw.vals):
             raise ModelError("payoff slope at 0+ exceeds phi")
 
     @property
@@ -83,25 +86,26 @@ class AuxSolution:
 
 def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
                 slopes: np.ndarray) -> float:
-    """Zero of ell(x) = Z_q(x) - phi - (lam/q) int_0^x omega'_+ dZ_q, with
-    omega'_+ = slopes[m] on [xs[m], xs[m+1]) and slopes[-1] beyond xs[-1].
+    """Zero of ell(x) = 1 - phi + int_0^x g dZ_q on the gain g = 1 - (lam/q)
+    omega'_+, omega'_+ = slopes[m] on [xs[m], xs[m+1]), slopes[-1] beyond.
 
-    One array call of Z tabulates ell at the knots below x_cap and at x_cap,
-    with the prefix sums S_k = sum_{m<k} s_m (Z(x_{m+1}) - Z(x_m)) from one
-    cumsum.  The evaluator keeps its last knot table with those Z values,
-    and a call on an equal table reuses them: every step of a regime solve
-    asks for the same table, its grid, of the same evaluator.  On the
-    segment [x_m, x_{m+1}] that ends at the first positive entry, ell is
-    Z - phi - lam (S_m + s_m (Z - Z(x_m))) / q, increasing and convex.  If it is wider than 1/Phi(q), a second array call of Z cuts it
-    into pieces at most that wide.  Newton runs from the right end of the
-    first piece where ell > 0: on a convex increasing function it falls
-    monotonically to the root, so it needs no bracket.  It runs in Python
-    floats, one exp per root of psi = q giving both Z and W, and stops once
-    a step no longer lowers the iterate by more than a few ulps.
+    One array call of Z tabulates ell at the knots below x_cap and at x_cap as
+    1 - phi + A_k, A_k = sum_{m<k} g_m (Z(x_{m+1}) - Z(x_m)) from one cumsum,
+    so no sum subtracts two numbers of the size of Z.  The evaluator keeps its
+    last knot table with those Z values, and a call on an equal table reuses
+    them: every step of a regime solve asks for the same table, its grid, of
+    the same evaluator.  On the segment [x_m, x_{m+1}] that ends at the first
+    positive entry, ell = 1 - phi + A_m + g_m (Z - Z(x_m)) is increasing and
+    convex.  If it is wider than 1/Phi(q), a second array call of Z cuts it
+    into pieces at most that wide.  Newton, with ell' = q W_q g_m, runs from
+    the right end of the first piece where ell > 0: on a convex increasing
+    function it falls monotonically to the root, so it needs no bracket.  It
+    runs in Python floats, one exp per root of psi = q giving both Z and W, and
+    stops once a step no longer lowers the iterate by more than a few ulps.
     """
     q = ev.q
     t = np.append(xs[xs < ev.x_cap], ev.x_cap)
-    s = slopes[:len(t) - 1]
+    g = 1.0 - lam / q * slopes[:len(t) - 1]
     # held in the instance dict, as cached_property does on a frozen class
     last = vars(ev).get("_z_table")
     if last is not None and np.array_equal(last[0], t):
@@ -110,25 +114,23 @@ def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
         zt = Z(ev, t)
         zt.flags.writeable = False
         vars(ev)["_z_table"] = (t, zt)
-    acc = np.concatenate(([0.0], np.cumsum(s * np.diff(zt))))
-    above = np.flatnonzero(zt - phi - lam * acc / q > 0)
+    acc = 1.0 - phi + np.concatenate(([0.0], np.cumsum(g * np.diff(zt))))
+    above = np.flatnonzero(acc > 0)
     if len(above) == 0:
         raise NumericsError("no sign change within overflow horizon")
     m = above[0] - 1
     lo, hi = t[m], t[m + 1]
-    sm, zm, am = float(s[m]), float(zt[m]), float(acc[m])
+    gm, zm, am = float(g[m]), float(zt[m]), float(acc[m])
     n = int(ev.phi_q * (hi - lo))
     if n:
         # the table has ell(hi) > 0; should the segment form round it
         # to <= 0, the last piece stands in
         grid = np.linspace(lo, hi, n + 2)[1:]
-        zg = Z(ev, grid)
-        pos = zg - phi - lam * (am + sm * (zg - zm)) / q > 0
+        pos = am + gm * (Z(ev, grid) - zm) > 0
         pos[-1] = True
         hi = grid[pos.argmax()]
     terms = list(zip(ev.roots.tolist(), ev.z_coeffs.tolist(),
                      ev.residues.tolist()))
-    gain = q - lam * sm     # ell' = W_q gain on the segment
     x = float(hi)
     for _ in range(100):
         z, w = 1.0, 0.0
@@ -136,8 +138,8 @@ def _first_zero(ev: ScaleEvaluator, phi: float, lam: float, xs: np.ndarray,
             e = math.exp(r * x)
             z += zc * (e - 1.0)
             w += c * e
-        val = z - phi - lam * (am + sm * (z - zm)) / q
-        nxt = x - val / (w * gain)
+        val = am + gm * (z - zm)
+        nxt = x - val / (q * w * gm)
         if not x - nxt > 4.0 * math.ulp(x):
             break
         x = nxt
@@ -155,15 +157,15 @@ def barrier_root(problem: AuxProblem,
                  evaluator: ScaleEvaluator | None = None) -> AuxSolution:
     """Optimal barrier: the unique zero of the barrier equation
 
-        ell(x) = Z_q(x) - lam int_0^x omega'_+(y) W_q(y) dy - phi,
+        ell(x) = Z_q(x) - lam int_0^x omega'_+ W_q - phi
+               = 1 - phi + q int_0^x g W_q,  g = 1 - (lam/q) omega'_+,
 
-    with ell(0) = 1 - phi < 0 and ell'(x) = W_q(x) (q - lam omega'_+(x));
-    for a concave payoff q - lam omega'_+ is nondecreasing, so ell falls,
-    then rises through its one zero.  _first_zero finds it segment by
-    segment between the payoff knots, by Newton on the one segment where
-    ell turns positive; no Z is evaluated past the overflow horizon x_cap.
-    Raises NumericsError if ell stays nonpositive up to x_cap or if |ell|
-    at the root exceeds 1e-10.
+    with ell(0) = 1 - phi < 0 and ell' = q W_q g; for a concave payoff the
+    gain g is nondecreasing, so ell falls, then rises through its one zero.
+    _first_zero finds it segment by segment between the payoff knots, by
+    Newton on the one segment where ell turns positive; no Z is evaluated
+    past the overflow horizon x_cap.  Raises NumericsError if ell stays
+    nonpositive up to x_cap or if |ell| at the root exceeds 1e-10.
     """
     ev = evaluator if evaluator is not None else problem.evaluator()
     pw = problem.payoff
@@ -254,7 +256,7 @@ def hjb_residual(problem: AuxProblem, b: float, x: float,
                   [:-1] for u, v in zip(edges[:-1], edges[1:])]
         nodes, wts = _composite_rule(np.concatenate(panels + [edges[-1:]]),
                                      _GL24)
-    v, vp, vpp = cf(np.concatenate(([x, b], x + nodes)), 1)
+    v, vp, vpp = cf(np.concatenate(([x, b], x + nodes)))
     vx, vb, vp, vpp = v[0], v[1], vp[0], vpp[0]
     if x >= b:
         vp = 1.0        # the right derivative; V'' is 0 there already

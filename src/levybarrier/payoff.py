@@ -5,12 +5,13 @@ derivative omega'_+ at each knot.  Every solver integral pairs it against
 exponential sums, so nothing smoother than piecewise-linear is ever needed.
 
 The type enforces the concavity rule: no ConcavePayoff can be built that
-breaks a law of _checked_slopes by more than _SAMPLE_TOL (ModelError).  Two
-constructors stay, one per tolerance.  make_payoff, which config, the demos
-and the README use, first checks a model's payoff at roundoff scale.
+breaks a law of _checked_slopes by more than _SAMPLE_TOL plus the rounding
+its slopes carry, _slope_rounding (ModelError).  Two constructors stay, one
+per tolerance.  make_payoff, which config, the demos and the README use,
+first checks a model's payoff at roundoff scale.
 concavify takes sampled payoffs, such as the regime hat operator's
 post-switch average of a concave value field: concave in exact arithmetic
-and used as sampled, so a slope rise above _SAMPLE_TOL is a fault upstream,
+and used as sampled, so a slope rise above that bound is a fault upstream,
 raised as NumericsError; the benchmark harness times concavify by name.
 """
 
@@ -24,7 +25,8 @@ from .errors import ModelError, NumericsError
 
 # make_payoff accepts concavity violations up to this (roundoff in the input).
 _ACCEPT_TOL = 1e-9
-# no payoff, sampled ones included, has slopes rising by more than this.
+# no payoff, sampled ones included, has slopes rising by more than this
+# plus their rounding (_slope_rounding).
 _SAMPLE_TOL = 1e-6
 
 
@@ -56,8 +58,9 @@ def _checked_slopes(xs: np.ndarray, vals: np.ndarray, slope_tail: float,
                     tol: float) -> np.ndarray:
     """omega'_+ at each knot, or ModelError naming the first law broken:
     knots ascending from 0 (not NaN), one finite value per knot and a
-    finite tail slope, finite slopes, slopes nonincreasing within tol, tail
-    slope at most the last slope plus tol."""
+    finite tail slope, finite slopes, slopes nonincreasing within tol plus
+    their rounding (_slope_rounding), tail slope at most the last slope
+    plus the same."""
     if xs.ndim != 1 or not len(xs) or xs[0] != 0.0 or \
             not (xs[1:] > xs[:-1]).all():
         raise ModelError("knots not ascending")
@@ -69,12 +72,21 @@ def _checked_slopes(xs: np.ndarray, vals: np.ndarray, slope_tail: float,
         slopes = np.diff(vals) / np.diff(xs)
         if not np.isfinite(slopes).all():
             raise ModelError("slopes overflow float64")
+        tol += _slope_rounding(xs, vals)
         if np.any(np.diff(slopes) > tol):
             raise ModelError("not concave")
     last = slopes[-1] if len(slopes) else np.inf
     if slope_tail > last + tol:
         raise ModelError("bad tail slope")
     return np.append(slopes, slope_tail)
+
+
+def _slope_rounding(xs: np.ndarray, vals: np.ndarray) -> float:
+    """4 eps max|vals| / (smallest knot spacing), 0 for one knot: a slope on
+    spacing h of values rounded to eps relative carries eps max|vals| / h."""
+    with np.errstate(over="ignore"):
+        return (4 * np.finfo(float).eps * np.abs(vals).max()
+                / np.diff(xs).min(initial=np.inf))
 
 
 def make_payoff(knots, slope_tail: float) -> ConcavePayoff:
@@ -114,8 +126,9 @@ def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
 
     samples is an (n, 2) array of (x, value) rows or a sequence of pairs;
     slope_tail defaults to the last segment's slope.  The samples must pass
-    the concavity rule within _SAMPLE_TOL, the bound above which a slope
-    rise is no longer roundoff; otherwise NumericsError names the violation.
+    the concavity rule within _SAMPLE_TOL plus _slope_rounding, the bound
+    above which a slope rise is no longer roundoff; otherwise NumericsError
+    names the violation.
     Nothing is projected: a concave input within that bound is used as is.
     """
     xs, vals = np.asarray(samples, dtype=float).reshape(-1, 2).T

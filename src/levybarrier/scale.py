@@ -11,7 +11,9 @@ largest is Phi(q), the right inverse of psi, and then
 The coefficients of the companions Z_q = 1 + q int_0^x W_q and
 Zbar_q = int_0^x Z_q (q c_j / s_j) and of W_q' (c_j s_j) are computed there
 too.  _scale_sums evaluates all four from one exponential table, behind the
-one overflow guard; W, Z, Zbar, W_deriv and the value kernel all call it.
+one overflow guard; W, Z, Zbar, W_deriv, exit_identities_analytic and the
+CLI's curve call it.  The value kernel (value_grid) builds its own table of
+the same exponentials, on the payoff knots, once per barrier.
 """
 
 from __future__ import annotations

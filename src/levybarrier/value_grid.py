@@ -1,25 +1,29 @@
 """The closed-form value function of the single-regime (0, b) strategy.
 
-On [0, b] the value is a closed form in the scale functions at b - x and in
-the payoff integrals K_j(x) = int_x^b omega'_+(y) exp(s_j (y - x)) dy, one
-per root s_j of psi(s) = q.  It is one table per barrier, which the problem
-keeps, on the knots kappa_0 = 0 < ... < kappa_m = b (the payoff knots below
-b, and b): K by _scan's recursive doubling, for all roots at once, V, V'
-and V'' on the knots, and two coefficient rows.  On (kappa_{J-1}, kappa_J]
-every term is affine in g = kappa_J - x and G_j = exp(s_j g), as exp(s_j
-(b - x)) = exp(s_j (b - kappa_J)) G_j and K_j(x) = G_j K_j(kappa_J) +
-omega'_J (G_j - 1) / s_j, omega'_J the slope left of kappa_J.  So V(x) =
-V(kappa_J) + beta_J g + sum_j gamma_Jj (G_j - 1), and V', V'' add to their
-rows at kappa_J (V'' from the left) that sum with gamma_Jj times -s_j, s_j^2:
+The payoff enters only through the gain g = 1 - (lam/q) omega'_+, as in the
+barrier equation.  With K_j(x) = int_x^b g(y) exp(s_j (y - x)) dy, one per
+root s_j of psi(s) = q, and d the Z_q coefficients (sum_j d_j = 1 by the
+partial fractions of 1/(psi - q) at 0, so Z_q = sum_j d_j exp(s_j x)),
 
-    beta_J = -a0 - (lam/q) (1 - a0) omega'_J,
-    gamma_Jj = d_j [exp(s_j (b - kappa_J)) (R - 1/s_j)
-                    + (lam/q) (K_j(kappa_J) + omega'_J / s_j)],
+    V(x) = (lam/q) omega(x) - psi'(0)/q - d.K(x) + R Z_q(b - x),
+    V'(x) = 1 + (d s).K(x) - ell(b) W_q(b - x) / W_q(b)
 
-d the Z_q coefficients, a0 = 1 - sum_j d_j, R = (Z_q(b) - phi - lam int_0^b
-omega'_+ W_q) / (q W_q(b)).  A point call is a searchsorted, a gather and,
-off the knots, one expm1 row; it evaluates no scale function.  K's terms are
-nonnegative for a nondecreasing payoff, so any order of summation is stable.
+on [0, b], with ell(b) = 1 - phi + (d s).K(0) and R = ell(b) / (q W_q(b)):
+no sum subtracts two numbers of the size of Z_q(b).  It is one table per
+barrier, which the problem keeps, on the knots kappa_0 = 0 < ... < kappa_m
+= b (the payoff knots below b, and b): K by _scan's recursive doubling, for
+all roots at once, V, V' and V'' on the knots, and two coefficient rows.
+On (kappa_{J-1}, kappa_J] every term is affine in h = kappa_J - x and G_j =
+exp(s_j h), as K_j(x) = G_j K_j(kappa_J) + g_J (G_j - 1) / s_j, g_J the gain
+left of kappa_J.  So V(x) = V(kappa_J) + beta_J h + sum_j gamma_Jj (G_j -
+1), and V', V'' add to their rows at kappa_J (V'' from the left) that sum
+with gamma_Jj times -s_j, s_j^2:
+
+    beta_J = -(lam/q) omega'_J,
+    gamma_Jj = d_j [exp(s_j (b - kappa_J)) R - K_j(kappa_J) - g_J / s_j].
+
+A point call is a searchsorted, a gather and, off the knots, one expm1 row;
+it evaluates no scale function.
 """
 
 from __future__ import annotations
@@ -52,14 +56,15 @@ def _scan(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 class _ClosedForm:
     """The value of the (0, b) strategy as one vectorised function
-    (xs, n_second=0) -> (V, V', V'') over any real xs, V'' at xs[:n_second].
+    xs -> (V, V', V'') over any real xs.
 
     Building one checks b and makes tab (V, V', V'' on the knots), beta and
-    gamma; a call adds to a point's next-knot row the expm1 row off the
-    knots, and outside [0, b] takes the row of 0 or b and the linear branch.
-    V' at 0 and b is one-sided; V'' is the closed form on [0, b), from the
-    left where it jumps (at a payoff knot when lam > 0 and sigma = 0), and 0
-    elsewhere.  A table entry not finite in float64 raises NumericsError.
+    gamma, all on the gain g = 1 - (lam/q) omega'_+; a call adds to a
+    point's next-knot row the expm1 row off the knots, and outside [0, b]
+    takes the row of 0 or b and the linear branch.  V' at 0 and b is
+    one-sided; V'' is the closed form on [0, b), from the left where it
+    jumps (at a payoff knot when lam > 0 and sigma = 0), and 0 elsewhere.
+    A table entry not finite in float64 raises NumericsError.
     """
 
     def __init__(self, problem: AuxProblem, b: float, ev: ScaleEvaluator):
@@ -70,57 +75,50 @@ class _ClosedForm:
         pw, s, d = problem.payoff, ev.roots, ev.z_coeffs
         m = int(np.searchsorted(pw.xs, b))
         self.knots = kn = np.append(pw.xs[:m], b)
-        slopes = pw.slopes[:m]
+        lq, q, t = problem.lam / problem.q, problem.q, b - kn
+        # -(lam/q) omega' and the gain left of each knot; at 0, right
+        self.beta = -lq * np.append(pw.slopes[0], pw.slopes[:m])
+        gain = 1.0 + self.beta
         # rows from b down, contiguous: the scan is slow on reversed views
         e = np.exp(np.outer(np.diff(kn, append=b)[::-1], s))
-        c = np.append(slopes, 0.0)[::-1, None] * (e - 1.0) / s
+        c = np.append(gain[1:], 0.0)[::-1, None] * (e - 1.0) / s
         self.k = k = np.ascontiguousarray(_scan(e, c)[::-1])
         self.b, self.ev, self.phi = b, ev, problem.phi
-        w = np.append(slopes[0], slopes)    # left of each knot; at 0, right
-        om = np.append(pw.vals[:m], evaluate(pw, b))
-        lam, q, t = problem.lam, problem.q, b - kn
-        lq, a0 = lam / q, 1.0 - float(d.sum())
         with np.errstate(over="ignore", invalid="ignore"):
             # V, V' on the knots term by term as the closed form reads, not
             # from gamma: a call on knots alone (a regime grid) returns it
             e = np.exp(np.outer(t, s))
-            em1, i2 = e - 1.0, float(ev.residues @ k[0])
-            w_t, z_t = e @ ev.residues, 1.0 + em1 @ d
-            bracket = z_t[0] - problem.phi - lam * i2
-            i1 = (om - om[0]) + a0 * (om[-1] - om) + k @ d
-            v = (-t - (em1 / s - t[:, None]) @ d
-                 - laplace_exponent_deriv(problem.spec, 0.0) / q
-                 + lq * (om[0] + i1) + z_t * bracket / (q * w_t[0]))
-            vp = (w_t / w_t[0] * (problem.phi + lam * i2 - z_t[0]) + z_t
-                  - lam * (k @ ev.residues))
-            self.beta = -a0 - lq * (1.0 - a0) * w
-            self.gamma = e * (d * (bracket / (q * w_t[0]) - 1.0 / s))
-            self.gamma += k * (lq * d) + np.outer(w, lq * d / s)
+            w_t, ds = e @ ev.residues, d * s
+            bracket = 1.0 - problem.phi + float(k[0] @ ds)     # ell(b)
+            r = bracket / (q * w_t[0])
+            v = (lq * evaluate(pw, kn) - k @ d + r * (e @ d)
+                 - laplace_exponent_deriv(problem.spec, 0.0) / q)
+            vp = 1.0 + k @ ds - bracket * w_t / w_t[0]
+            self.gamma = d * (e * r - k - gain[:, None] / s)
             self.powers = np.vander(-s, 3, increasing=True)     # 1, -s, s^2
             self.tab = np.column_stack((v, vp, self.gamma @ self.powers[:, 2]))
         if not np.isfinite(self.tab).all():
             raise NumericsError(f"closed form overflows float64 at b = "
                                 f"{b:.6g}: Phi(q) b = {ev.phi_q * b:.0f}")
 
-    def __call__(self, xs, n_second=0):
+    def __call__(self, xs):
         xs = np.asarray(xs, dtype=float)
         b, kn = self.b, self.knots
         y = np.fmin(np.fmax(xs, 0.0), b)
         # on xs, not y: y's run of b past the barrier restarts each search
         j = np.minimum(np.searchsorted(kn, xs), len(kn) - 1)
-        g = kn[j] - y
+        h = kn[j] - y
         out = self.tab.take(j, 0)
-        off = np.flatnonzero(g)         # expm1 only off the knots
-        jo, go = j[off], g[off]
-        row = np.expm1(np.multiply.outer(go, self.ev.roots)) * self.gamma[jo]
+        off = np.flatnonzero(h)         # expm1 only off the knots
+        jo, ho = j[off], h[off]
+        row = np.expm1(np.multiply.outer(ho, self.ev.roots)) * self.gamma[jo]
         out[off] += row.dot(self.powers)
-        out[off, 0] += self.beta[jo] * go
+        out[off, 0] += self.beta[jo] * ho
         dx = xs - y                     # nonzero below 0 and past b only
         slope = np.where(xs < 0, self.phi, 1.0)
         inside = dx == 0
-        vpp = out[:n_second, 2]
         return (out[:, 0] + slope * dx, np.where(inside, out[:, 1], slope),
-                np.where(inside[:n_second] & (y[:n_second] < b), vpp, 0.0))
+                np.where(inside & (y < b), out[:, 2], 0.0))
 
 
 def _closed_form(problem: AuxProblem, b: float, ev: ScaleEvaluator):

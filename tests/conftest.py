@@ -204,7 +204,7 @@ def reference_hjb_residual(problem, b, x, ev):
     payoff knots, and the exponential tail beyond b in closed form."""
     spec, lam, q = problem.spec, problem.lam, problem.q
     cf = _closed_form(problem, b, ev)
-    (vx, vb), (vp, _), (vpp,) = cf([x, b], 1)
+    (vx, vb), (vp, _), (vpp, _) = cf([x, b])
     if x >= b:
         vp = 1.0
     out = spec.drift_mu * vp + 0.5 * spec.sigma**2 * vpp

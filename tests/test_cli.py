@@ -1,13 +1,18 @@
 import ast
+import contextlib
+import io
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from levybarrier import ModelError
 from levybarrier.cli import main
@@ -233,6 +238,86 @@ def test_small_delta_or_sigma_runs_without_warning(tmp_path, demo, command,
     rc = main([command, "--config",
                str(_demo_with(tmp_path, demo, key, "1e-9"))])
     assert rc in (0, 2, 3)
+
+
+# the 21 values of the config-text fuzz, as config text
+_FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "2.5", "1e-9", "nan", "inf",
+                "-inf", "'x'", "None", "True", "[]", "[1]", "[[1, 2, 3]]",
+                "[[0.0, 0.0]]", "[[1.0, 0.0]]", "[[1.0, -2.0]]", "[[]]", "{}",
+                "()"]
+_FUZZ_COMMANDS = [["solve-aux"], ["solve-aux", "--out"], ["curve"],
+                  ["solve-regime"]]
+
+
+def _fuzz_base(demo):
+    """The lines of demos/<demo> with the regime grid at 200 points, and the
+    index of every `key = value` line outside [sim]."""
+    text = re.sub(r"^grid_points = .*$", "grid_points = 200",
+                  (DEMOS / demo).read_text(), flags=re.M)
+    lines, section, slots = text.splitlines(), None, []
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line
+        elif re.match(r"\w+ = ", line) and section != "[sim]":
+            slots.append(i)
+    return lines, slots
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """(config lines, command): a demo config with one or two of its
+    `key = value` lines outside [sim] set to values of _FUZZ_VALUES."""
+    lines, slots = _fuzz_base(draw(st.sampled_from(["aux.cfg",
+                                                    "regime.cfg"])))
+    for i in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=2,
+                           unique=True)):
+        lines[i] = (lines[i].split(" = ")[0] + " = "
+                    + draw(st.sampled_from(_FUZZ_VALUES)))
+    return lines, draw(st.sampled_from(_FUZZ_COMMANDS))
+
+
+def _small_delta_or_sigma(lines, command):
+    """The cases of test_small_delta_or_sigma_runs_without_warning: the
+    Brownian state's sigma (the first sigma line) at 1e-9 on any command,
+    or delta at 1e-9 on curve and solve-aux."""
+    sigma = next(line for line in lines if line.startswith("sigma = "))
+    return sigma == "sigma = 1e-9" or ("delta = 1e-9" in lines
+                                       and command != "solve-regime")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_fuzzed_configs())
+def test_config_text_exits_0_2_or_3(case):
+    """Config text to exit code: solve-aux, solve-aux --out, curve or
+    solve-regime on a demo config with one or two lines outside [sim] set
+    to one of 21 values (numbers at float64's edges, strings, None, True,
+    lists of wrong shapes, {} and ()) exits 0, 2 or 3, warns nothing, and
+    prints only finite numbers when it exits 0.  The strategy leaves out
+    only the five strict xfails of
+    test_small_delta_or_sigma_runs_without_warning, whose scale sums
+    overflow float64 with a RuntimeWarning: the Brownian state's sigma at
+    1e-9 (curve, solve-aux and solve-regime) and delta at 1e-9 (curve and
+    solve-aux)."""
+    lines, command = case
+    assume(not _small_delta_or_sigma(lines, command[0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        argv = [command[0], "--config", str(cfg)] + (
+            ["--out", str(Path(tmp) / "out")] if len(command) > 1 else [])
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            rc = main(argv)
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        for token in re.split(r"[\s,=]+", out.getvalue()):
+            try:
+                number = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(number), token
 
 
 def test_regime_model_from_config():

@@ -521,6 +521,17 @@ def test_regrow_matches_solve_on_the_final_grid(two_state_model):
     assert grown.iterations == direct.iterations
 
 
+@pytest.mark.parametrize("x_max", [1e-6, 1e-7, 1e-8])
+def test_small_x_max_regrows(two_state_model, x_max):
+    # on a grid spacing h = x_max / 2000 a hat slope carries rounding of
+    # about eps max|V| / h, past the fixed slope allowances: these once
+    # raised "payoff slope at 0+ exceeds phi" (1e-6) and "sampled payoff:
+    # not concave" (1e-7, 1e-8) instead of regrowing
+    sol = solve(two_state_model, grid_points=2000, x_max=x_max)
+    ref = solve(two_state_model, grid_points=2000)
+    assert np.abs(sol.barriers - ref.barriers).max() <= 5e-7
+
+
 def test_smooth_fit_per_state(two_state_model, three_state_model):
     for model in (two_state_model, three_state_model):
         sol = solve(model, tol=1e-8, grid_points=1200)
@@ -583,11 +594,9 @@ def _fuzz_model(k):
 def test_fuzz_models_fail_loudly_or_fit(k):
     # barriers where |ell| cannot reach 1e-10 in floating point: a barrier
     # returned with no error must still meet smooth fit in every state.
-    # Which NumericsError a failing model raises moves with the last bits
-    # of its barriers: a root that does not converge, a field that leaves
-    # the cone, or (model 67, at Phi(q) b = 405) a closed form that
-    # overflows; each is a numerical failure, not a model error, and none
-    # may come with a RuntimeWarning.
+    # Every failing model of the 100 raises "barrier root did not
+    # converge" (26, model 67 at Phi(q) b = 405 among them): a numerical
+    # failure, not a model error, and none may come with a RuntimeWarning.
     model = _fuzz_model(k)
     try:
         sol = solve(model, grid_points=1000)

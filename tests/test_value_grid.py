@@ -13,10 +13,10 @@ from levybarrier.payoff import right_derivative
 from levybarrier.value_grid import _closed_form, _scan, value_on_grid
 
 
-def _k_on_points_scalar(payoff, roots, pts, b, dtype=float):
+def _k_on_points_scalar(payoff, lq, roots, pts, b, dtype=float):
     """Point-by-point reference for the K table: the backward recurrence
-    with one scalar right derivative per point, in the arithmetic of
-    dtype."""
+    with one scalar gain 1 - lq omega'_+ per point, lq = lam/q, in the
+    arithmetic of dtype."""
     n = len(pts)
     roots = roots.astype(dtype)
     out = np.zeros((n, len(roots)), dtype=dtype)
@@ -26,8 +26,9 @@ def _k_on_points_scalar(payoff, roots, pts, b, dtype=float):
         p = dtype(pts[m])
         if upper > p:
             slope = dtype(float(right_derivative(payoff, pts[m])))
+            gain = dtype(1) - dtype(lq) * slope
             e = np.exp(roots * (upper - p))
-            k = e * k + slope * (e - 1) / roots
+            k = e * k + gain * (e - 1) / roots
         out[m] = k
         upper = p
     return out
@@ -61,8 +62,9 @@ def test_k_table_matches_scalar_recurrence(many_knot_case):
     cf = _closed_form(prob, b, ev)
     np.testing.assert_array_equal(cf.knots, np.concatenate(([0.0], knots,
                                                             [b])))
-    exact = _k_on_points_scalar(pw, ev.roots, cf.knots, b, np.longdouble)
-    for got in (cf.k, _k_on_points_scalar(pw, ev.roots, cf.knots, b)):
+    lq = prob.lam / prob.q
+    exact = _k_on_points_scalar(pw, lq, ev.roots, cf.knots, b, np.longdouble)
+    for got in (cf.k, _k_on_points_scalar(pw, lq, ev.roots, cf.knots, b)):
         np.testing.assert_allclose(got, exact, rtol=2e-14, atol=0)
 
 
@@ -110,7 +112,7 @@ def test_second_derivative_twelve_cases(twelve_cases):
         b, ev = sol.barrier, sol.evaluator
         xs = np.linspace(0.1 * b, 0.9 * b, 7)
         xs = xs[np.min(np.abs(xs[:, None] - prob.payoff.xs), axis=1) > 4 * h]
-        _, _, vpp = _closed_form(prob, b, ev)(xs, len(xs))
+        _, _, vpp = _closed_form(prob, b, ev)(xs)
         num = np.array([(value_derivative(prob, b, x + h, ev)
                          - value_derivative(prob, b, x - h, ev)) / (2 * h)
                         for x in xs])
