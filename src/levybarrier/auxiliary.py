@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError
 from .levy import LevySpec
-from .payoff import ConcavePayoff, _slope_rounding, evaluate, make_payoff
+from .payoff import ConcavePayoff, evaluate, make_payoff
 from .scale import Z, ScaleEvaluator, _composite_rule, build_scale_evaluator
 from .value_grid import _ClosedForm, _closed_form, value_on_grid
 
@@ -59,8 +59,8 @@ class AuxProblem:
             raise ModelError("lam > 0 needs a payoff" if self.payoff is None
                              else "payoff must be a ConcavePayoff")
         pw = self.payoff
-        if self.lam > 0 and pw.slopes[0] > self.phi + 1e-9 + \
-                _slope_rounding(pw.xs, pw.vals):
+        if self.lam > 0 and \
+                pw.slopes[0] > self.phi + 1e-9 + pw.slope_rounding[0]:
             raise ModelError("payoff slope at 0+ exceeds phi")
 
     @property

@@ -6,9 +6,9 @@ exponential sums, so nothing smoother than piecewise-linear is ever needed.
 
 The type enforces the concavity rule: no ConcavePayoff can be built that
 breaks a law of _checked_slopes by more than _SAMPLE_TOL plus the rounding
-its slopes carry, _slope_rounding (ModelError).  Two constructors stay, one
-per tolerance.  make_payoff, which config, the demos and the README use,
-first checks a model's payoff at roundoff scale.
+its slopes carry (ModelError).  Two constructors stay, one per tolerance.
+make_payoff, which config, the demos and the README use, first checks a
+model's payoff at roundoff scale.
 concavify takes sampled payoffs, such as the regime hat operator's
 post-switch average of a concave value field: concave in exact arithmetic
 and used as sampled, so a slope rise above that bound is a fault upstream,
@@ -26,7 +26,7 @@ from .errors import ModelError, NumericsError
 # make_payoff accepts concavity violations up to this (roundoff in the input).
 _ACCEPT_TOL = 1e-9
 # no payoff, sampled ones included, has slopes rising by more than this
-# plus their rounding (_slope_rounding).
+# plus their rounding.
 _SAMPLE_TOL = 1e-6
 
 
@@ -40,27 +40,31 @@ class ConcavePayoff:
     slope_tail: float       # right derivative beyond the last knot
     # omega'_+ at each knot (segment slopes, then slope_tail), by the check
     slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    # the rounding each slope carries, by the same check
+    slope_rounding: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("xs", "vals"):
-            arr = np.array(getattr(self, name), dtype=float)
+        xs, vals = (np.array(a, dtype=float) for a in (self.xs, self.vals))
+        checked = _checked_slopes(xs, vals, self.slope_tail, _SAMPLE_TOL)
+        for name, arr in zip(("xs", "vals", "slopes", "slope_rounding"),
+                             (xs, vals, *checked)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "slopes", _checked_slopes(
-            self.xs, self.vals, self.slope_tail, _SAMPLE_TOL))
-        self.slopes.flags.writeable = False
 
     def __call__(self, x):
         return evaluate(self, x)
 
 
 def _checked_slopes(xs: np.ndarray, vals: np.ndarray, slope_tail: float,
-                    tol: float) -> np.ndarray:
-    """omega'_+ at each knot, or ModelError naming the first law broken:
-    knots ascending from 0 (not NaN), one finite value per knot and a
-    finite tail slope, finite slopes, slopes nonincreasing within tol plus
-    their rounding (_slope_rounding), tail slope at most the last slope
-    plus the same."""
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """omega'_+ at each knot and the rounding each carries, or ModelError
+    naming the first law broken: knots ascending from 0 (not NaN), one
+    finite value per knot and a finite tail slope, finite slopes, each
+    slope at most the one before plus tol plus both their roundings ("not
+    concave"; for the tail slope "bad tail slope").  A segment slope on
+    width h carries 2 eps max|vals| / h, from values rounded to eps
+    max|vals|, and slope_tail 0: a tiny segment loosens only its own two
+    rises, which move no value off its neighbours' chord past rounding."""
     if xs.ndim != 1 or not len(xs) or xs[0] != 0.0 or \
             not (xs[1:] > xs[:-1]).all():
         raise ModelError("knots not ascending")
@@ -69,24 +73,18 @@ def _checked_slopes(xs: np.ndarray, vals: np.ndarray, slope_tail: float,
         raise ModelError("need one finite value per knot and a finite tail "
                          "slope")
     with np.errstate(over="ignore"):      # past float64's range: inf
-        slopes = np.diff(vals) / np.diff(xs)
+        h = np.diff(xs)
+        slopes = np.append(np.diff(vals) / h, slope_tail)
         if not np.isfinite(slopes).all():
             raise ModelError("slopes overflow float64")
-        tol += _slope_rounding(xs, vals)
-        if np.any(np.diff(slopes) > tol):
-            raise ModelError("not concave")
-    last = slopes[-1] if len(slopes) else np.inf
-    if slope_tail > last + tol:
+        rounding = np.append(2 * np.finfo(float).eps * np.abs(vals).max() / h,
+                             0.0)
+        broken = np.diff(slopes) > tol + rounding[:-1] + rounding[1:]
+    if broken[:-1].any():
+        raise ModelError("not concave")
+    if broken[-1:].any():
         raise ModelError("bad tail slope")
-    return np.append(slopes, slope_tail)
-
-
-def _slope_rounding(xs: np.ndarray, vals: np.ndarray) -> float:
-    """4 eps max|vals| / (smallest knot spacing), 0 for one knot: a slope on
-    spacing h of values rounded to eps relative carries eps max|vals| / h."""
-    with np.errstate(over="ignore"):
-        return (4 * np.finfo(float).eps * np.abs(vals).max()
-                / np.diff(xs).min(initial=np.inf))
+    return slopes, rounding
 
 
 def make_payoff(knots, slope_tail: float) -> ConcavePayoff:
@@ -126,9 +124,9 @@ def concavify(samples, slope_tail: float | None = None) -> ConcavePayoff:
 
     samples is an (n, 2) array of (x, value) rows or a sequence of pairs;
     slope_tail defaults to the last segment's slope.  The samples must pass
-    the concavity rule within _SAMPLE_TOL plus _slope_rounding, the bound
-    above which a slope rise is no longer roundoff; otherwise NumericsError
-    names the violation.
+    the concavity rule within _SAMPLE_TOL plus the slopes' rounding, the
+    bound above which a slope rise is no longer roundoff; otherwise
+    NumericsError names the violation.
     Nothing is projected: a concave input within that bound is used as is.
     """
     xs, vals = np.asarray(samples, dtype=float).reshape(-1, 2).T

@@ -412,14 +412,21 @@ def _box_spec(family, mu, sigma, jump_rate, claim_rate):
 
 
 def _assert_fit_or_loud(prob):
+    """Smooth fit to 1e-8 at the barrier, or NumericsError.  V'(0) = phi
+    holds at any b in the gain form, and so does V'(b-) = 1 when sigma > 0,
+    as W_q(0) = 0; there the fit that depends on b is ell(b) = V''(b-)
+    W_q(b) / W_q'(0+) = 0, with W_q'(0+) = 2 / sigma^2."""
     try:
         sol = barrier_root(prob)
         b, ev = sol.barrier, sol.evaluator
-        fit = max(abs(value_derivative(prob, b, b, ev) - 1.0),
-                  abs(value_derivative(prob, b, 0.0, ev) - prob.phi))
+        _, vp, vpp = value_grid._closed_form(prob, b, ev)(
+            [0.0, np.nextafter(b, 0.0), b])
+        ell_b = vpp[1] * W(ev, b) * prob.spec.sigma ** 2 / 2
     except NumericsError:
         return
-    assert fit <= 1e-8
+    assert abs(vp[2] - 1.0) <= 1e-8
+    assert abs(vp[0] - prob.phi) <= 1e-8
+    assert abs(ell_b) <= 1e-8
 
 
 def _critical_slope_problems(count):

@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from levybarrier import (ConcavePayoff, LevySpec, ModelError, RegimeModel,
                          SimConfig, ValueField, laplace_exponent)
-from levybarrier.payoff import _slope_rounding
 
 POSITIVE = st.floats(1e-300, 1e2)
 NEGATIVE = st.floats(-1e2, -1e-300)
@@ -199,8 +198,9 @@ def test_payoff_is_valid_or_model_error():
         assert np.all(np.isfinite(pw(xs)))
         with np.errstate(over="ignore"):
             rises = np.diff(pw.slopes)
-        # the type's law: _SAMPLE_TOL plus the slopes' own rounding
-        assert np.all(rises <= 1e-6 + _slope_rounding(pw.xs, pw.vals))
+        # the type's law: _SAMPLE_TOL plus the two slopes' own rounding
+        r = pw.slope_rounding
+        assert np.all(rises <= 1e-6 + r[:-1] + r[1:])
 
     check()
     assert len(built) >= 50

@@ -60,6 +60,21 @@ def test_payoff_checks_itself(xs, vals, tail, message):
                                                      np.array(vals), tail)))
 
 
+@pytest.mark.parametrize("knots, tail, message", [
+    ([[0.0, 0.0], [1e-300, 0.0], [1.0, 0.0], [2.0, 5.0]], 0.0, "not concave"),
+    ([[0.0, 0.0], [5e-324, 0.0], [1.0, 0.0], [2.0, 5.0]], 0.0, "not concave"),
+    ([[0.0, 0.0], [1e-300, 0.0], [1.0, 1.0]], 2.0, "bad tail slope"),
+], ids=["tiny-first-segment", "subnormal-first-segment", "tiny-then-tail"])
+def test_a_tiny_segment_loosens_only_its_own_rises(knots, tail, message):
+    # a slope on width 1e-300 carries rounding near 1e285 (inf at 5e-324);
+    # the rise of 5 at x = 1, between two unit segments, or the tail's rise
+    # of 1 is still a broken law, from config text as from the type
+    with pytest.raises(ModelError, match=message):
+        make_payoff(knots, tail)
+    with pytest.raises(ModelError, match=message):
+        ConcavePayoff(*np.array(knots).T, tail)
+
+
 def test_make_payoff_reports_the_first_law_at_its_tolerance():
     # the slopes rise by 1e-7, within the type's 1e-6 but above the
     # input's 1e-9, and the tail rises by 1; the type alone would name
